@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .qpoly import Poly, parse_expr, ParseError, QPolyError
-from .lyapunov import PlanarSystem, pl_constants, first_nonzero, LyapunovError
+from .lyapunov import PlanarSystem, pl_constants, LyapunovError
 from . import quintic, structure, orbits
 
 MAX_DISPLAY_TERMS = 20
@@ -74,6 +74,8 @@ def load_system_document(path):
         unknown = keys - {"p", "q", "bindings"}
         if unknown:
             raise InputError(f"unknown keys {sorted(unknown)}")
+        if not (isinstance(doc["p"], str) and isinstance(doc["q"], str)):
+            raise InputError(f"{path}: p and q must be expression strings")
         try:
             sysm = PlanarSystem(parse_expr(doc["p"]), parse_expr(doc["q"]))
         except ParseError as exc:
@@ -157,9 +159,16 @@ def cmd_classify(args):
     return code
 
 
+def _required(args, flag):
+    value = getattr(args, flag)
+    if value is None:
+        raise InputError(f"verify {args.kind} needs --{flag}")
+    return value
+
+
 def _verify_commute(args):
     sys1 = _system_from_args(args)
-    sys2 = load_system_document(args.other)
+    sys2 = load_system_document(_required(args, "other"))
     b1, b2 = structure.lie_bracket(sys1, sys2)
     ok = b1.is_zero and b2.is_zero
     return ok, [f"bracket1 = {_truncated(b1)}", f"bracket2 = {_truncated(b2)}"]
@@ -167,7 +176,7 @@ def _verify_commute(args):
 
 def _verify_invariant(args):
     sysm = _system_from_args(args)
-    curve = parse_expr(args.curve)
+    curve = parse_expr(_required(args, "curve"))
     cof = structure.cofactor_of(sysm, curve)
     if cof is None:
         return False, ["no polynomial cofactor (curve is not invariant)"]
@@ -176,15 +185,15 @@ def _verify_invariant(args):
 
 def _verify_integral(args):
     sysm = _system_from_args(args)
-    num = parse_expr(args.num)
-    den = parse_expr(args.den)
+    num = parse_expr(_required(args, "num"))
+    den = parse_expr(_required(args, "den"))
     res = structure.rational_integral_residual(sysm, num, den)
     return res.is_zero, [f"residual = {_truncated(res)}"]
 
 
 def _verify_reversible(args):
     sysm = _system_from_args(args)
-    parts = args.line.split(",")
+    parts = _required(args, "line").split(",")
     if len(parts) != 2:
         raise InputError("--line needs 'alpha,beta'")
     alpha, beta = (parse_rational(p) for p in parts)

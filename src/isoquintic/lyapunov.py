@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .qpoly import Poly, solve_linear_exact
 
-DEFAULT_CAP = 6
+CAP = 6
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -120,7 +120,7 @@ def _stage_known(fcomp, pcomp, qcomp, deg):
     return total
 
 
-def pl_constants(sys, m, cap=DEFAULT_CAP):
+def pl_constants(sys, m):
     """Compute the first m Lyapunov constants of `sys`, exactly.
 
     Odd stage k: solve L(f_k) = -(known terms) so the degree-k part of dF/dt
@@ -130,8 +130,8 @@ def pl_constants(sys, m, cap=DEFAULT_CAP):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > cap:
-        raise LyapunovError(f"requested {m} constants exceeds the cap {cap}")
+    if m > CAP:
+        raise LyapunovError(f"requested {m} constants exceeds the cap {CAP}")
     check_linear_center(sys)
     pcomp, qcomp = sys.components()
 

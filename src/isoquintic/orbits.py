@@ -9,8 +9,7 @@ at tight tolerances; a fixed-step RK4 is kept for order tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -64,7 +63,6 @@ class Trajectory:
     x: np.ndarray
     y: np.ndarray
     config: IntegratorConfig
-    events: list = field(default_factory=list)
 
     def samples(self):
         return list(zip(self.t, self.x, self.y))
@@ -223,7 +221,7 @@ def _golden_max(fun, lo, hi, tol=1e-12):
     return m, fun(m)
 
 
-def boundary_curve(d, e, g, h, N=256, dense=4096):
+def boundary_curve(d, e, g, h, N=256):
     """Sampled explicit boundary rho(phi) = (c0 - Q(phi))^(-1/4) for case (i).
 
     Q is the partner quartic e x^4 - 4 d x^3 y + 4 h x y^3 - g y^4 restricted
@@ -235,6 +233,7 @@ def boundary_curve(d, e, g, h, N=256, dense=4096):
         raise ValueError("N must be >= 64")
     d, e, g, h = (float(v) for v in (d, e, g, h))
     Q = _case_i_quartic(d, e, g, h)
+    dense = 4096  # angles in the coarse scan
     step = 2.0 * math.pi / dense
     values = [Q(i * step) for i in range(dense)]
 

@@ -93,6 +93,15 @@ def _coerce_coeff(c):
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
+def as_poly(v):
+    """A symbol name as its variable, a Poly as itself, any other number exact."""
+    if isinstance(v, str):
+        return Poly.var(v)
+    if isinstance(v, Poly):
+        return v
+    return Poly.const(v)
+
+
 class Poly:
     """A sparse polynomial with exact rational coefficients."""
 
@@ -148,11 +157,6 @@ class Poly:
             for v, _ in m:
                 out.add(v)
         return out
-
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
 
     def degree_in(self, vars=("x", "y")):
         vs = set(vars)
@@ -300,22 +304,20 @@ class Poly:
 
     # -- structure ----------------------------------------------------
 
-    def homogeneous_parts(self, vars=("x", "y")):
-        """Split into components homogeneous in `vars` (other symbols count as degree 0)."""
-        vs = set(vars)
+    def homogeneous_parts(self):
+        """Split into components homogeneous in x, y (other symbols count as degree 0)."""
         parts = {}
         for m, c in self.terms.items():
-            k = sum(e for v, e in m if v in vs)
+            k = sum(e for v, e in m if v in ("x", "y"))
             parts.setdefault(k, {})[m] = c
         return {k: Poly(t) for k, t in sorted(parts.items())}
 
-    def xy_coefficients(self, vars=("x", "y")):
-        """Map (i, j) exponents in `vars` to the coefficient polynomial in the rest."""
-        vx, vy = vars
+    def xy_coefficients(self):
+        """Map (i, j) exponents of x, y to the coefficient polynomial in the rest."""
         out = {}
         for m, c in self.terms.items():
             d = dict(m)
-            i, j = d.pop(vx, 0), d.pop(vy, 0)
+            i, j = d.pop("x", 0), d.pop("y", 0)
             rest = _mono(d.items())
             out.setdefault((i, j), {})[rest] = c
         return {ij: Poly(t) for ij, t in out.items()}
@@ -551,49 +553,21 @@ def solve_linear_exact(matrix, rhs):
     m = [[Fraction(v) for v in row] for row in matrix]
     b = [Poly._coerce(v) for v in rhs]
 
-    pivots = []
-    row = 0
     for col in range(n):
-        pr = next((r for r in range(row, n) if m[r][col]), None)
+        pr = next((r for r in range(col, n) if m[r][col]), None)
         if pr is None:
-            raise SingularMatrixError(_null_vector(matrix, col, pivots))
-        m[row], m[pr] = m[pr], m[row]
-        b[row], b[pr] = b[pr], b[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        b[row] = b[row] * inv
+            # columns 0..col-1 are unit vectors by now, so x_col = 1,
+            # x_r = -m[r][col] for r < col and zeros after col solve M x = 0
+            null = [-m[r][col] for r in range(col)] + [Fraction(1)]
+            raise SingularMatrixError(null + [Fraction(0)] * (n - col - 1))
+        m[col], m[pr] = m[pr], m[col]
+        b[col], b[pr] = b[pr], b[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        b[col] = b[col] * inv
         for r in range(n):
-            if r != row and m[r][col]:
+            if r != col and m[r][col]:
                 factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[row])]
-                b[r] = b[r] - b[row] * factor
-        pivots.append(col)
-        row += 1
+                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+                b[r] = b[r] - b[col] * factor
     return b
-
-
-def _null_vector(matrix, free_col, pivots):
-    """Null vector witnessing singularity: free variable 1, pivots solved."""
-    n = len(matrix)
-    m = [[Fraction(v) for v in row] for row in matrix]
-    # reduce the columns left of free_col to echelon form again
-    row = 0
-    pivot_cols = []
-    for col in range(free_col):
-        pr = next((r for r in range(row, n) if m[r][col]), None)
-        if pr is None:
-            continue
-        m[row], m[pr] = m[pr], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(n):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[row])]
-        pivot_cols.append(col)
-        row += 1
-    v = [Fraction(0)] * n
-    v[free_col] = Fraction(1)
-    for r, col in reversed(list(enumerate(pivot_cols))):
-        v[col] = -sum((m[r][c] * v[c] for c in range(col + 1, n)), Fraction(0))
-    return v

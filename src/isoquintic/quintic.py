@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .qpoly import Poly, RationalFunction
-from .lyapunov import PlanarSystem, pl_constants, first_nonzero
+from .qpoly import Poly, RationalFunction, as_poly
+from .lyapunov import PlanarSystem, pl_constants
 
 PARAM_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -29,14 +29,6 @@ class QuinticError(Exception):
 
 class NoSymbolicPartner(QuinticError):
     """Case (iii) with d or e nonzero has no known polynomial partner."""
-
-
-def _entry_poly(v):
-    if isinstance(v, str):
-        return Poly.var(v)
-    if isinstance(v, Poly):
-        return v
-    return Poly.const(Fraction(v))
 
 
 @dataclass(frozen=True)
@@ -60,11 +52,8 @@ class QuinticParams:
     def numeric(cls, *values):
         return cls(*(Fraction(v) for v in values))
 
-    def as_dict(self):
-        return {n: getattr(self, n) for n in PARAM_NAMES}
-
     def polys(self):
-        return {n: _entry_poly(getattr(self, n)) for n in PARAM_NAMES}
+        return {n: as_poly(getattr(self, n)) for n in PARAM_NAMES}
 
     @property
     def is_numeric(self):
@@ -165,10 +154,10 @@ def classify(params, m=4):
     if case is not None:
         return Classification("center", case=case)
     report = pl_constants(build_system(params), m)
-    hit = first_nonzero(report, {})
-    if hit is None:
+    if report.first_nonzero_index is None:
         return Classification("undetermined", m=m)
-    return Classification("focus", focus_index=hit[0], focus_sign=hit[1])
+    return Classification("focus", focus_index=report.first_nonzero_index,
+                          focus_sign=report.sign)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qpoly import Poly, RationalFunction, divide_exact
+from .qpoly import Poly, RationalFunction, as_poly, divide_exact
 from .lyapunov import PlanarSystem
 
 X = Poly.var("x")
@@ -128,11 +128,7 @@ class IntegralExponent:
 
 @dataclass(frozen=True)
 class DarbouxCandidate:
-    """Invariants with exponents; certified when sum(lambda_i K_i) = 0.
-
-    Exponents are Fractions or (num, den) Poly pairs (for weights like 1/e);
-    the cofactor sum is cleared of denominators before the zero test.
-    """
+    """Invariants with rational exponents; certified when sum(lambda_i K_i) = 0."""
     algebraic: tuple
     exponential: tuple = ()
 
@@ -143,27 +139,18 @@ class DarbouxVerdict:
     residual: Poly | None = None
 
 
-def _exp_parts(lam):
-    if isinstance(lam, tuple):
-        num, den = lam
-        return Poly._coerce(num), Poly._coerce(den)
-    return Poly._coerce(Fraction(lam)), Poly.const(1)
-
-
 def verify_darboux_integral(sys, cand):
     """Certify each invariant against `sys`, then the weighted cofactor sum."""
-    entries = []
+    total = Poly.zero()
     for inv, lam in cand.algebraic:
         res = directional_derivative(sys, inv.curve) - inv.cofactor * inv.curve
         if not res.is_zero:
             raise StructureError(f"algebraic invariant failed: {inv.curve}")
-        entries.append((lam, inv.cofactor))
+        total = total + Fraction(lam) * inv.cofactor
     for inv, lam in cand.exponential:
         if isinstance(inv, RationalExponent):
             gn, gd = inv.exponent.num, inv.exponent.den
-            lhs = (sys.p * (gn.diff("x") * gd - gn * gd.diff("x"))
-                   + sys.q * (gn.diff("y") * gd - gn * gd.diff("y")))
-            if lhs != inv.cofactor * gd ** 2:
+            if rational_integral_residual(sys, gn, gd) != inv.cofactor * gd ** 2:
                 raise StructureError(f"exponential invariant failed: exp({gn}/{gd})")
         elif isinstance(inv, IntegralExponent):
             u = inv.u
@@ -172,22 +159,7 @@ def verify_darboux_integral(sys, cand):
                 raise StructureError("integral-exponent invariant failed")
         else:
             raise TypeError(f"unknown exponential invariant {type(inv).__name__}")
-        entries.append((lam, inv.cofactor))
-
-    # clear exponent denominators: sum(n_i / d_i * K_i) = 0
-    # <=> sum(n_i * prod_{j != i} d_j * K_i) = 0
-    nums, dens = [], []
-    for lam, _ in entries:
-        n, d = _exp_parts(lam)
-        nums.append(n)
-        dens.append(d)
-    total = Poly.zero()
-    for i, (_, cof) in enumerate(entries):
-        w = nums[i]
-        for j, d in enumerate(dens):
-            if j != i:
-                w = w * d
-        total = total + w * cof
+        total = total + Fraction(lam) * inv.cofactor
     if total.is_zero:
         return DarbouxVerdict(True)
     return DarbouxVerdict(False, residual=total)
@@ -229,12 +201,6 @@ def darboux_candidate_equal(e):
 # ----------------------------------------------------------------------
 # reversibility
 
-def _as_poly(v):
-    if isinstance(v, str):
-        return Poly.var(v)
-    return Poly._coerce(v)
-
-
 def _reflected_compose(poly, xp, yp, den, n):
     """den^n * poly(xp/den, yp/den) for poly of degree <= n in x, y."""
     total = Poly.zero()
@@ -251,8 +217,8 @@ def reversibility_residual(sys, alpha, beta):
     2 a b (p p' - q q') + (b^2 - a^2)(p q' + p' q), with (x', y') the
     reflection of (x, y) and all (alpha^2 + beta^2) denominators cleared.
     """
-    alpha = _as_poly(alpha)
-    beta = _as_poly(beta)
+    alpha = as_poly(alpha)
+    beta = as_poly(beta)
     if alpha.is_zero and beta.is_zero:
         raise ValueError("(alpha, beta) must not both be zero")
     den = alpha ** 2 + beta ** 2
@@ -312,7 +278,7 @@ def angular_speed_residual(sys):
 # ----------------------------------------------------------------------
 # the antiderivative of 1/(e - g + t + t^2)
 
-def c3_exponent(u, e_minus_g, branch_tol=1e-12):
+def c3_exponent(u, e_minus_g):
     """Definite integral of dt/(e-g + t + t^2) from 0 to u, branch-selected
     by the sign of 4(e-g) - 1.  Raises DomainError on a pole inside the
     integration segment.
@@ -325,7 +291,7 @@ def c3_exponent(u, e_minus_g, branch_tol=1e-12):
             if lo - 1e-12 <= root <= hi + 1e-12:
                 raise DomainError(f"pole at t = {root} inside [0, {u}]")
     delta = 4.0 * e_minus_g - 1.0
-    if abs(delta) < branch_tol:
+    if abs(delta) < 1e-12:
         F = lambda t: -2.0 / (1.0 + 2.0 * t)
     elif delta > 0.0:
         rt = math.sqrt(delta)

@@ -129,6 +129,16 @@ class TestVerify:
         assert lines[0] == "FAIL"
         assert lines[1] == "bracket1 = 2*x*y"
 
+    @pytest.mark.parametrize("kind, flag", [("commute", "other"),
+                                            ("invariant", "curve"),
+                                            ("integral", "num"),
+                                            ("reversible", "line")])
+    def test_missing_flag(self, capsys, kind, flag):
+        code, _, err = run(capsys, "verify", kind,
+                           "--family", "0,1,0,0,1,0,-1,0")
+        assert code == 2
+        assert err == f"error: verify {kind} needs --{flag}\n"
+
     def test_invariant_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "invariant",
                            "--family", "a,b,c,d,e,f,g,h",
@@ -294,6 +304,11 @@ class TestDocuments:
         path = write_doc(tmp_path, "sys.json", {"p": "y +", "q": "-x"})
         code, _, err = run(capsys, "plconst", "--system", path, "-m", "1")
         assert code == 2
+
+    def test_non_string_component(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "sys.json", {"p": 5, "q": "-x"})
+        code, _, err = run(capsys, "plconst", "--system", path, "-m", "1")
+        assert code == 2 and "p and q must be expression strings" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "plconst",

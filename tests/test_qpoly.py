@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings, strategies as st
 
 from isoquintic.qpoly import (
     Poly, ParseError, UnboundVariableError, SingularMatrixError,
@@ -184,6 +184,20 @@ class TestDivision:
         assert divide_exact(p * q, q) == p
 
 
+@st.composite
+def rank_deficient(draw):
+    """n x n integer matrix A B with A n x r, B r x n and r < n <= 5."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n - 1))
+    ints = st.integers(-4, 4)
+    A = draw(st.lists(st.lists(ints, min_size=r, max_size=r),
+                      min_size=n, max_size=n))
+    B = draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                      min_size=r, max_size=r))
+    return [[Fraction(sum(A[i][k] * B[k][j] for k in range(r)))
+             for j in range(n)] for i in range(n)]
+
+
 class TestSolver:
     def test_identity(self):
         a, b = Poly.var("a"), Poly.var("b")
@@ -211,6 +225,17 @@ class TestSolver:
         v = exc.value.null_vector
         assert any(v)
         assert all(sum(m[i][j] * v[j] for j in range(2)) == 0 for i in range(2))
+
+    @seed(20240824)
+    @settings(max_examples=200, deadline=None)
+    @given(rank_deficient())
+    def test_singular_null_vector_property(self, m):
+        n = len(m)
+        with pytest.raises(SingularMatrixError) as exc:
+            solve_linear_exact(m, [Poly.var("a")] * n)
+        v = exc.value.null_vector
+        assert any(v)
+        assert all(sum(m[i][j] * v[j] for j in range(n)) == 0 for i in range(n))
 
     def test_residual_zero_random(self, rng):
         for _ in range(20):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from isoquintic.qpoly import Poly, parse_expr
+from isoquintic.qpoly import Poly, as_poly, parse_expr
 from isoquintic import quintic, structure
 from isoquintic.quintic import (
     QuinticParams, QuinticError, NoSymbolicPartner, CaseTag,
@@ -159,7 +159,7 @@ class TestCaseSubstitution:
             f, g, h = case_iii_fgh(a, b, d, e)
             pt = {"a": a, "b": b, "d": d, "e": e, "ainv": 1 / a}
             for name, expect in (("f", f), ("g", g), ("h", h)):
-                got = quintic._entry_poly(sub[name]).eval_rational(pt)
+                got = as_poly(sub[name]).eval_rational(pt)
                 assert got == expect
 
 

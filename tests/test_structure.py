@@ -202,6 +202,12 @@ class TestReversibility:
         assert reversibility_residual(sysm, 1, 1).is_zero
         assert not reversibility_residual(sysm, 0, 1).is_zero
 
+    def test_float_line_entry(self):
+        sysm = quintic.build_system(quintic.QuinticParams.numeric(
+            1, 0, 0, 0, 0, 0, 0, 0))
+        assert (reversibility_residual(sysm, 0.5, 1)
+                == reversibility_residual(sysm, Fraction(1, 2), 1))
+
     def test_zero_line_rejected(self):
         with pytest.raises(ValueError):
             reversibility_residual(ROT, 0, 0)

@@ -236,10 +236,9 @@ def cmd_orbit(args):
     sysm = _system_from_args(args)
     if sysm.p.variables() - {"x", "y"} or sysm.q.variables() - {"x", "y"}:
         raise InputError("orbit needs a fully numeric system")
-    cfg = orbits.IntegratorConfig(rel_tol=args.tol, abs_tol=args.tol)
     try:
-        traj = orbits.integrate(sysm, args.x0, args.y0, args.t_end, cfg)
-        T, endpoint = orbits.ray_return_time(sysm, args.x0, args.y0, cfg)
+        traj = orbits.integrate(sysm, args.x0, args.y0, args.t_end, args.tol)
+        T, endpoint = orbits.ray_return_time(sysm, args.x0, args.y0, args.tol)
     except orbits.OrbitError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1
@@ -265,14 +264,13 @@ def cmd_boundary(args):
         print(str(exc), file=sys.stderr)
         return 1
     k = len(res.maximizers)
-    btype = f"B{k}" if k in (2, 4) else "Unknown"
     if args.out:
         _write_csv(args.out, ("phi", "rho"), zip(res.phis, res.rhos))
     lines = [f"c0 = {fmt17(res.c0)}",
              f"maximizers = {k}",
-             f"type = {btype}"]
+             f"type = {res.btype}"]
     _emit(args, lines, {"command": "boundary", "c0": res.c0,
-                        "maximizers": k, "type": btype, "out": args.out})
+                        "maximizers": k, "type": res.btype, "out": args.out})
     return 0
 
 
@@ -314,7 +312,7 @@ def build_parser():
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--y0", type=float, required=True)
     p.add_argument("--t-end", type=float, default=2 * math.pi)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=orbits.TOL)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(run=cmd_orbit)
 

@@ -2,8 +2,8 @@
 closure checks, the explicit period-annulus boundary, and B-type verdicts.
 
 The symbolic layer proves identities; this module checks that the numbers
-agree.  Default integrator is an adaptive embedded 4(5) pair (scipy's RK45)
-at tight tolerances; a fixed-step RK4 is kept for order tests.
+agree.  Orbits are integrated by an adaptive embedded 4(5) pair (scipy's
+RK45) at tight tolerances; a fixed-step RK4 is kept for order tests.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from .structure import angular_speed_residual, DomainError
 from . import quintic
 
 ESCAPE_RADIUS = 1e9
+TOL = 1e-10            # default rtol = atol of the adaptive integrator
+MAX_STEP = 0.1         # largest step of the adaptive integrator
+MAX_STEPS = 1_000_000  # step budget: t_end may span at most this many steps
 
 
 class OrbitError(Exception):
@@ -42,27 +45,11 @@ class InapplicableBoundaryError(OrbitError):
     pass
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    method: str = "rk45"       # "rk45" | "rk4"
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
-    max_step: float = 0.1
-    max_steps: int = 1_000_000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
-
-
 @dataclass
 class Trajectory:
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    config: IntegratorConfig
 
     def samples(self):
         return list(zip(self.t, self.x, self.y))
@@ -97,29 +84,51 @@ def _escape_event(t, state):
 _escape_event.terminal = True
 
 
-def integrate(sys, x0, y0, t_end, cfg=IntegratorConfig()):
-    """Integrate to t_end; trips the divergence guard at |state| = 1e9."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+def _check_inputs(x0, y0, t_end, h):
+    """Reject what would make a solver run without end or on garbage."""
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise ValueError("initial point must be finite")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("step must be positive and finite")
+    if not 0 < t_end <= h * MAX_STEPS:  # false for nan
+        raise ValueError(f"t_end must be in (0, {h * MAX_STEPS:g}]")
+
+
+def _solve(sys, x0, y0, t_end, tol, events=()):
+    """The one adaptive RK45 run: rtol = atol = tol, terminal escape guard."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
+    _check_inputs(x0, y0, t_end, MAX_STEP)
+    sol = solve_ivp(compile_rhs(sys), (0.0, t_end), (x0, y0), method="RK45",
+                    rtol=tol, atol=tol, max_step=MAX_STEP,
+                    events=(*events, _escape_event))
+    if sol.t_events[-1].size:
+        raise EscapedError(float(sol.t_events[-1][0]))
+    return sol
+
+
+def _stall_error(sol):
+    """A run that stopped before t_end (status -1), typically a blow-up
+    below the escape radius."""
+    x, y = sol.y[0][-1], sol.y[1][-1]
+    return StiffnessError(f"solver stalled at t = {sol.t[-1]:.6g} "
+                          f"(|state| = {math.hypot(x, y):.3g}): {sol.message}")
+
+
+def integrate(sys, x0, y0, t_end, tol=TOL):
+    """Integrate to t_end; trips the divergence guard at |state| = 1e9."""
+    sol = _solve(sys, x0, y0, t_end, tol)
+    if sol.status == -1:
+        raise _stall_error(sol)
+    return Trajectory(sol.t, sol.y[0], sol.y[1])
+
+
+def integrate_rk4(sys, x0, y0, t_end, h):
+    """Classical fixed-step RK4 with steps of at most h (the step used is
+    t_end / ceil(t_end / h)); kept for order tests."""
+    _check_inputs(x0, y0, t_end, h)
     rhs = compile_rhs(sys)
-    if cfg.method == "rk4":
-        return _integrate_rk4(rhs, x0, y0, t_end, cfg)
-    sol = solve_ivp(rhs, (0.0, t_end), (x0, y0), method="RK45",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-                    events=_escape_event, dense_output=False)
-    if sol.status == 1:
-        raise EscapedError(float(sol.t_events[0][0]))
-    if not sol.success:
-        raise StiffnessError(sol.message)
-    return Trajectory(sol.t, sol.y[0], sol.y[1], cfg)
-
-
-def _integrate_rk4(rhs, x0, y0, t_end, cfg):
-    n_steps = max(1, math.ceil(t_end / cfg.max_step))
-    if n_steps > cfg.max_steps:
-        raise StiffnessError("fixed-step budget exceeded")
+    n_steps = max(1, math.ceil(t_end / h))
     h = t_end / n_steps
     ts = [0.0]
     xs = [x0]
@@ -138,10 +147,10 @@ def _integrate_rk4(rhs, x0, y0, t_end, cfg):
         ts.append(t)
         xs.append(float(state[0]))
         ys.append(float(state[1]))
-    return Trajectory(np.array(ts), np.array(xs), np.array(ys), cfg)
+    return Trajectory(np.array(ts), np.array(xs), np.array(ys))
 
 
-def ray_return_time(sys, x0, y0, cfg=IntegratorConfig(), t_max=None):
+def ray_return_time(sys, x0, y0, tol=TOL, t_max=2.5 * math.pi):
     """Time of first return to the ray through (x0, y0), and the endpoint.
 
     The system must have constant angular speed (form with x q - y p =
@@ -154,8 +163,6 @@ def ray_return_time(sys, x0, y0, cfg=IntegratorConfig(), t_max=None):
     if r0 == 0:
         raise ValueError("initial point must not be the origin")
     ux, uy = x0 / r0, y0 / r0
-    if t_max is None:
-        t_max = 2.5 * math.pi
 
     def cross(t, state):
         return -uy * state[0] + ux * state[1]
@@ -164,23 +171,20 @@ def ray_return_time(sys, x0, y0, cfg=IntegratorConfig(), t_max=None):
     # filtered out below together with the opposite-ray crossings
     cross.direction = -1.0  # the positive ray is crossed with decreasing normal
 
-    rhs = compile_rhs(sys)
-    sol = solve_ivp(rhs, (0.0, t_max), (x0, y0), method="RK45",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-                    events=(cross, _escape_event))
-    if sol.t_events[1].size:
-        raise EscapedError(float(sol.t_events[1][0]))
+    sol = _solve(sys, x0, y0, t_max, tol, (cross,))
     hits = [t for t in sol.t_events[0] if t > 1e-3]
     if not hits:
+        if sol.status == -1:
+            raise _stall_error(sol)
         raise NoReturnError("no ray return located")
     T = float(hits[0])
     xs, ys = sol.y_events[0][len(sol.t_events[0]) - len(hits)]
     return T, (float(xs), float(ys))
 
 
-def closure_defect(sys, x0, y0, cfg=IntegratorConfig()):
+def closure_defect(sys, x0, y0):
     """Distance between start and the first ray return; ~0 for a center."""
-    _, (xe, ye) = ray_return_time(sys, x0, y0, cfg)
+    _, (xe, ye) = ray_return_time(sys, x0, y0)
     return math.hypot(xe - x0, ye - y0)
 
 
@@ -193,6 +197,12 @@ class BoundaryResult:
     rhos: np.ndarray          # math.inf at global maximizers
     c0: float
     maximizers: list          # clustered angles of the global maximum
+
+    @property
+    def btype(self):
+        """B2 or B4 by the number of maximizers, else Unknown."""
+        k = len(self.maximizers)
+        return f"B{k}" if k in (2, 4) else "Unknown"
 
 
 def _case_i_quartic(d, e, g, h):
@@ -227,11 +237,13 @@ def boundary_curve(d, e, g, h, N=256):
     Q is the partner quartic e x^4 - 4 d x^3 y + 4 h x y^3 - g y^4 restricted
     to the unit circle; c0 is its global maximum (dense scan plus golden
     section refinement).  Raises InapplicableBoundaryError when c0 <= 0: the
-    formula does not describe the boundary there.
+    formula does not describe the boundary there.  The cut-offs on Q are
+    relative to the largest |coefficient|, so the verdict is scale-invariant.
     """
     if N < 64:
         raise ValueError("N must be >= 64")
     d, e, g, h = (float(v) for v in (d, e, g, h))
+    scale = max(abs(d), abs(e), abs(g), abs(h))
     Q = _case_i_quartic(d, e, g, h)
     dense = 4096  # angles in the coarse scan
     step = 2.0 * math.pi / dense
@@ -245,10 +257,11 @@ def boundary_curve(d, e, g, h, N=256):
             hi = (i + 1) * step
             peaks.append(_golden_max(Q, lo, hi))
     c0 = max(v for _, v in peaks)
-    winners = sorted(p % (2.0 * math.pi) for p, v in peaks if v >= c0 - 1e-9)
+    winners = sorted(p % (2.0 * math.pi) for p, v in peaks
+                     if v >= c0 - 1e-9 * scale)
     maximizers = _cluster_angles(winners, 1e-6)
 
-    if c0 <= 1e-12:
+    if c0 <= 1e-12 * scale:
         raise InapplicableBoundaryError(
             f"boundary formula inapplicable (c0 = {c0:.6g} <= 0)")
 
@@ -256,7 +269,7 @@ def boundary_curve(d, e, g, h, N=256):
     rhos = np.empty(N)
     for i, phi in enumerate(phis):
         gap = c0 - Q(phi)
-        rhos[i] = math.inf if gap < 1e-12 else gap ** -0.25
+        rhos[i] = math.inf if gap < 1e-12 * scale else gap ** -0.25
     return BoundaryResult(phis, rhos, c0, maximizers)
 
 
@@ -301,13 +314,11 @@ def center_type(params, case):
         boundary = boundary_curve(v["d"], v["e"], v["g"], v["h"])
     except InapplicableBoundaryError as exc:
         return CenterTypeVerdict("Unknown", f"inapplicable: {exc}")
-    k = len(boundary.maximizers)
-    if k in (2, 4):
-        return CenterTypeVerdict(f"B{k}", f"maximizers({k})")
-    return CenterTypeVerdict("Unknown", f"maximizers({k})")
+    return CenterTypeVerdict(boundary.btype,
+                             f"maximizers({len(boundary.maximizers)})")
 
 
-def conservation_drift(sys, integral, traj):
+def conservation_drift(integral, traj):
     """Max relative drift of a first integral along a trajectory."""
     try:
         h0 = integral.eval_float(float(traj.x[0]), float(traj.y[0]))

@@ -437,8 +437,7 @@ def test_criterion_11_core_properties():
     rot = PlanarSystem(Y, -X)
 
     def endpoint_error(h):
-        cfg = orbits.IntegratorConfig(method="rk4", max_step=h)
-        xe, ye = orbits.integrate(rot, 1.0, 0.0, 2 * math.pi, cfg).endpoint()
+        xe, ye = orbits.integrate_rk4(rot, 1.0, 0.0, 2 * math.pi, h).endpoint()
         return math.hypot(xe - 1.0, ye)
 
     ratio = endpoint_error(0.05) / endpoint_error(0.025)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -245,6 +246,17 @@ class TestOrbit:
                            "--x0", "2", "--y0", "0", "--t-end", "10")
         assert code == 1
         assert "integration failed" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1e-8"),
+        ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "-1"),
+        ("--t-end", "1e6")])
+    def test_unbounded_input_rejected(self, capsys, flag, value):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "orbit", "--family", "0,1,0,0,1,0,-1,0",
+                           "--x0", "0.3", "--y0", "0", f"{flag}={value}")
+        assert code == 2 and err.startswith("error:")
+        assert time.perf_counter() - start < 5.0
 
 
 class TestBoundary:

@@ -1,15 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from isoquintic.qpoly import Poly
 from isoquintic.lyapunov import PlanarSystem
 from isoquintic import orbits, quintic
 from isoquintic.orbits import (
-    IntegratorConfig, OrbitError, EscapedError, NoReturnError,
-    InapplicableBoundaryError, integrate, ray_return_time, closure_defect,
-    boundary_curve, center_type, conservation_drift,
+    OrbitError, EscapedError, NoReturnError, StiffnessError,
+    InapplicableBoundaryError, integrate, integrate_rk4, ray_return_time,
+    closure_defect, boundary_curve, center_type, conservation_drift,
 )
 from isoquintic.structure import DomainError
 
@@ -52,18 +54,16 @@ class TestIntegrate:
 
     def test_escape_guard_rk4(self):
         blow = PlanarSystem(1 + X ** 2, Poly.zero())
-        cfg = IntegratorConfig(method="rk4", max_step=0.001)
         with pytest.raises(EscapedError):
-            integrate(blow, 1.0, 0.0, 2.0, cfg)
+            integrate_rk4(blow, 1.0, 0.0, 2.0, 0.001)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            IntegratorConfig(rel_tol=0.0)
+            integrate(ROT, 1.0, 0.0, 1.0, tol=0.0)
 
     def test_rk4_fourth_order(self):
         def endpoint_error(h):
-            cfg = IntegratorConfig(method="rk4", max_step=h)
-            xe, ye = integrate(ROT, 1.0, 0.0, TWO_PI, cfg).endpoint()
+            xe, ye = integrate_rk4(ROT, 1.0, 0.0, TWO_PI, h).endpoint()
             return math.hypot(xe - 1.0, ye)
 
         ratio = endpoint_error(0.05) / endpoint_error(0.025)
@@ -100,11 +100,57 @@ class TestRayReturn:
         with pytest.raises(NoReturnError):
             ray_return_time(ROT, 1.0, 0.0, t_max=1.0)
 
+    def test_stall_is_stiffness(self):
+        # a finite-time blow-up stalls RK45 near t = 2.2 at |state| ~ 1.4e3,
+        # far below the escape radius
+        sysm = quintic.build_system(numeric(a=1, c=1, d=1, f=1, h=1))
+        with pytest.raises(StiffnessError, match=r"stalled at t = 2\.2"):
+            ray_return_time(sysm, 0.4, 0.0)
+        with pytest.raises(StiffnessError, match=r"stalled at t = 2\.2"):
+            integrate(sysm, 0.4, 0.0, TWO_PI)
+        with pytest.raises(NoReturnError):
+            ray_return_time(sysm, 0.4, 0.0, t_max=1.0)
+
+    def test_return_before_stall_is_kept(self):
+        # r' = r^3 from r0^2 = 1/14 blows up at t = 7, after the return at 2 pi
+        sysm = quintic.build_system(numeric(a=1, c=1))
+        T, _ = ray_return_time(sysm, math.sqrt(1 / 14), 0.0)
+        assert abs(T - TWO_PI) < 1e-9
+
+    @pytest.mark.parametrize("kw", [{"tol": math.nan}, {"tol": -1.0},
+                                    {"t_max": math.nan}, {"t_max": math.inf}])
+    def test_rejects_unbounded_inputs(self, kw):
+        with pytest.raises(ValueError):
+            ray_return_time(ROT, 1.0, 0.0, **kw)
+
     def test_closure_defect_center_vs_focus(self):
         center = quintic.build_system(numeric(d=1, f=-3))
         focus = quintic.build_system(numeric(a=1))
         assert closure_defect(center, 0.3, 0.0) < 1e-8
         assert closure_defect(focus, 0.1, 0.0) > 1e-3
+
+
+def maximizer_count(q):
+    try:
+        return len(boundary_curve(*q).maximizers)
+    except InapplicableBoundaryError:
+        return None
+
+
+@st.composite
+def quartic_images(draw):
+    """A nonzero integer quartic (d, e, g, h) and its image under a positive
+    rational scaling in [1e-16, 1e16], quarter turns and a reflection."""
+    q = tuple(Fraction(draw(st.integers(-3, 3))) for _ in range(4))
+    assume(any(q))
+    scale = (Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+             * Fraction(10) ** draw(st.integers(-15, 15)))
+    d, e, g, h = (scale * c for c in q)
+    for _ in range(draw(st.integers(0, 3))):
+        d, e, g, h = h, -g, -e, d
+    if draw(st.booleans()):
+        d, h = -d, -h
+    return q, (d, e, g, h)
 
 
 class TestBoundary:
@@ -151,6 +197,19 @@ class TestBoundary:
     def test_sample_count(self):
         res = boundary_curve(0, 1, -1, 0, N=128)
         assert len(res.phis) == len(res.rhos) == 128
+
+    def test_tiny_scale_four_fold(self):
+        res = boundary_curve(0, Fraction("1e-13"), Fraction("-1e-13"), 0)
+        assert res.btype == "B4"
+
+    @seed(20240824)
+    @settings(max_examples=200, deadline=None)
+    @given(quartic_images())
+    def test_maximizer_count_invariant(self, pair):
+        """Positive scaling, quarter turns and reflections of the plane keep
+        the maximizer count (and whether the formula applies)."""
+        q, image = pair
+        assert maximizer_count(image) == maximizer_count(q)
 
 
 class TestCenterType:
@@ -203,21 +262,21 @@ class TestConservation:
         spec = quintic.first_integral(params, quintic.theorem_case(params))
         sysm = quintic.build_system(params)
         traj = integrate(sysm, 0.3, 0.0, TWO_PI)
-        assert conservation_drift(sysm, spec, traj) < 1e-7
+        assert conservation_drift(spec, traj) < 1e-7
 
     def test_drift_exponential_integral(self):
         params = numeric(b=1, e=1, g=-1)
         spec = quintic.first_integral(params, quintic.theorem_case(params))
         sysm = quintic.build_system(params)
         traj = integrate(sysm, 0.3, 0.0, TWO_PI)
-        assert conservation_drift(sysm, spec, traj) < 1e-6
+        assert conservation_drift(spec, traj) < 1e-6
 
     def test_focus_orbit_is_not_conserved(self):
         params = numeric(b=1, e=1, g=-1)
         spec = quintic.first_integral(params, quintic.theorem_case(params))
         focus = quintic.build_system(numeric(a=1, b=1, e=1, g=-1))
         traj = integrate(focus, 0.2, 0.0, 2 * TWO_PI)
-        assert conservation_drift(focus, spec, traj) > 1e-3
+        assert conservation_drift(spec, traj) > 1e-3
 
     def test_zero_value_rejected(self):
         class Linear:
@@ -226,7 +285,7 @@ class TestConservation:
 
         traj = integrate(ROT, 0.0, 0.5, 1.0)
         with pytest.raises(DomainError):
-            conservation_drift(ROT, Linear(), traj)
+            conservation_drift(Linear(), traj)
 
     def test_pole_rejected(self):
         class Reciprocal:
@@ -235,4 +294,4 @@ class TestConservation:
 
         traj = integrate(ROT, 1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            conservation_drift(ROT, Reciprocal(), traj)
+            conservation_drift(Reciprocal(), traj)

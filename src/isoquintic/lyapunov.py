@@ -4,9 +4,10 @@ The comparison function F = (x^2+y^2)/2 + f_3 + f_4 + ... is built degree by
 degree so that dF/dt = D_1 (x^4+y^4) + D_2 (x^6+y^6) + ...; the D_i are the
 constants returned here, as exact polynomials in the system parameters.
 
-Each stage is one exact linear solve.  The matrix is always numeric (the
-action of the linear rotation field on a homogeneous degree), only the
-right-hand side carries parameter polynomials.
+Each stage solves L f = r for one homogeneous f, where L f = y f_x - x f_y
+is the action of the linear rotation field.  L only couples neighbouring
+coefficients, so two short recurrences solve it exactly; the right-hand
+side carries the parameter polynomials.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qpoly import Poly, solve_linear_exact
+from .qpoly import Poly
 
 CAP = 6
 
@@ -24,10 +25,6 @@ Y = Poly.var("y")
 
 class LyapunovError(Exception):
     pass
-
-
-class StageSolveError(LyapunovError):
-    """A stage matrix was singular: an implementation bug, not a user error."""
 
 
 @dataclass(frozen=True)
@@ -59,24 +56,6 @@ def check_linear_center(sys):
         raise LyapunovError("linear part of q must be exactly -x")
 
 
-def rotation_operator_matrix(k):
-    """Matrix of f -> y f_x - x f_y on the basis x^k, x^(k-1) y, ..., y^k.
-
-    L(x^(k-j) y^j) = (k-j) x^(k-j-1) y^(j+1) - j x^(k-j+1) y^(j-1), so the
-    matrix is tridiagonal-off-center with integer entries.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = k + 1
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        if j + 1 < n:
-            m[j + 1][j] = Fraction(k - j)
-        if j - 1 >= 0:
-            m[j - 1][j] = Fraction(-j)
-    return m
-
-
 @dataclass
 class LyapunovReport:
     constants: list  # canonical (integer-primitive, sign preserved)
@@ -100,8 +79,37 @@ def _xy_vector(poly, k):
 def _poly_from_vector(vec, k):
     total = Poly.zero()
     for j, c in enumerate(vec):
-        total = total + c * X ** (k - j) * Y ** j
+        total = total + c * (Poly.var("x", k - j) * Poly.var("y", j))
     return total
+
+
+def _solve_stage(r, k):
+    """The degree-k f with L f = r, given as coefficients r_i of x^(k-i) y^i.
+
+    Row i reads (k-i+1) f_(i-1) - (i+1) f_(i+1) = r_i.  The even rows give
+    the odd coefficients forward from f_(-1) = 0, the odd rows the even ones
+    backward from f_(k+1) = 0.  For even k the last even row is left out (the
+    caller makes r average to zero, which satisfies it) and f_k stays 0.
+    """
+    f = [Poly.zero()] * (k + 2)  # f[k + 1] is f_(k+1) and, as f[-1], f_(-1)
+    for i in range(0, k, 2):
+        f[i + 1] = ((k - i + 1) * f[i - 1] - r[i]) * Fraction(1, i + 1)
+    for i in reversed(range(1, k + 1, 2)):
+        f[i - 1] = (r[i] + (i + 1) * f[i + 1]) * Fraction(1, k - i + 1)
+    return _poly_from_vector(f[:k + 1], k)
+
+
+def _circle_average(r, k):
+    """Circle average of sum r_i x^(k-i) y^i over that of x^k + y^k, k even.
+
+    cos^(k-i) sin^i averages to w_i, with w_(i+2) = w_i (i+1)/(k-i-1); the
+    scale w_0 = w_k = 1 makes the average of x^k + y^k equal to 2.
+    """
+    w, total = Fraction(1), Poly.zero()
+    for i in range(0, k, 2):
+        total = total + w * r[i]
+        w *= Fraction(i + 1, k - i - 1)
+    return (total + r[k]) * Fraction(1, 2)
 
 
 def _stage_known(fcomp, pcomp, qcomp, deg):
@@ -124,9 +132,8 @@ def pl_constants(sys, m):
     """Compute the first m Lyapunov constants of `sys`, exactly.
 
     Odd stage k: solve L(f_k) = -(known terms) so the degree-k part of dF/dt
-    vanishes.  Even stage k+1: solve for f_{k+1} and the scalar D so the
-    degree-(k+1) part equals D (x^{k+1} + y^{k+1}), normalized by a zero
-    y^{k+1} coefficient in f_{k+1}.
+    vanishes.  Even stage K = k+1: D is fixed by the circle average, then
+    L(f_K) = D (x^K + y^K) - (known terms), with a zero y^K coefficient in f_K.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -139,33 +146,18 @@ def pl_constants(sys, m):
     raw = []
     for k in range(3, 2 * m + 2, 2):
         # odd stage: kill the degree-k component
-        rhs = [-c for c in _xy_vector(_stage_known(fcomp, pcomp, qcomp, k), k)]
-        try:
-            sol = solve_linear_exact(rotation_operator_matrix(k), rhs)
-        except Exception as exc:  # pragma: no cover - would be a bug
-            raise StageSolveError(f"odd stage {k} failed: {exc}") from exc
-        fcomp[k] = _poly_from_vector(sol, k)
+        known = _xy_vector(_stage_known(fcomp, pcomp, qcomp, k), k)
+        fcomp[k] = _solve_stage([-c for c in known], k)
 
-        # even stage: degree K component must be D*(x^K + y^K), with the
-        # y^K coefficient of f_K pinned to zero
+        # even stage: the degree-K component must be D*(x^K + y^K); L f
+        # averages to zero over the circle, which fixes D
         K = k + 1
         known = _xy_vector(_stage_known(fcomp, pcomp, qcomp, K), K)
-        n = K + 2
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        rot = rotation_operator_matrix(K)
-        for i in range(K + 1):
-            for j in range(K + 1):
-                mat[i][j] = rot[i][j]
-        mat[0][K + 1] = Fraction(-1)
-        mat[K][K + 1] = Fraction(-1)
-        mat[K + 1][K] = Fraction(1)
-        rhs = [-c for c in known] + [Poly.zero()]
-        try:
-            sol = solve_linear_exact(mat, rhs)
-        except Exception as exc:  # pragma: no cover - would be a bug
-            raise StageSolveError(f"even stage {K} failed: {exc}") from exc
-        fcomp[K] = _poly_from_vector(sol[:K + 1], K)
-        raw.append(sol[K + 1])
+        d = _circle_average(known, K)
+        rhs = [-c for c in known]
+        rhs[0] = rhs[0] + d  # rhs[K] would get d too, but its row is not read
+        fcomp[K] = _solve_stage(rhs, K)
+        raw.append(d)
 
     report = LyapunovReport(constants=[d.canonical() for d in raw], raw=raw,
                             f_components=fcomp)

@@ -244,6 +244,11 @@ def boundary_curve(d, e, g, h, N=256):
         raise ValueError("N must be >= 64")
     d, e, g, h = (float(v) for v in (d, e, g, h))
     scale = max(abs(d), abs(e), abs(g), abs(h))
+    if scale == 0.0:
+        # Q has no c^2 s^2 term, so it is constant on the circle only when
+        # zero: c0 = 0, and every scan point would be a peak to refine
+        raise InapplicableBoundaryError(
+            "boundary formula inapplicable (c0 = 0 <= 0)")
     Q = _case_i_quartic(d, e, g, h)
     dense = 4096  # angles in the coarse scan
     step = 2.0 * math.pi / dense

@@ -350,17 +350,6 @@ class Poly:
             num_gcd = math.gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
         return self * Fraction(den_lcm, num_gcd)
 
-    def reduce_var_square(self, var, replacement):
-        """Rewrite var**2 -> replacement everywhere (e.g. s**2 -> 1 - c**2)."""
-        replacement = Poly._coerce(replacement)
-        total = Poly.zero()
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.pop(var, 0)
-            rest = Poly({_mono(d.items()): c})
-            total = total + rest * Poly.var(var, e % 2) * replacement ** (e // 2)
-        return total
-
     def reduce_inverse_pairs(self, var, invvar):
         """Cancel var**i * invvar**j pairs, i.e. reduce modulo var*invvar - 1."""
         out = Poly.zero()
@@ -438,6 +427,9 @@ def divide_exact(p, d):
 # ----------------------------------------------------------------------
 # parser (grammar published by the CLI; implicit multiplication rejected)
 
+MAX_NESTING = 100  # levels of "(" and unary "-"; bounds the parser's recursion
+
+
 def parse_expr(text):
     """Parse `expr := term (("+"|"-") term)*` etc. into a Poly."""
     return _Parser(text).parse()
@@ -447,6 +439,7 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def parse(self):
         p = self.expr()
@@ -485,15 +478,19 @@ class _Parser:
 
     def factor(self):
         ch = self.peek()
-        if ch == "-":
+        if ch in ("-", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("expression nested too deeply", self.pos)
             self.pos += 1
-            return -self.factor()
-        if ch == "(":
-            self.pos += 1
-            p = self.expr()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
+            if ch == "-":
+                p = -self.factor()
+            else:
+                p = self.expr()
+                if self.peek() != ")":
+                    raise ParseError("expected ')'", self.pos)
+                self.pos += 1
+            self.depth -= 1
             return p
         if ch.isdigit():
             return Poly.const(self.rational())

@@ -322,6 +322,22 @@ class TestDocuments:
         code, _, err = run(capsys, "plconst", "--system", path, "-m", "1")
         assert code == 2 and "p and q must be expression strings" in err
 
+    @pytest.mark.parametrize("source", ["parentheses", "minus", "document"])
+    def test_deep_nesting_rejected(self, capsys, tmp_path, source):
+        if source == "document":
+            path = write_doc(tmp_path, "sys.json",
+                             {"p": "(" * 3000 + "y" + ")" * 3000, "q": "-x"})
+            argv = ["plconst", "--system", path, "-m", "1"]
+        else:
+            curve = ("(" * 5000 + "x" + ")" * 5000 if source == "parentheses"
+                     else "-" * 5000 + "x")
+            argv = ["verify", "invariant", "--family", "1,0,0,0,0,0,0,0",
+                    f"--curve={curve}"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err and "nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "plconst",
                            "--system", str(tmp_path / "nope.json"), "-m", "1")

@@ -1,69 +1,118 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from isoquintic.qpoly import Poly, parse_expr, solve_linear_exact
+from conftest import random_poly
+from isoquintic.qpoly import Poly
 from isoquintic.lyapunov import (
-    PlanarSystem, LyapunovError, check_linear_center, rotation_operator_matrix,
-    pl_constants, first_nonzero,
+    PlanarSystem, LyapunovError, check_linear_center, pl_constants,
+    first_nonzero, _circle_average, _solve_stage, _xy_vector,
 )
 from isoquintic import quintic
 
 X = Poly.var("x")
 Y = Poly.var("y")
 
+# sha256 of str(D_k): the canonical constants equal bench/reference.json
+# (symbolic.constant_sha256, general_quadratic_sha256); the raw ones pin the
+# scale that canonicalization hides.
+FAMILY_CONSTANT_SHA256 = [
+    "693f963da04a275eeabd76de1d756100bc19e748ec66da640d418235a21e0f5b",
+    "13bd63a75882bf652089c8105dc6e8cd958232d548341e79b4c171adf082d9a2",
+    "d92d8d31b82dee51f08d59a9e3a2a939b93710d374cbc96595b17c9292f2874b",
+    "a35f1687f08790a965dc97277e778db90a74744b136e8bdc1b1131084fee3978",
+    "e22a7d500c1b9ba00120e8dd6db7ba215464243d0db7a59a2ad8dcac88566ab4",
+    "d54b005f972d126900df63c979da360f71263e4776c3bc20d90f0888ec14c963",
+]
+FAMILY_RAW_SHA256 = [
+    "5dc159fe110f6cbf1f6c25aeec505c4232f2c37387bd2ceb3199500cf130eefa",
+    "bdf88a403a742fef07e5cd8ebba00021b5718f67eb096a208dbd303d9a627e2a",
+    "fb25ff8d59fb9dd780c8666dd2273ea9be5408d855fcb4c5469141efdd2ed319",
+    "99746434ca8cb3592380dca76d18501326d343934c5da761863e779a65ea582b",
+    "4069993ddea238546237041b4e31e6551adb26ca1d31c50d75b116072337e108",
+    "14ebe79ad7bd4854f88f66365c3e5aba5f5438d722c722f30a5a185fd2676365",
+]
+QUADRATIC_CONSTANT_SHA256 = [
+    "7b696d2a421db42b92cfef92abad1e45db00ab23fc5c135556a159fe398716a7",
+    "72427004c6559c553e878ee54b8237ae676dffaa293c26a6e3e8d1e2af930ccc",
+    "52aebc78ba3d30de4766416e2a02a449c44b6811cc20d8371c5cc44d3812d5ff",
+]
+QUADRATIC_RAW_SHA256 = [
+    "ca845efebaa9e5d14f07cec871ea629c49d86d3cb1b7246f68c7d42b67c20fa4",
+    "97a1d6553c8ccd1bfa75164c95f9426da996fd5de94ac0d67c1dd7e15d0893b1",
+    "2a8167f8c57d89e2c30a2b21f686e2bc744b0dc476876006e8522409d00a00bb",
+]
 
-def det_exact(m):
-    """Fraction determinant by elimination (independent of the solver path)."""
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return det
+
+def sha(p):
+    return hashlib.sha256(str(p).encode()).hexdigest()
+
+
+def rotate(g):
+    """L g = y g_x - x g_y, computed by differentiation."""
+    return Y * g.diff("x") - X * g.diff("y")
+
+
+def random_form(rnd, k):
+    """Homogeneous degree-k form in x, y with random Poly coefficients in a, b."""
+    g = Poly.zero()
+    for j in range(k + 1):
+        c = random_poly(rnd, vars=("a", "b"), max_terms=3, max_exp=2)
+        g = g + c * X ** (k - j) * Y ** j
+    return g
 
 
 class TestRotationOperator:
-    def test_k2_by_direct_differentiation(self):
-        m = rotation_operator_matrix(2)
-        # columns are L(x^2)=2xy, L(xy)=y^2-x^2, L(y^2)=-2xy
-        cols = [[m[i][j] for i in range(3)] for j in range(3)]
-        assert cols == [[0, 2, 0], [-1, 0, 1], [0, -2, 0]]
+    """The stage solver against L f = y f_x - x f_y applied directly."""
 
     def test_k1(self):
-        assert rotation_operator_matrix(1) == [[Fraction(0), Fraction(-1)],
-                                               [Fraction(1), Fraction(0)]]
+        # L(x) = y and L(y) = -x, inverted
+        assert _solve_stage(_xy_vector(Y, 1), 1) == X
+        assert _solve_stage(_xy_vector(-X, 1), 1) == Y
+
+    def test_k2_by_direct_differentiation(self):
+        assert rotate(X ** 2) == 2 * X * Y
+        assert rotate(X * Y) == Y ** 2 - X ** 2
+        assert rotate(Y ** 2) == -2 * X * Y
+        # inverted up to the kernel x^2 + y^2, with the y^2 coefficient 0
+        assert _solve_stage(_xy_vector(2 * X * Y, 2), 2) == X ** 2
+        assert _solve_stage(_xy_vector(Y ** 2 - X ** 2, 2), 2) == X * Y
+        assert _solve_stage(_xy_vector(-2 * X * Y, 2), 2) == -X ** 2
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
     def test_odd_degrees_nonsingular(self, k):
-        assert det_exact(rotation_operator_matrix(k)) != 0
+        # L is invertible on odd degrees: each form comes back unchanged
+        for j in range(k + 1):
+            g = X ** (k - j) * Y ** j
+            assert _solve_stage(_xy_vector(rotate(g), k), k) == g
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_even_degrees_singular(self, k):
-        # the even-stage solve relies on the augmented system instead
-        assert det_exact(rotation_operator_matrix(k)) == 0
+        # (x^2 + y^2)^(k/2) spans the kernel, and the image of L misses
+        # x^k + y^k: every L g has circle average 0, x^k + y^k has 1
+        assert rotate((X ** 2 + Y ** 2) ** (k // 2)).is_zero
+        for j in range(k + 1):
+            image = _xy_vector(rotate(X ** (k - j) * Y ** j), k)
+            assert _circle_average(image, k).is_zero
+        assert _circle_average(_xy_vector(X ** k + Y ** k, k), k) == 1
 
     def test_matches_operator_action(self):
-        k = 4
-        m = rotation_operator_matrix(k)
-        for j in range(k + 1):
-            basis = X ** (k - j) * Y ** j
-            image = Y * basis.diff("x") - X * basis.diff("y")
-            expect = Poly.zero()
-            for i in range(k + 1):
-                expect = expect + m[i][j] * X ** (k - i) * Y ** i
-            assert image == expect
+        rnd = random.Random(4)
+        for k in range(1, 14):
+            g = random_form(rnd, k)
+            r = rotate(g)
+            f = _solve_stage(_xy_vector(r, k), k)
+            assert rotate(f) == r, k
+            if k % 2 == 0:
+                assert _xy_vector(f, k)[k].is_zero, k
+
+    def test_circle_average_of_monomials(self):
+        # mean of cos^4, cos^2 sin^2, sin^4 is 3/8, 1/8, 3/8; x^4 + y^4 has 3/4
+        for j, avg in enumerate([3, 0, 1, 0, 3]):
+            form = _xy_vector(X ** (4 - j) * Y ** j, 4)
+            assert _circle_average(form, 4) == Fraction(avg, 6)
 
 
 def family_system():
@@ -120,11 +169,16 @@ class TestPlConstants:
             if deg <= 2 * m + 2:
                 assert part.is_zero, f"degree {deg} residual {part}"
 
-    def test_stage_matrices_parameter_free(self):
-        # the solves only ever see Fraction matrices by construction
-        for k in range(1, 12):
-            for row in rotation_operator_matrix(k):
-                assert all(isinstance(v, Fraction) for v in row)
+    def test_constants_pinned(self):
+        rep = pl_constants(family_system(), 6)
+        assert [sha(d) for d in rep.constants] == FAMILY_CONSTANT_SHA256
+        assert [sha(d) for d in rep.raw] == FAMILY_RAW_SHA256
+        a, b, c, d, e, f = (Poly.var(n) for n in "abcdef")
+        quad = PlanarSystem(Y + a * X ** 2 + b * X * Y + c * Y ** 2,
+                            -X + d * X ** 2 + e * X * Y + f * Y ** 2)
+        rep = pl_constants(quad, 3)
+        assert [sha(d) for d in rep.constants] == QUADRATIC_CONSTANT_SHA256
+        assert [sha(d) for d in rep.raw] == QUADRATIC_RAW_SHA256
 
 
 class TestFirstNonzero:

@@ -171,6 +171,11 @@ class TestBoundary:
         with pytest.raises(InapplicableBoundaryError):
             boundary_curve(0, -1, 1, 0)
 
+    def test_zero_quartic_inapplicable(self):
+        with pytest.raises(InapplicableBoundaryError) as exc:
+            boundary_curve(0, 0, 0, 0)
+        assert str(exc.value) == "boundary formula inapplicable (c0 = 0 <= 0)"
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             boundary_curve(0, 1, -1, 0, N=8)

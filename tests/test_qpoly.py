@@ -53,12 +53,11 @@ class TestDiff:
 
 class TestSubstitute:
     def test_rotation_invariance_of_circle(self):
-        c, s = Poly.var("cc"), Poly.var("ss")
+        # the rational angle (cos, sin) = (3/5, 4/5) needs no reduction
+        c, s = Fraction(3, 5), Fraction(4, 5)
         rotated = (X ** 2 + Y ** 2).subs({"x": c * X + s * Y,
                                           "y": -s * X + c * Y})
-        # reduce modulo ss^2 = 1 - cc^2
-        reduced = rotated.reduce_var_square("ss", 1 - c ** 2)
-        assert reduced == X ** 2 + Y ** 2
+        assert rotated == X ** 2 + Y ** 2
 
     def test_first_constant_vanishes(self):
         d1 = 2 * (Poly.var("a") + Poly.var("c"))
@@ -145,6 +144,13 @@ class TestParser:
     def test_unary_minus(self):
         assert parse_expr("-x*y") == -(X * Y)
         assert parse_expr("-(x - y)") == Y - X
+
+    def test_nesting_cap(self):
+        assert parse_expr("(" * 50 + "x" + ")" * 50) == X
+        assert parse_expr("-" * 50 + "x") == X
+        assert parse_expr("-(" * 50 + "y" + ")" * 50) == Y
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_expr("-" * 50 + "(" * 51 + "x" + ")" * 51)
 
     def test_round_trip_1000(self, rng):
         for _ in range(1000):

@@ -19,8 +19,10 @@ from . import quintic
 
 ESCAPE_RADIUS = 1e9
 TOL = 1e-10            # default rtol = atol of the adaptive integrator
+MIN_TOL = 100 * np.finfo(float).eps  # RK45 raises any smaller rtol to this
 MAX_STEP = 0.1         # largest step of the adaptive integrator
 MAX_STEPS = 1_000_000  # step budget: t_end may span at most this many steps
+MAX_BOUNDARY_N = 2 ** 16  # most boundary samples one call may return
 
 
 class OrbitError(Exception):
@@ -88,6 +90,9 @@ def _check_inputs(x0, y0, t_end, h):
     """Reject what would make a solver run without end or on garbage."""
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise ValueError("initial point must be finite")
+    if math.hypot(x0, y0) >= ESCAPE_RADIUS:
+        raise ValueError(
+            f"initial point must lie inside |state| = {ESCAPE_RADIUS:g}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError("step must be positive and finite")
     if not 0 < t_end <= h * MAX_STEPS:  # false for nan
@@ -96,8 +101,8 @@ def _check_inputs(x0, y0, t_end, h):
 
 def _solve(sys, x0, y0, t_end, tol, events=()):
     """The one adaptive RK45 run: rtol = atol = tol, terminal escape guard."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"tol must be finite and at least {MIN_TOL:.3g}")
     _check_inputs(x0, y0, t_end, MAX_STEP)
     sol = solve_ivp(compile_rhs(sys), (0.0, t_end), (x0, y0), method="RK45",
                     rtol=tol, atol=tol, max_step=MAX_STEP,
@@ -240,8 +245,8 @@ def boundary_curve(d, e, g, h, N=256):
     formula does not describe the boundary there.  The cut-offs on Q are
     relative to the largest |coefficient|, so the verdict is scale-invariant.
     """
-    if N < 64:
-        raise ValueError("N must be >= 64")
+    if not 64 <= N <= MAX_BOUNDARY_N:
+        raise ValueError(f"N must be in [64, {MAX_BOUNDARY_N}]")
     d, e, g, h = (float(v) for v in (d, e, g, h))
     scale = max(abs(d), abs(e), abs(g), abs(h))
     if scale == 0.0:

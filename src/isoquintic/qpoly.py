@@ -350,19 +350,6 @@ class Poly:
             num_gcd = math.gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
         return self * Fraction(den_lcm, num_gcd)
 
-    def reduce_inverse_pairs(self, var, invvar):
-        """Cancel var**i * invvar**j pairs, i.e. reduce modulo var*invvar - 1."""
-        out = Poly.zero()
-        for m, c in self.terms.items():
-            d = dict(m)
-            i, j = d.get(var, 0), d.get(invvar, 0)
-            k = min(i, j)
-            if k:
-                d[var] = i - k
-                d[invvar] = j - k
-            out = out + Poly({_mono(d.items()): c})
-        return out
-
     # -- printing -----------------------------------------------------
 
     def __str__(self):
@@ -427,7 +414,13 @@ def divide_exact(p, d):
 # ----------------------------------------------------------------------
 # parser (grammar published by the CLI; implicit multiplication rejected)
 
-MAX_NESTING = 100  # levels of "(" and unary "-"; bounds the parser's recursion
+MAX_NESTING = 100   # levels of "(" and unary "-"; bounds the parser's recursion
+MAX_TERMS = 10_000  # term pairs one product may form; bounds its size and time
+MAX_DEGREE = 100    # total degree of each term, so of the whole expression
+
+
+def _degree(p):
+    return max(map(_mono_degree, p.terms), default=0)
 
 
 def parse_expr(text):
@@ -470,10 +463,18 @@ class _Parser:
                 return p
 
     def term(self):
+        self.skip_ws()
+        start = self.pos
         p = self.factor()
         while self.peek() == "*":
+            pos = self.pos
             self.pos += 1
-            p = p * self.factor()
+            f = self.factor()
+            if len(p.terms) * len(f.terms) > MAX_TERMS:
+                raise ParseError(f"product of more than {MAX_TERMS} terms", pos)
+            p = p * f
+        if _degree(p) > MAX_DEGREE:
+            raise ParseError(f"degree above {MAX_DEGREE}", start)
         return p
 
     def factor(self):

@@ -19,9 +19,6 @@ PARAM_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 X = Poly.var("x")
 Y = Poly.var("y")
 
-# auxiliary symbol standing for 1/a in field-of-fractions certificates
-A_INV = "ainv"
-
 
 class QuinticError(Exception):
     pass
@@ -82,7 +79,6 @@ class CaseTag(Enum):
 @dataclass(frozen=True)
 class CenterCase:
     tag: CaseTag
-    witness: tuple | None = None  # for case (iii): the derived (f, g, h)
 
 
 def radial_factor(params):
@@ -133,10 +129,8 @@ def theorem_case(params):
         return CenterCase(CaseTag.CASE_I)
     if a == c == d == f == h == 0:
         return CenterCase(CaseTag.CASE_II)
-    if a != 0 and c == -a:
-        fw, gw, hw = case_iii_fgh(a, b, d, e)
-        if (f, g, h) == (fw, gw, hw):
-            return CenterCase(CaseTag.CASE_III, witness=(fw, gw, hw))
+    if a != 0 and c == -a and (f, g, h) == case_iii_fgh(a, b, d, e):
+        return CenterCase(CaseTag.CASE_III)
     return None
 
 
@@ -166,55 +160,62 @@ def classify(params, m=4):
 def case_substitution(tag):
     """Bindings that impose a center case on a polynomial in a..h.
 
-    Case (iii) works over the field of fractions with `a` invertible: the
-    symbol `ainv` stands for 1/a, and results must be reduced with
-    Poly.reduce_inverse_pairs("a", "ainv") before testing for zero.
+    Case (iii) writes d = a^3 u and e = a^3 v in two new symbols u, v, which
+    clears every power of 1/a from its f, g and h.  For a != 0 the map
+    (u, v) -> (d, e) is onto, so a polynomial vanishes on case (iii) exactly
+    when it vanishes under these bindings.
     """
-    a, b, d, e = (Poly.var(n) for n in ("a", "b", "d", "e"))
+    a, b, d, h = (Poly.var(n) for n in ("a", "b", "d", "h"))
     if tag is CaseTag.CASE_I:
-        return {"a": 0, "b": 0, "c": 0,
-                "f": -3 * (Poly.var("d") + Poly.var("h"))}
+        return {"a": 0, "b": 0, "c": 0, "f": -3 * (d + h)}
     if tag is CaseTag.CASE_II:
         return {"a": 0, "c": 0, "d": 0, "f": 0, "h": 0}
-    ai = Poly.var(A_INV)
-    bd_ae = b * d - a * e
+    u, v = Poly.var("u"), Poly.var("v")
+    w = b * u - a * v  # (b d - a e) / a^3
     return {
         "c": -a,
-        "f": Fraction(-3, 2) * b * bd_ae * ai ** 2,
-        "g": Fraction(1, 2) * (2 * a ** 2 * b * d
-                               + (2 * a ** 2 - b ** 2) * bd_ae) * ai ** 3,
-        "h": Fraction(1, 2) * (-2 * a ** 2 * d + b * bd_ae) * ai ** 2,
+        "d": a ** 3 * u,
+        "e": a ** 3 * v,
+        "f": Fraction(-3, 2) * a * b * w,
+        "g": Fraction(1, 2) * (2 * a ** 2 * b * u + (2 * a ** 2 - b ** 2) * w),
+        "h": Fraction(1, 2) * a * (-2 * a ** 2 * u + b * w),
     }
 
 
 def vanishes_under_case(poly, tag):
     """Is `poly` identically zero after imposing the case conditions?"""
-    reduced = poly.subs(case_substitution(tag))
-    if tag is CaseTag.CASE_III:
-        reduced = reduced.reduce_inverse_pairs("a", A_INV)
-    return reduced.is_zero
+    return poly.subs(case_substitution(tag)).is_zero
 
 
 # ----------------------------------------------------------------------
 # commuting partners and first integrals
 
+def _partner_factor(p, tag):
+    """R with radial partner (x (1 + R), y (1 + R)) and first integral
+    (x^2 + y^2)^k / (1 + R): the quartic of case (i) (k = 2), or the quadratic
+    of case (iii)'s cubic subfamily d = e = 0 (k = 1).  None for case (iii)
+    with d or e nonzero, which has no known polynomial partner."""
+    if tag is CaseTag.CASE_I:
+        return (p["e"] * X ** 4 - 4 * p["d"] * X ** 3 * Y
+                + 4 * p["h"] * X * Y ** 3 - p["g"] * Y ** 4)
+    if p["d"].is_zero and p["e"].is_zero:
+        return p["b"] * X ** 2 - 2 * p["a"] * X * Y
+    return None
+
+
 def commuting_partner(params, case):
     """A transversal polynomial system commuting with the center system."""
     p = params.polys()
-    a, b, d, e, g, h = (p[n] for n in ("a", "b", "d", "e", "g", "h"))
-    if case.tag is CaseTag.CASE_I:
-        q4 = e * X ** 4 - 4 * d * X ** 3 * Y + 4 * h * X * Y ** 3 - g * Y ** 4
-        return PlanarSystem(X * (1 + q4), Y * (1 + q4))
     if case.tag is CaseTag.CASE_II:
-        u = e * X ** 2 + g * Y ** 2
-        Q = (e - g) + u * (b + u)
+        u = p["e"] * X ** 2 + p["g"] * Y ** 2
+        Q = (p["e"] - p["g"]) + u * (p["b"] + u)
         return PlanarSystem(X * Q, Y * Q)
-    # case (iii): only the cubic subfamily d = e = 0 has a polynomial partner
-    if p["d"].is_zero and p["e"].is_zero:
-        w = b * X ** 2 - 2 * a * X * Y
-        return PlanarSystem(X + X * w, Y + Y * w)
-    raise NoSymbolicPartner(
-        "case (iii) with d or e nonzero: rotate to canonical form instead")
+    R = _partner_factor(p, case.tag)
+    if R is None:
+        raise NoSymbolicPartner(
+            "case (iii) with d or e nonzero: rotate to canonical form instead")
+    Q = 1 + R
+    return PlanarSystem(X * Q, Y * Q)
 
 
 @dataclass(frozen=True)
@@ -260,35 +261,24 @@ class RotationData:
     residual: float
 
 
-def _certified_rational_integral(sysm, num, den):
-    from .structure import rational_integral_residual
-    res = rational_integral_residual(sysm, num, den)
-    if not res.is_zero:
-        raise QuinticError(f"integral certificate failed: residual {res}")
-    return FirstIntegralSpec("rational", RationalFunction(num, den))
-
-
 def first_integral(params, case):
     """A certified first integral for the given center case.
 
-    Case (ii) with numeric b outside {0, 1} is first rescaled to b = 1; the
-    returned integral is for the normalized system.  Case (iii) with d or e
-    nonzero is numeric-only (rotation data).
+    Case (ii) with b = 0 is the case (i) system with d = h = 0.  Case (ii)
+    with numeric b outside {0, 1} is first rescaled to b = 1; the returned
+    integral is for the normalized system.  Case (iii) with d or e nonzero is
+    numeric-only (rotation data).
     """
     from . import structure
 
     p = params.polys()
     sysm = build_system(params)
-    if case.tag is CaseTag.CASE_I:
-        d, e, g, h = (p[n] for n in ("d", "e", "g", "h"))
-        den = 1 + e * X ** 4 - 4 * d * X ** 3 * Y + 4 * h * X * Y ** 3 - g * Y ** 4
-        return _certified_rational_integral(sysm, (X ** 2 + Y ** 2) ** 2, den)
+    tag = case.tag
+    if tag is CaseTag.CASE_II and params.b == 0:
+        tag = CaseTag.CASE_I
 
-    if case.tag is CaseTag.CASE_II:
+    if tag is CaseTag.CASE_II:
         b, e, g = params.b, params.e, params.g
-        if b == 0:
-            den = 1 + p["e"] * X ** 4 - p["g"] * Y ** 4
-            return _certified_rational_integral(sysm, (X ** 2 + Y ** 2) ** 2, den)
         if b != 1:
             norm, _ = normalize_b(params)
             return first_integral(norm, case)
@@ -296,29 +286,25 @@ def first_integral(params, case):
             if isinstance(e, str) or e == 0:
                 raise QuinticError("e = g variant needs a nonzero numeric e")
             cand = structure.darboux_candidate_equal(Fraction(e))
-            verdict = structure.verify_darboux_integral(sysm, cand)
-            if verdict.certified:
-                return FirstIntegralSpec(
-                    "darboux-exp",
-                    DarbouxExpIntegral(Fraction(e), Fraction(e), True, cand))
-            raise QuinticError(f"certificate failed: {verdict.residual}")
-        cand = structure.darboux_candidate(p["e"], p["g"])
+        else:
+            cand = structure.darboux_candidate(p["e"], p["g"])
         verdict = structure.verify_darboux_integral(sysm, cand)
         if not verdict.certified:
             raise QuinticError(f"certificate failed: {verdict.residual}")
         if params.is_numeric:
-            payload = DarbouxExpIntegral(Fraction(e), Fraction(g), False, cand)
-        else:
-            payload = DarbouxExpIntegral(e, g, False, cand)
-        return FirstIntegralSpec("darboux-exp", payload)
+            e, g = Fraction(e), Fraction(g)
+        return FirstIntegralSpec("darboux-exp",
+                                 DarbouxExpIntegral(e, g, e == g, cand))
 
-    # case (iii)
-    if p["d"].is_zero and p["e"].is_zero:
-        a, b = p["a"], p["b"]
-        den = 1 + b * X ** 2 - 2 * a * X * Y
-        return _certified_rational_integral(sysm, X ** 2 + Y ** 2, den)
-    rot = rotate_to_canonical(params)
-    return FirstIntegralSpec("numeric-only", rot)
+    R = _partner_factor(p, tag)
+    if R is None:
+        return FirstIntegralSpec("numeric-only", rotate_to_canonical(params))
+    num = X ** 2 + Y ** 2 if tag is CaseTag.CASE_III else (X ** 2 + Y ** 2) ** 2
+    den = 1 + R
+    res = structure.rational_integral_residual(sysm, num, den)
+    if not res.is_zero:
+        raise QuinticError(f"integral certificate failed: residual {res}")
+    return FirstIntegralSpec("rational", RationalFunction(num, den))
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,8 @@ def integrating_factor_from_pair(sys1, sys2):
 
 def rational_integral_residual(sys, num, den):
     """Cleared dH/dt for H = num/den: p (N_x D - N D_x) + q (N_y D - N D_y)."""
+    if den.is_zero:
+        raise ValueError("denominator must be nonzero")
     return (sys.p * (num.diff("x") * den - num * den.diff("x"))
             + sys.q * (num.diff("y") * den - num * den.diff("y")))
 

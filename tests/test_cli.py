@@ -1,8 +1,12 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import time
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from isoquintic.cli import main
 from isoquintic.qpoly import parse_expr
@@ -96,6 +100,11 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--family", "1,0,0,0,0,0,0,0")
         assert code == 1
         assert out.strip() == "FOCUS k=1 sign=+"
+
+    def test_negative_first_entry_with_equals(self, capsys):
+        code, out, _ = run(capsys, "classify", "--family=-1,2,1,1/2,-3,2,1,-1")
+        assert code == 1
+        assert out.strip() == "FOCUS k=2 sign=+"
 
     def test_focus_negative_second(self, capsys):
         code, out, _ = run(capsys, "classify", "--family", "0,0,0,-1,0,0,0,0")
@@ -342,3 +351,95 @@ class TestDocuments:
         code, _, err = run(capsys, "plconst",
                            "--system", str(tmp_path / "nope.json"), "-m", "1")
         assert code == 2 and "cannot read" in err
+
+
+# 16 factors of two-symbol sums with 32 distinct names: 127 characters whose
+# expansion has 65536 terms
+_NAMES = ["".join(pair) for pair in itertools.product("abcdefgh", repeat=2)]
+SIXTEEN_FACTORS = "*".join(f"({_NAMES[2 * i]}+{_NAMES[2 * i + 1]})"
+                           for i in range(16))
+
+
+class TestCostlyInputs:
+    """Inputs measured to run for seconds, minutes or without end; each is
+    now an input error (exit 2) found before the costly work starts."""
+
+    @pytest.mark.parametrize("source, message", [
+        ("product", "more than 10000 terms"),
+        ("power-800", "degree above 100"),
+        ("power-1600", "degree above 100"),
+        ("x0-2e9", "inside |state| = 1e+09"),
+        ("x0-1e100", "inside |state| = 1e+09"),
+        ("x0-1e200", "inside |state| = 1e+09"),
+        ("n-1e6", "N must be in [64, 65536]"),
+        ("n-1e7", "N must be in [64, 65536]"),
+        ("den-0", "denominator must be nonzero"),
+    ])
+    def test_rejected_fast(self, capsys, tmp_path, source, message):
+        kind, _, value = source.partition("-")
+        if kind == "product":
+            argv = ["verify", "invariant", "--family", "1,0,0,0,0,0,0,0",
+                    f"--curve={SIXTEEN_FACTORS}"]
+        elif kind == "power":
+            path = write_doc(tmp_path, "sys.json",
+                             {"p": f"y + x^{value}", "q": "-x"})
+            argv = ["verify", "reversible", "--system", path, "--line", "1,2"]
+        elif kind == "x0":
+            argv = ["orbit", "--family", "0,1,0,0,1,0,-1,0",
+                    "--x0", value, "--y0", "0"]
+        elif kind == "n":
+            argv = ["boundary", "--params", "0,1,-1,0", "-N", str(int(float(value)))]
+        else:
+            argv = ["verify", "integral", "--family", "1,0,0,0,0,0,0,0",
+                    "--num", "x", "--den", "0"]
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
+
+EXTREMES = ["0", "-0", "1e-300", "-1e-300", "1e8", "1e9", "1e200",
+            "nan", "inf", "63", "10000000"]
+extreme = st.sampled_from(EXTREMES)
+
+
+def timed_exit(argv):
+    """Exit code (argparse's own exits included) and wall time of one
+    in-process CLI call, its output discarded."""
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, time.perf_counter() - start
+
+
+class TestHostileFlags:
+    """Extreme numeric flags end in a verdict or an input error, fast."""
+
+    @seed(20240824)
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["0,1,0,0,1,0,-1,0", "1,0,0,0,0,0,0,0"]),
+           extreme, extreme, extreme, extreme)
+    def test_orbit(self, family, x0, y0, t_end, tol):
+        code, seconds = timed_exit(["orbit", f"--family={family}",
+                                    f"--x0={x0}", f"--y0={y0}",
+                                    f"--t-end={t_end}", f"--tol={tol}"])
+        assert code in (0, 1, 2)
+        assert seconds < 5.0
+
+    @seed(20240824)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(extreme, min_size=4, max_size=4),
+           st.one_of(st.none(), extreme))
+    def test_boundary(self, params, n):
+        argv = ["boundary", f"--params={','.join(params)}"]
+        if n is not None:
+            argv.append(f"-N={n}")
+        code, seconds = timed_exit(argv)
+        assert code in (0, 1, 2)
+        assert seconds < 5.0

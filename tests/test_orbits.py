@@ -46,6 +46,20 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(ROT, math.nan, 0.0, 1.0)
 
+    @pytest.mark.parametrize("x0, y0", [(1e9, 0.0), (0.0, -2e9), (8e8, 8e8),
+                                        (1e200, 0.0)])
+    def test_start_outside_escape_radius_rejected(self, x0, y0):
+        for run in (lambda: integrate(ROT, x0, y0, 1.0),
+                    lambda: integrate_rk4(ROT, x0, y0, 1.0, 0.1),
+                    lambda: ray_return_time(ROT, x0, y0)):
+            with pytest.raises(ValueError, match="inside"):
+                run()
+
+    def test_tol_floor(self):
+        integrate(ROT, 1.0, 0.0, 1.0, tol=orbits.MIN_TOL)
+        with pytest.raises(ValueError, match="at least"):
+            integrate(ROT, 1.0, 0.0, 1.0, tol=orbits.MIN_TOL / 2)
+
     def test_escape_guard(self):
         # dx/dt = 1 + x^2 blows up at t = pi/2 - atan(x0)
         blow = PlanarSystem(1 + X ** 2, Poly.zero())
@@ -179,6 +193,12 @@ class TestBoundary:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             boundary_curve(0, 1, -1, 0, N=8)
+
+    def test_n_cap(self):
+        res = boundary_curve(0, 1, -1, 0, N=orbits.MAX_BOUNDARY_N)
+        assert len(res.rhos) == orbits.MAX_BOUNDARY_N
+        with pytest.raises(ValueError, match="N must be in"):
+            boundary_curve(0, 1, -1, 0, N=orbits.MAX_BOUNDARY_N + 1)
 
     def test_defining_identity(self):
         """Finite samples satisfy rho^4 (c0 - Q) = 1; maximizers give inf."""

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from isoquintic.qpoly import (
     Poly, ParseError, UnboundVariableError, SingularMatrixError,
-    parse_expr, divide_exact, solve_linear_exact,
+    MAX_DEGREE, MAX_TERMS, parse_expr, divide_exact, solve_linear_exact,
 )
 from conftest import polys, random_poly
 
@@ -151,6 +152,24 @@ class TestParser:
         assert parse_expr("-(" * 50 + "y" + ")" * 50) == Y
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_expr("-" * 50 + "(" * 51 + "x" + ")" * 51)
+
+    def test_term_cap(self):
+        names = ["".join(pair) for pair in itertools.product("abcdefghij", repeat=2)]
+        # 100 x 100 term pairs is exactly the cap
+        left = " + ".join(names)
+        right = " + ".join(n.upper() for n in names)
+        assert len(parse_expr(f"({left})*({right})").terms) == MAX_TERMS
+        with pytest.raises(ParseError, match="more than 10000 terms"):
+            parse_expr(f"({left} + z)*({right})")
+
+    def test_degree_cap(self):
+        assert parse_expr(f"x^{MAX_DEGREE}") == Poly.var("x", MAX_DEGREE)
+        assert parse_expr("x^50*y^40*(a^5 + b^10)").degree_in(
+            ("x", "y", "a", "b")) == MAX_DEGREE
+        for text in (f"x^{MAX_DEGREE + 1}", "x^60*y^41",
+                     "x^50*y^40*(a^5 + b^11)", "*".join(["x"] * 101)):
+            with pytest.raises(ParseError, match="degree above 100"):
+                parse_expr(text)
 
     def test_round_trip_1000(self, rng):
         for _ in range(1000):

@@ -101,8 +101,7 @@ class TestTheoremCase:
 
     def test_case_iii(self):
         case = theorem_case(numeric(a=1, c=-1))
-        assert case.tag is CaseTag.CASE_III
-        assert case.witness == (0, 0, 0)
+        assert case == quintic.CenterCase(CaseTag.CASE_III)
 
     def test_case_iii_with_quartic(self):
         f, g, h = case_iii_fgh(1, 2, 1, 1)
@@ -151,14 +150,30 @@ class TestCaseSubstitution:
         assert not vanishes_under_case(Poly.var("d"), CaseTag.CASE_I)
         assert not vanishes_under_case(Poly.var("b"), CaseTag.CASE_II)
 
+    def test_bindings_are_polynomials_in_a_b_u_v(self):
+        sub = case_substitution(CaseTag.CASE_III)
+        assert sorted(sub) == ["c", "d", "e", "f", "g", "h"]
+        for value in sub.values():
+            assert as_poly(value).variables() <= {"a", "b", "u", "v"}
+
+    def test_case_iii_cleared_relations(self):
+        # case_iii_fgh with denominators cleared, and a + c
+        for text in ("a + c", "2*a^2*f - 3*b*(a*e - b*d)",
+                     "2*a^3*g - 2*a^2*b*d - (2*a^2 - b^2)*(b*d - a*e)",
+                     "2*a^2*h + 2*a^2*d - b*(b*d - a*e)"):
+            assert vanishes_under_case(parse_expr(text), CaseTag.CASE_III)
+        # the case needs a != 0, so a itself survives
+        assert not vanishes_under_case(Poly.var("a"), CaseTag.CASE_III)
+
     def test_case_iii_matches_numeric_formula(self, rng):
         sub = case_substitution(CaseTag.CASE_III)
         for _ in range(20):
             a = Fraction(rng.choice([v for v in range(-4, 5) if v]))
             b, d, e = (Fraction(rng.randint(-4, 4)) for _ in range(3))
             f, g, h = case_iii_fgh(a, b, d, e)
-            pt = {"a": a, "b": b, "d": d, "e": e, "ainv": 1 / a}
-            for name, expect in (("f", f), ("g", g), ("h", h)):
+            pt = {"a": a, "b": b, "u": d / a ** 3, "v": e / a ** 3}
+            for name, expect in (("c", -a), ("d", d), ("e", e),
+                                 ("f", f), ("g", g), ("h", h)):
                 got = as_poly(sub[name]).eval_rational(pt)
                 assert got == expect
 
@@ -192,6 +207,16 @@ class TestCommutingPartner:
         params = numeric(a=1, c=-1, d=1, f=f, g=g, h=h)
         with pytest.raises(NoSymbolicPartner):
             commuting_partner(params, theorem_case(params))
+
+
+    @pytest.mark.parametrize("kw", [dict(d=1, e=2, f=-3, g=1),
+                                    dict(a=2, b=3, c=-2)])
+    def test_partner_factor_is_integral_denominator(self, kw):
+        params = numeric(**kw)
+        case = theorem_case(params)
+        other = commuting_partner(params, case)
+        den = first_integral(params, case).payload.den
+        assert (other.p, other.q) == (X * den, Y * den)
 
 
 def theorem_case_like(tag):

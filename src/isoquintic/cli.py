@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .qpoly import Poly, parse_expr, ParseError, QPolyError
 from .lyapunov import PlanarSystem, pl_constants, LyapunovError
-from . import quintic, structure, orbits
+from . import quintic, structure
 
 MAX_DISPLAY_TERMS = 20
 
@@ -233,6 +233,9 @@ def _write_csv(path, header, rows):
 
 
 def cmd_orbit(args):
+    # the float layer is imported only by the commands that use it
+    from . import orbits
+
     sysm = _system_from_args(args)
     if sysm.p.variables() - {"x", "y"} or sysm.q.variables() - {"x", "y"}:
         raise InputError("orbit needs a fully numeric system")
@@ -254,6 +257,8 @@ def cmd_orbit(args):
 
 
 def cmd_boundary(args):
+    from . import orbits
+
     parts = args.params.split(",")
     if len(parts) != 4:
         raise InputError("--params needs 'd,e,g,h'")
@@ -312,7 +317,8 @@ def build_parser():
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--y0", type=float, required=True)
     p.add_argument("--t-end", type=float, default=2 * math.pi)
-    p.add_argument("--tol", type=float, default=orbits.TOL)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="rtol = atol of RK45 (default: %(default)g)")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(run=cmd_orbit)
 

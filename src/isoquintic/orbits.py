@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .structure import angular_speed_residual, DomainError
 from . import quintic
@@ -22,6 +21,7 @@ TOL = 1e-10            # default rtol = atol of the adaptive integrator
 MIN_TOL = 100 * np.finfo(float).eps  # RK45 raises any smaller rtol to this
 MAX_STEP = 0.1         # largest step of the adaptive integrator
 MAX_STEPS = 1_000_000  # step budget: t_end may span at most this many steps
+MAX_RHS_CALLS = 50_000  # right-hand side evaluations one solve may spend
 MAX_BOUNDARY_N = 2 ** 16  # most boundary samples one call may return
 
 
@@ -61,7 +61,11 @@ class Trajectory:
 
 
 def compile_rhs(sys):
-    """Compile a numeric PlanarSystem into a fast (t, state) -> derivative."""
+    """Compile a numeric PlanarSystem into a fast (t, state) -> derivative.
+
+    The derivative raises StiffnessError when called more than MAX_RHS_CALLS
+    times, which bounds the work of one solve whatever its step sizes.
+    """
     def collect(poly):
         out = []
         for (i, j), c in poly.xy_coefficients().items():
@@ -70,8 +74,15 @@ def compile_rhs(sys):
 
     pterms = collect(sys.p)
     qterms = collect(sys.q)
+    calls = 0
 
     def rhs(t, state):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_RHS_CALLS:
+            raise StiffnessError(
+                f"budget of {MAX_RHS_CALLS} right-hand side calls spent at "
+                f"t = {t:.6g} (|state| = {math.hypot(*state):.3g})")
         x, y = state
         return (math.fsum(c * x ** i * y ** j for c, i, j in pterms),
                 math.fsum(c * x ** i * y ** j for c, i, j in qterms))
@@ -100,13 +111,21 @@ def _check_inputs(x0, y0, t_end, h):
 
 
 def _solve(sys, x0, y0, t_end, tol, events=()):
-    """The one adaptive RK45 run: rtol = atol = tol, terminal escape guard."""
+    """The one adaptive RK45 run: rtol = atol = tol, terminal escape guard.
+
+    Overflow on the way to the escape radius is left to the guard, not
+    reported as numpy warnings.
+    """
+    # the package's slowest import, so deferred to the first solve
+    from scipy.integrate import solve_ivp
+
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise ValueError(f"tol must be finite and at least {MIN_TOL:.3g}")
     _check_inputs(x0, y0, t_end, MAX_STEP)
-    sol = solve_ivp(compile_rhs(sys), (0.0, t_end), (x0, y0), method="RK45",
-                    rtol=tol, atol=tol, max_step=MAX_STEP,
-                    events=(*events, _escape_event))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(compile_rhs(sys), (0.0, t_end), (x0, y0),
+                        method="RK45", rtol=tol, atol=tol, max_step=MAX_STEP,
+                        events=(*events, _escape_event))
     if sol.t_events[-1].size:
         raise EscapedError(float(sol.t_events[-1][0]))
     return sol

@@ -417,6 +417,7 @@ def divide_exact(p, d):
 MAX_NESTING = 100   # levels of "(" and unary "-"; bounds the parser's recursion
 MAX_TERMS = 10_000  # term pairs one product may form; bounds its size and time
 MAX_DEGREE = 100    # total degree of each term, so of the whole expression
+MAX_DIGITS = 4300   # digits of one integer literal; Python's int() limit
 
 
 def _degree(p):
@@ -512,6 +513,8 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an unsigned integer", self.pos)
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError("integer literal too long", start)
         return int(self.text[start:self.pos])
 
     def rational(self):

@@ -3,13 +3,19 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from isoquintic.cli import main
-from isoquintic.qpoly import parse_expr
+from isoquintic import orbits
+from isoquintic.cli import build_parser, main
+from isoquintic.qpoly import MAX_DIGITS, parse_expr
 
 
 def run(capsys, *argv):
@@ -256,6 +262,36 @@ class TestOrbit:
         assert code == 1
         assert "integration failed" in err
 
+    def test_tol_default_is_orbits_tol(self, capsys):
+        args = build_parser().parse_args(["orbit", "--x0", "0", "--y0", "0"])
+        assert args.tol == orbits.TOL
+        with pytest.raises(SystemExit):
+            main(["orbit", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"--tol TOL rtol = atol of RK45 (default: {orbits.TOL:g})" in help_text
+
+    def test_overflow_not_reported(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "orbit", "--family=1,0,0,0,0,0,0,0",
+                                 "--x0=1e8", "--y0=0", "--t-end=63", "--tol=63")
+        assert code == 1 and out == ""
+        assert err.startswith("integration failed: orbit escaped")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert [str(w.message) for w in caught] == []
+
+    def test_rhs_budget_ends_costly_solve(self, capsys):
+        # 397790 right-hand side calls in `integrate` alone without the budget
+        start = time.perf_counter()
+        code, out, err = run(capsys, "orbit", "--family=0,1,0,0,1,0,-1,0",
+                             "--x0=63", "--y0=0", "--t-end=63", "--tol=2.3e-14")
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        assert err.startswith(f"integration failed: budget of "
+                              f"{orbits.MAX_RHS_CALLS} right-hand side calls "
+                              f"spent at t = ")
+        assert "(|state| = " in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1e-8"),
         ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "-1"),
@@ -347,6 +383,17 @@ class TestDocuments:
         assert "error:" in err and "nested too deeply" in err
         assert "Traceback" not in err
 
+    def test_long_integer_literal(self, capsys):
+        code, out, err = run(capsys, "verify", "invariant",
+                             "--family", "1,0,0,0,0,0,0,0",
+                             "--curve=x^" + "9" * 5000)
+        assert code == 2 and out == ""
+        assert err == "error: integer literal too long (at position 2)\n"
+        code, _, err = run(capsys, "verify", "invariant",
+                           "--family", "1,0,0,0,0,0,0,0",
+                           "--curve=x + " + "9" * MAX_DIGITS)
+        assert code == 1 and err == ""
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "plconst",
                            "--system", str(tmp_path / "nope.json"), "-m", "1")
@@ -398,6 +445,46 @@ class TestCostlyInputs:
         assert code == 2
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs `cli.main` on each argv list of sys.argv[1] in one fresh interpreter
+# and prints, after the import and after each call, the exit code and which
+# of numpy, scipy and scipy.integrate are loaded.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return [m for m in ("numpy", "scipy", "scipy.integrate") if m in sys.modules]
+import isoquintic.cli as cli
+seen = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+class TestImports:
+    """The exact commands never load the float layer's dependencies."""
+
+    def test_float_layer_loaded_only_where_used(self):
+        steps = [["classify", "--family", "0,1,0,0,2,0,3,0"],
+                 ["plconst", "--family", "a,b,c,d,e,f,g,h", "-m", "2"],
+                 ["verify", "form1", "--family", "a,b,c,d,e,f,g,h"],
+                 ["boundary", "--params", "0,1,-1,0"],
+                 ["orbit", "--family", "0,1,0,0,1,0,-1,0",
+                  "--x0", "0.3", "--y0", "0"]]
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen[:4] == [[None, []], [0, []], [0, []], [0, []]]
+        assert seen[4] == [0, ["numpy"]]
+        assert seen[5][0] == 0 and "scipy.integrate" in seen[5][1]
 
 
 EXTREMES = ["0", "-0", "1e-300", "-1e-300", "1e8", "1e9", "1e200",

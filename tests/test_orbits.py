@@ -71,6 +71,25 @@ class TestIntegrate:
         with pytest.raises(EscapedError):
             integrate_rk4(blow, 1.0, 0.0, 2.0, 0.001)
 
+    def test_rhs_call_budget(self):
+        rhs = orbits.compile_rhs(ROT)
+        for _ in range(orbits.MAX_RHS_CALLS):
+            rhs(0.0, (1.0, 0.0))
+        with pytest.raises(StiffnessError,
+                           match=r"calls spent at t = 2\.5 \(\|state\| = 5\)"):
+            rhs(2.5, (3.0, 4.0))
+
+    def test_rhs_call_budget_ends_each_integrator(self, monkeypatch):
+        monkeypatch.setattr(orbits, "MAX_RHS_CALLS", 100)
+        for run in (lambda: integrate(ROT, 1.0, 0.0, 10.0),
+                    lambda: integrate_rk4(ROT, 1.0, 0.0, 10.0, 0.1),
+                    lambda: ray_return_time(ROT, 1.0, 0.0)):
+            with pytest.raises(StiffnessError, match="budget of 100 right-hand"):
+                run()
+        # each solve has its own budget
+        integrate(ROT, 1.0, 0.0, 0.5)
+        integrate(ROT, 1.0, 0.0, 0.5)
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             integrate(ROT, 1.0, 0.0, 1.0, tol=0.0)

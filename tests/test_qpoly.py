@@ -6,7 +6,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from isoquintic.qpoly import (
     Poly, ParseError, UnboundVariableError, SingularMatrixError,
-    MAX_DEGREE, MAX_TERMS, parse_expr, divide_exact, solve_linear_exact,
+    MAX_DEGREE, MAX_DIGITS, MAX_TERMS, parse_expr, divide_exact,
+    solve_linear_exact,
 )
 from conftest import polys, random_poly
 
@@ -152,6 +153,15 @@ class TestParser:
         assert parse_expr("-(" * 50 + "y" + ")" * 50) == Y
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_expr("-" * 50 + "(" * 51 + "x" + ")" * 51)
+
+    def test_digit_cap(self):
+        nines = "9" * MAX_DIGITS
+        assert parse_expr(nines) == Poly.const(10 ** MAX_DIGITS - 1)
+        assert parse_expr(f"1/{nines}") == Poly.const(Fraction(1, 10 ** MAX_DIGITS - 1))
+        for text, pos in ((f"x^{nines}9", 2), (f"1 + {nines}9*x", 4),
+                          (f"x + 1/{nines}9", 6)):
+            with pytest.raises(ParseError, match=rf"integer literal too long \(at position {pos}\)"):
+                parse_expr(text)
 
     def test_term_cap(self):
         names = ["".join(pair) for pair in itertools.product("abcdefghij", repeat=2)]

@@ -26,10 +26,12 @@ class InputError(Exception):
 
 def parse_rational(text):
     text = text.strip()
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"malformed rational {text!r}")
+    if text.isascii():  # Fraction also reads digits such as '١'
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"malformed rational {text!r}")
 
 
 def _family_entry(text):

@@ -4,10 +4,12 @@ The comparison function F = (x^2+y^2)/2 + f_3 + f_4 + ... is built degree by
 degree so that dF/dt = D_1 (x^4+y^4) + D_2 (x^6+y^6) + ...; the D_i are the
 constants returned here, as exact polynomials in the system parameters.
 
-Each stage solves L f = r for one homogeneous f, where L f = y f_x - x f_y
-is the action of the linear rotation field.  L only couples neighbouring
-coefficients, so two short recurrences solve it exactly; the right-hand
-side carries the parameter polynomials.
+Each homogeneous part is kept as its list of coefficients of x^(k-i) y^i:
+Fractions for a numeric system, parameter Polys where parameters remain.
+Derivatives are index shifts and products are convolutions.  Each stage
+solves L f = r for one homogeneous f, where L f = y f_x - x f_y is the action
+of the linear rotation field.  L only couples neighbouring coefficients, so
+two short recurrences solve it exactly.
 """
 
 from __future__ import annotations
@@ -15,12 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qpoly import Poly
+from .qpoly import Poly, as_poly
 
 CAP = 6
-
-X = Poly.var("x")
-Y = Poly.var("y")
 
 
 class LyapunovError(Exception):
@@ -34,10 +33,6 @@ class PlanarSystem:
     p: Poly
     q: Poly
 
-    def components(self):
-        """Homogeneous components (in x, y) of p and q."""
-        return self.p.homogeneous_parts(), self.q.homogeneous_parts()
-
     def eval_float(self, x, y, extra=None):
         pt = {"x": x, "y": y}
         if extra:
@@ -45,15 +40,30 @@ class PlanarSystem:
         return self.p.eval_float(pt), self.q.eval_float(pt)
 
 
+def _forms(poly):
+    """Homogeneous parts of `poly` in x, y by degree k, each the list of its
+    coefficients of x^(k-j) y^j, j = 0..k."""
+    forms = {}
+    for (i, j), c in poly.xy_coefficients().items():
+        k = i + j
+        c = c if c.variables() else c.constant_value()
+        forms.setdefault(k, [0] * (k + 1))[j] = c
+    return forms
+
+
 def check_linear_center(sys):
-    """Require linear part exactly (y, -x) and no constant terms."""
-    pc, qc = sys.components()
-    if pc.get(0) or qc.get(0):
+    """Require linear part exactly (y, -x) and no constant terms.
+
+    Returns the homogeneous parts of p and q as coefficient lists.
+    """
+    p, q = _forms(sys.p), _forms(sys.q)
+    if 0 in p or 0 in q:
         raise LyapunovError("system has a constant term")
-    if pc.get(1, Poly.zero()) != Y:
+    if p.get(1, [0, 0]) != [0, 1]:
         raise LyapunovError("linear part of p must be exactly y")
-    if qc.get(1, Poly.zero()) != -X:
+    if q.get(1, [0, 0]) != [-1, 0]:
         raise LyapunovError("linear part of q must be exactly -x")
+    return p, q
 
 
 @dataclass
@@ -65,38 +75,34 @@ class LyapunovReport:
     sign: str | None = None
 
 
-def _xy_vector(poly, k):
-    """Coefficient vector of x^(k-j) y^j, j = 0..k; entries are parameter Polys."""
-    coeffs = poly.xy_coefficients()
-    vec = [Poly.zero()] * (k + 1)
-    for (i, j), c in coeffs.items():
-        if i + j != k:
-            raise LyapunovError(f"stage polynomial not homogeneous of degree {k}")
-        vec[j] = c
-    return vec
-
-
-def _poly_from_vector(vec, k):
-    total = Poly.zero()
-    for j, c in enumerate(vec):
-        total = total + c * (Poly.var("x", k - j) * Poly.var("y", j))
-    return total
+def _form_poly(c):
+    """The Poly sum c_j x^(k-j) y^j of a coefficient list c_0..c_k."""
+    k = len(c) - 1
+    terms = {}
+    for j, cj in enumerate(c):
+        xy = tuple((v, e) for v, e in (("x", k - j), ("y", j)) if e)
+        if isinstance(cj, Poly):
+            for m, q in cj.terms.items():
+                terms[xy + m] = q
+        else:
+            terms[xy] = cj
+    return Poly(terms)  # drops the zero coefficients
 
 
 def _solve_stage(r, k):
-    """The degree-k f with L f = r, given as coefficients r_i of x^(k-i) y^i.
+    """The degree-k f with L f = r, both as coefficients of x^(k-i) y^i.
 
     Row i reads (k-i+1) f_(i-1) - (i+1) f_(i+1) = r_i.  The even rows give
     the odd coefficients forward from f_(-1) = 0, the odd rows the even ones
     backward from f_(k+1) = 0.  For even k the last even row is left out (the
     caller makes r average to zero, which satisfies it) and f_k stays 0.
     """
-    f = [Poly.zero()] * (k + 2)  # f[k + 1] is f_(k+1) and, as f[-1], f_(-1)
+    f = [0] * (k + 2)  # f[k + 1] is f_(k+1) and, as f[-1], f_(-1)
     for i in range(0, k, 2):
         f[i + 1] = ((k - i + 1) * f[i - 1] - r[i]) * Fraction(1, i + 1)
     for i in reversed(range(1, k + 1, 2)):
         f[i - 1] = (r[i] + (i + 1) * f[i + 1]) * Fraction(1, k - i + 1)
-    return _poly_from_vector(f[:k + 1], k)
+    return f[:k + 1]
 
 
 def _circle_average(r, k):
@@ -105,26 +111,31 @@ def _circle_average(r, k):
     cos^(k-i) sin^i averages to w_i, with w_(i+2) = w_i (i+1)/(k-i-1); the
     scale w_0 = w_k = 1 makes the average of x^k + y^k equal to 2.
     """
-    w, total = Fraction(1), Poly.zero()
+    w, total = Fraction(1), 0
     for i in range(0, k, 2):
         total = total + w * r[i]
         w *= Fraction(i + 1, k - i - 1)
     return (total + r[k]) * Fraction(1, 2)
 
 
-def _stage_known(fcomp, pcomp, qcomp, deg):
-    """Degree-`deg` part of dF/dt contributed by the already-known f_i."""
-    total = Poly.zero()
-    for i, fi in fcomp.items():
+def _convolve(out, a, b):
+    """Add the coefficients of the product of forms a and b into out."""
+    for s, bs in enumerate(b):
+        if bs:
+            for t, at in enumerate(a):
+                if at:
+                    out[s + t] = out[s + t] + at * bs
+
+
+def _stage_known(f, p, q, deg):
+    """Degree-`deg` part of dF/dt = F_x p + F_y q over the known f_i, i < deg."""
+    total = [0] * (deg + 1)
+    for i, fi in f.items():
         j = deg + 1 - i
-        if j < 2:
-            continue
-        pj = pcomp.get(j)
-        qj = qcomp.get(j)
-        if pj is not None:
-            total = total + fi.diff("x") * pj
-        if qj is not None:
-            total = total + fi.diff("y") * qj
+        if j in p:  # d/dx: x^(i-t) y^t -> (i-t) x^(i-1-t) y^t
+            _convolve(total, [(i - t) * fi[t] for t in range(i)], p[j])
+        if j in q:  # d/dy: x^(i-t) y^t -> t x^(i-t) y^(t-1)
+            _convolve(total, [(t + 1) * fi[t + 1] for t in range(i)], q[j])
     return total
 
 
@@ -134,33 +145,32 @@ def pl_constants(sys, m):
     Odd stage k: solve L(f_k) = -(known terms) so the degree-k part of dF/dt
     vanishes.  Even stage K = k+1: D is fixed by the circle average, then
     L(f_K) = D (x^K + y^K) - (known terms), with a zero y^K coefficient in f_K.
+    Every f_k and known part is a coefficient list of x^(k-i) y^i.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > CAP:
         raise LyapunovError(f"requested {m} constants exceeds the cap {CAP}")
-    check_linear_center(sys)
-    pcomp, qcomp = sys.components()
+    p, q = check_linear_center(sys)
 
-    fcomp = {2: Fraction(1, 2) * (X ** 2 + Y ** 2)}
+    f = {2: [Fraction(1, 2), 0, Fraction(1, 2)]}
     raw = []
     for k in range(3, 2 * m + 2, 2):
         # odd stage: kill the degree-k component
-        known = _xy_vector(_stage_known(fcomp, pcomp, qcomp, k), k)
-        fcomp[k] = _solve_stage([-c for c in known], k)
+        f[k] = _solve_stage([-c for c in _stage_known(f, p, q, k)], k)
 
         # even stage: the degree-K component must be D*(x^K + y^K); L f
         # averages to zero over the circle, which fixes D
         K = k + 1
-        known = _xy_vector(_stage_known(fcomp, pcomp, qcomp, K), K)
+        known = _stage_known(f, p, q, K)
         d = _circle_average(known, K)
         rhs = [-c for c in known]
         rhs[0] = rhs[0] + d  # rhs[K] would get d too, but its row is not read
-        fcomp[K] = _solve_stage(rhs, K)
-        raw.append(d)
+        f[K] = _solve_stage(rhs, K)
+        raw.append(as_poly(d))
 
     report = LyapunovReport(constants=[d.canonical() for d in raw], raw=raw,
-                            f_components=fcomp)
+                            f_components={k: _form_poly(c) for k, c in f.items()})
     if all(not d.variables() for d in raw):
         hit = first_nonzero(report, {})
         if hit is not None:

@@ -424,6 +424,11 @@ def _degree(p):
     return max(map(_mono_degree, p.terms), default=0)
 
 
+def _is_digit(ch):
+    """An ASCII digit; str.isdigit also accepts digits such as '²' or '٣'."""
+    return "0" <= ch <= "9"
+
+
 def parse_expr(text):
     """Parse `expr := term (("+"|"-") term)*` etc. into a Poly."""
     return _Parser(text).parse()
@@ -494,7 +499,7 @@ class _Parser:
                 self.pos += 1
             self.depth -= 1
             return p
-        if ch.isdigit():
+        if _is_digit(ch):
             return Poly.const(self.rational())
         if ch.isalpha():
             name = self.symbol()
@@ -509,7 +514,7 @@ class _Parser:
     def uint(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an unsigned integer", self.pos)

@@ -81,12 +81,17 @@ class CenterCase:
     tag: CaseTag
 
 
+# the monomials of P that a, ..., h multiply; P adds them in this order, which
+# fixes the term order orbits.compile_rhs sums the right-hand side in
+RADIAL_MONOMIALS = (X ** 2, X * Y, Y ** 2, X ** 4, X ** 3 * Y, X ** 2 * Y ** 2,
+                    X * Y ** 3, Y ** 4)
+
+
 def radial_factor(params):
     """The polynomial P multiplying (x, y) in the family."""
     p = params.polys()
-    return (p["a"] * X ** 2 + p["b"] * X * Y + p["c"] * Y ** 2
-            + p["d"] * X ** 4 + p["e"] * X ** 3 * Y + p["f"] * X ** 2 * Y ** 2
-            + p["g"] * X * Y ** 3 + p["h"] * Y ** 4)
+    return sum((p[n] * mono for n, mono in zip(PARAM_NAMES, RADIAL_MONOMIALS)),
+               Poly.zero())
 
 
 def build_system(params):

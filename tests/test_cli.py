@@ -125,6 +125,12 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--family", "1,2,3")
         assert code == 2 and "error:" in err
 
+    def test_non_ascii_digit_rejected(self, capsys):
+        # Fraction reads U+0661 ARABIC-INDIC DIGIT ONE as 1
+        code, out, err = run(capsys, "classify", "--family", "\u0661,0,0,0,0,0,0,0")
+        assert (code, out) == (2, "")
+        assert err == "error: malformed rational '\u0661'\n"
+
 
 class TestVerify:
     def test_commute_pass(self, capsys, tmp_path):
@@ -393,6 +399,15 @@ class TestDocuments:
                            "--family", "1,0,0,0,0,0,0,0",
                            "--curve=x + " + "9" * MAX_DIGITS)
         assert code == 1 and err == ""
+
+    @pytest.mark.parametrize("curve, message", [
+        ("x^\u00b2", "expected an unsigned integer (at position 2)"),
+        ("\u0663*x", "expected a factor (at position 0)"),
+    ])
+    def test_non_ascii_digit_in_curve(self, capsys, curve, message):
+        code, out, err = run(capsys, "verify", "invariant",
+                             "--family", "1,0,0,0,0,0,0,0", f"--curve={curve}")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "plconst",

@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from conftest import random_poly
+from conftest import coeffs, polys, random_poly
 from isoquintic.qpoly import Poly
 from isoquintic.lyapunov import (
     PlanarSystem, LyapunovError, check_linear_center, pl_constants,
-    first_nonzero, _circle_average, _solve_stage, _xy_vector,
+    first_nonzero, _circle_average, _form_poly, _solve_stage,
 )
 from isoquintic import quintic
 
@@ -45,9 +46,23 @@ QUADRATIC_RAW_SHA256 = [
     "2a8167f8c57d89e2c30a2b21f686e2bc744b0dc476876006e8522409d00a00bb",
 ]
 
+# report_sha of the numeric_points() reports at m = 4, and of the family
+# (1, b, -1, d, 1/2, f, 0, h) at m = 4
+NUMERIC_REPORTS_SHA256 = "184e311b5cc23b4d8f64e71f3f47ff9b7230bd7b19277498e56dfa661990a19a"
+PARTIAL_REPORT_SHA256 = "8cb1752db206f256ea9e5e03faa8b784388e0f9f5af6b04b9086d188a6bd85c1"
+
 
 def sha(p):
     return hashlib.sha256(str(p).encode()).hexdigest()
+
+
+def vec(poly, k):
+    """Coefficients of x^(k-j) y^j, j = 0..k, of a degree-k form in x, y."""
+    out = [Poly.zero()] * (k + 1)
+    for (i, j), c in poly.xy_coefficients().items():
+        assert i + j == k, f"{poly} is not homogeneous of degree {k}"
+        out[j] = c
+    return out
 
 
 def rotate(g):
@@ -69,24 +84,24 @@ class TestRotationOperator:
 
     def test_k1(self):
         # L(x) = y and L(y) = -x, inverted
-        assert _solve_stage(_xy_vector(Y, 1), 1) == X
-        assert _solve_stage(_xy_vector(-X, 1), 1) == Y
+        assert _form_poly(_solve_stage(vec(Y, 1), 1)) == X
+        assert _form_poly(_solve_stage(vec(-X, 1), 1)) == Y
 
     def test_k2_by_direct_differentiation(self):
         assert rotate(X ** 2) == 2 * X * Y
         assert rotate(X * Y) == Y ** 2 - X ** 2
         assert rotate(Y ** 2) == -2 * X * Y
         # inverted up to the kernel x^2 + y^2, with the y^2 coefficient 0
-        assert _solve_stage(_xy_vector(2 * X * Y, 2), 2) == X ** 2
-        assert _solve_stage(_xy_vector(Y ** 2 - X ** 2, 2), 2) == X * Y
-        assert _solve_stage(_xy_vector(-2 * X * Y, 2), 2) == -X ** 2
+        assert _form_poly(_solve_stage(vec(2 * X * Y, 2), 2)) == X ** 2
+        assert _form_poly(_solve_stage(vec(Y ** 2 - X ** 2, 2), 2)) == X * Y
+        assert _form_poly(_solve_stage(vec(-2 * X * Y, 2), 2)) == -X ** 2
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
     def test_odd_degrees_nonsingular(self, k):
         # L is invertible on odd degrees: each form comes back unchanged
         for j in range(k + 1):
             g = X ** (k - j) * Y ** j
-            assert _solve_stage(_xy_vector(rotate(g), k), k) == g
+            assert _form_poly(_solve_stage(vec(rotate(g), k), k)) == g
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_even_degrees_singular(self, k):
@@ -94,29 +109,72 @@ class TestRotationOperator:
         # x^k + y^k: every L g has circle average 0, x^k + y^k has 1
         assert rotate((X ** 2 + Y ** 2) ** (k // 2)).is_zero
         for j in range(k + 1):
-            image = _xy_vector(rotate(X ** (k - j) * Y ** j), k)
-            assert _circle_average(image, k).is_zero
-        assert _circle_average(_xy_vector(X ** k + Y ** k, k), k) == 1
+            image = vec(rotate(X ** (k - j) * Y ** j), k)
+            assert _circle_average(image, k) == 0
+        assert _circle_average(vec(X ** k + Y ** k, k), k) == 1
 
     def test_matches_operator_action(self):
         rnd = random.Random(4)
         for k in range(1, 14):
             g = random_form(rnd, k)
             r = rotate(g)
-            f = _solve_stage(_xy_vector(r, k), k)
-            assert rotate(f) == r, k
+            f = _solve_stage(vec(r, k), k)
+            assert rotate(_form_poly(f)) == r, k
             if k % 2 == 0:
-                assert _xy_vector(f, k)[k].is_zero, k
+                assert f[k] == 0, k
 
     def test_circle_average_of_monomials(self):
         # mean of cos^4, cos^2 sin^2, sin^4 is 3/8, 1/8, 3/8; x^4 + y^4 has 3/4
         for j, avg in enumerate([3, 0, 1, 0, 3]):
-            form = _xy_vector(X ** (4 - j) * Y ** j, 4)
+            form = vec(X ** (4 - j) * Y ** j, 4)
             assert _circle_average(form, 4) == Fraction(avg, 6)
+
+
+class TestFormLists:
+    @seed(7)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda k: st.lists(
+        st.one_of(polys(vars=("a", "b"), max_terms=3), coeffs),
+        min_size=k + 1, max_size=k + 1)))
+    def test_list_poly_round_trip(self, c):
+        assert vec(_form_poly(c), len(c) - 1) == c
+
+    def test_numeric_and_symbolic_entries_mix(self):
+        # a list may hold Fractions, ints and parameter Polys side by side
+        a = Poly.var("a")
+        r = [Fraction(1, 3), a, 0, 2 * a + 1]
+        f = _solve_stage(r, 3)
+        assert rotate(_form_poly(f)) == _form_poly(r)
 
 
 def family_system():
     return quintic.build_system(quintic.QuinticParams.symbolic())
+
+
+def numeric_points(n=40):
+    """Seeded rational points, a quarter each generic and on the strata where
+    D1, D1..D2 and D1..D3 vanish; the last quarter at height 10^6."""
+    rnd = random.Random(2718)
+    for i in range(n):
+        height, den = (10 ** 6, 10 ** 6) if i % 4 == 3 else (9, 3)
+        v = {name: Fraction(rnd.randint(-height, height), rnd.randint(1, den))
+             for name in quintic.PARAM_NAMES}
+        if i % 4 >= 1:
+            v["c"] = -v["a"]
+        if i % 4 >= 2:
+            v["f"] = -3 * (v["d"] + v["h"])
+        if i % 4 == 3 and v["a"]:
+            v["e"] = (v["b"] * v["d"] - v["a"] * v["g"] - v["b"] * v["h"]) / v["a"]
+        yield quintic.QuinticParams(**v)
+
+
+def report_sha(reports):
+    """sha256 of str of every raw and canonical constant and f_k."""
+    text = []
+    for rep in reports:
+        text += [str(d) for d in rep.raw + rep.constants]
+        text += [f"{k}: {part}" for k, part in rep.f_components.items()]
+    return hashlib.sha256("\n".join(text).encode()).hexdigest()
 
 
 class TestPlConstants:
@@ -179,6 +237,16 @@ class TestPlConstants:
         rep = pl_constants(quad, 3)
         assert [sha(d) for d in rep.constants] == QUADRATIC_CONSTANT_SHA256
         assert [sha(d) for d in rep.raw] == QUADRATIC_RAW_SHA256
+
+    def test_numeric_reports_pinned(self):
+        # the reports of Fraction-entry stages, digested before they were
+        # lists, and those of a family with some parameters left
+        reps = [pl_constants(quintic.build_system(p), 4) for p in numeric_points()]
+        assert [r.first_nonzero_index for r in reps] == [1, 2, 3, 4] * 10
+        assert report_sha(reps) == NUMERIC_REPORTS_SHA256
+        partial = quintic.QuinticParams(1, "b", -1, "d", Fraction(1, 2), "f", 0, "h")
+        rep = pl_constants(quintic.build_system(partial), 4)
+        assert report_sha([rep]) == PARTIAL_REPORT_SHA256
 
 
 class TestFirstNonzero:

@@ -11,6 +11,11 @@ from isoquintic.qpoly import (
 )
 from conftest import polys, random_poly
 
+try:  # the differential oracle is an optional test dependency
+    import sympy
+except ImportError:
+    sympy = None
+
 X = Poly.var("x")
 Y = Poly.var("y")
 
@@ -163,6 +168,16 @@ class TestParser:
             with pytest.raises(ParseError, match=rf"integer literal too long \(at position {pos}\)"):
                 parse_expr(text)
 
+    @pytest.mark.parametrize("text, message, pos", [
+        ("x^\u00b2", "expected an unsigned integer", 2),      # superscript two
+        ("\u0663*x", "expected a factor", 0),                 # Arabic-Indic three
+        ("x + 1/\u0663", "expected an unsigned integer", 6),
+        ("x + 1\u0663", "unexpected character", 5),
+    ])
+    def test_only_ascii_digits(self, text, message, pos):
+        with pytest.raises(ParseError, match=rf"{message}.*\(at position {pos}\)"):
+            parse_expr(text)
+
     def test_term_cap(self):
         names = ["".join(pair) for pair in itertools.product("abcdefghij", repeat=2)]
         # 100 x 100 term pairs is exactly the cap
@@ -287,3 +302,83 @@ class TestSolver:
                 for j in range(n):
                     acc = acc + m[i][j] * sol[j]
                 assert acc == rhs[i]
+
+
+GENS = sympy.symbols("x y a b") if sympy else ()
+
+
+def to_sympy(p):
+    """The sympy expression of a Poly, built term by term."""
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in m))
+        for m, c in p.terms.items()))
+
+
+def same(expr, p):
+    """Do a sympy expression and a Poly expand to the same polynomial?"""
+    return sympy.Poly(expr, *GENS) == sympy.Poly(to_sympy(p), *GENS)
+
+
+@pytest.mark.skipif(sympy is None, reason="needs sympy")
+class TestSympyOracle:
+    """qpoly against sympy.expand and sympy's polynomial division."""
+
+    @seed(11)
+    @settings(max_examples=15, deadline=None)
+    @given(polys(), polys())
+    def test_mul(self, p, q):
+        assert same(sympy.expand(to_sympy(p) * to_sympy(q)), p * q)
+
+    @seed(12)
+    @settings(max_examples=15, deadline=None)
+    @given(polys(), polys(max_terms=2, max_exp=2), polys(max_terms=2, max_exp=2))
+    def test_subs(self, p, q, r):
+        # simultaneous: x -> q and a -> r, with q and r free to contain x, a
+        x, a = sympy.Symbol("x"), sympy.Symbol("a")
+        expected = to_sympy(p).xreplace({x: to_sympy(q), a: to_sympy(r)})
+        assert same(sympy.expand(expected), p.subs({"x": q, "a": r}))
+
+    @seed(13)
+    @settings(max_examples=15, deadline=None)
+    @given(polys(), polys(), st.fractions(min_value=-9, max_value=9, max_denominator=4))
+    def test_divide_exact(self, p, q, c):
+        if q.is_zero:
+            return
+        quo, rem = sympy.div(to_sympy(p * q), to_sympy(q), *GENS)
+        assert rem == 0 and same(quo, divide_exact(p * q, q))
+        if c and q.variables():
+            # p q + c is no multiple of a nonconstant q
+            _, rem = sympy.div(to_sympy(p * q + c), to_sympy(q), *GENS)
+            assert rem != 0 and divide_exact(p * q + c, q) is None
+
+    @seed(14)
+    @settings(max_examples=15, deadline=None)
+    @given(polys(), polys())
+    def test_divide_exact_decides_divisibility(self, p, q):
+        if q.is_zero:
+            return
+        quo, rem = sympy.div(to_sympy(p), to_sympy(q), *GENS)
+        got = divide_exact(p, q)
+        assert (got is None) == (rem != 0)
+        if got is not None:
+            assert same(quo, got)
+
+    @seed(15)
+    @settings(max_examples=15, deadline=None)
+    @given(polys())
+    def test_canonical(self, p):
+        if p.is_zero:
+            assert p.canonical().is_zero
+            return
+        # sympy's content is positive and its primitive part keeps the sign
+        content, primitive = sympy.primitive(to_sympy(p), *GENS)
+        assert content > 0 and same(primitive, p.canonical())
+
+    @seed(16)
+    @settings(max_examples=15, deadline=None)
+    @given(polys())
+    def test_print_parse_round_trip(self, p):
+        text = str(p)
+        assert parse_expr(text) == p
+        assert same(sympy.parse_expr(text.replace("^", "**")), p)

@@ -34,6 +34,18 @@ def parse_rational(text):
     raise InputError(f"malformed rational {text!r}")
 
 
+def _ascii(convert):
+    """`convert` (int or float) on ASCII text only, as both also read digits
+    such as '٣'; named like it, so argparse says "invalid int value"."""
+    def parse(text):
+        if not text.isascii():
+            raise ValueError(text)
+        return convert(text)
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _family_entry(text):
     text = text.strip()
     if text and text[0].isalpha() and text.isalpha():
@@ -295,12 +307,12 @@ def build_parser():
 
     p = sub.add_parser("plconst", help="print Lyapunov constants")
     add_system_flags(p)
-    p.add_argument("-m", type=int, default=4)
+    p.add_argument("-m", type=_ascii(int), default=4)
     p.set_defaults(run=cmd_plconst)
 
     p = sub.add_parser("classify", help="center/focus verdict for the family")
     p.add_argument("--family", required=True)
-    p.add_argument("-m", type=int, default=4)
+    p.add_argument("-m", type=_ascii(int), default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_classify)
 
@@ -316,17 +328,17 @@ def build_parser():
 
     p = sub.add_parser("orbit", help="integrate one orbit, report closure")
     add_system_flags(p)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--y0", type=float, required=True)
-    p.add_argument("--t-end", type=float, default=2 * math.pi)
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--x0", type=_ascii(float), required=True)
+    p.add_argument("--y0", type=_ascii(float), required=True)
+    p.add_argument("--t-end", type=_ascii(float), default=2 * math.pi)
+    p.add_argument("--tol", type=_ascii(float), default=1e-10,
                    help="rtol = atol of RK45 (default: %(default)g)")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(run=cmd_orbit)
 
     p = sub.add_parser("boundary", help="case (i) period-annulus boundary")
     p.add_argument("--params", required=True, help="d,e,g,h")
-    p.add_argument("-N", dest="n", type=int, default=256)
+    p.add_argument("-N", dest="n", type=_ascii(int), default=256)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_boundary)

@@ -20,8 +20,11 @@ ESCAPE_RADIUS = 1e9
 TOL = 1e-10            # default rtol = atol of the adaptive integrator
 MIN_TOL = 100 * np.finfo(float).eps  # RK45 raises any smaller rtol to this
 MAX_STEP = 0.1         # largest step of the adaptive integrator
-MAX_STEPS = 1_000_000  # step budget: t_end may span at most this many steps
 MAX_RHS_CALLS = 50_000  # right-hand side evaluations one solve may spend
+# RK45 spends 2 calls to start and 6 per attempted step of at most MAX_STEP,
+# RK4 4 per step: a longer span cannot finish within MAX_RHS_CALLS
+MAX_T_END = MAX_STEP * (MAX_RHS_CALLS - 2) / 6
+MAX_RK4_STEPS = MAX_RHS_CALLS // 4
 MAX_BOUNDARY_N = 2 ** 16  # most boundary samples one call may return
 
 
@@ -76,6 +79,10 @@ def compile_rhs(sys):
     qterms = collect(sys.q)
     calls = 0
 
+    def field(x, y):
+        return (math.fsum(c * x ** i * y ** j for c, i, j in pterms),
+                math.fsum(c * x ** i * y ** j for c, i, j in qterms))
+
     def rhs(t, state):
         nonlocal calls
         calls += 1
@@ -83,9 +90,13 @@ def compile_rhs(sys):
             raise StiffnessError(
                 f"budget of {MAX_RHS_CALLS} right-hand side calls spent at "
                 f"t = {t:.6g} (|state| = {math.hypot(*state):.3g})")
-        x, y = state
-        return (math.fsum(c * x ** i * y ** j for c, i, j in pterms),
-                math.fsum(c * x ** i * y ** j for c, i, j in qterms))
+        # Python floats: iterating the array would give slower numpy scalars
+        x, y = state.tolist() if isinstance(state, np.ndarray) else state
+        try:
+            return field(x, y)
+        except OverflowError:
+            # numpy scalars give the same values, with +-inf where float ** raises
+            return field(np.float64(x), np.float64(y))
 
     return rhs
 
@@ -97,17 +108,15 @@ def _escape_event(t, state):
 _escape_event.terminal = True
 
 
-def _check_inputs(x0, y0, t_end, h):
+def _check_inputs(x0, y0, t_end, t_max):
     """Reject what would make a solver run without end or on garbage."""
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise ValueError("initial point must be finite")
     if math.hypot(x0, y0) >= ESCAPE_RADIUS:
         raise ValueError(
             f"initial point must lie inside |state| = {ESCAPE_RADIUS:g}")
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError("step must be positive and finite")
-    if not 0 < t_end <= h * MAX_STEPS:  # false for nan
-        raise ValueError(f"t_end must be in (0, {h * MAX_STEPS:g}]")
+    if not 0 < t_end <= t_max:  # false for nan
+        raise ValueError(f"t_end must be in (0, {t_max:g}]")
 
 
 def _solve(sys, x0, y0, t_end, tol, events=()):
@@ -116,12 +125,12 @@ def _solve(sys, x0, y0, t_end, tol, events=()):
     Overflow on the way to the escape radius is left to the guard, not
     reported as numpy warnings.
     """
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"tol must be finite and at least {MIN_TOL:.3g}")
+    _check_inputs(x0, y0, t_end, MAX_T_END)
     # the package's slowest import, so deferred to the first solve
     from scipy.integrate import solve_ivp
 
-    if not (math.isfinite(tol) and tol >= MIN_TOL):
-        raise ValueError(f"tol must be finite and at least {MIN_TOL:.3g}")
-    _check_inputs(x0, y0, t_end, MAX_STEP)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(compile_rhs(sys), (0.0, t_end), (x0, y0),
                         method="RK45", rtol=tol, atol=tol, max_step=MAX_STEP,
@@ -150,7 +159,9 @@ def integrate(sys, x0, y0, t_end, tol=TOL):
 def integrate_rk4(sys, x0, y0, t_end, h):
     """Classical fixed-step RK4 with steps of at most h (the step used is
     t_end / ceil(t_end / h)); kept for order tests."""
-    _check_inputs(x0, y0, t_end, h)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("step must be positive and finite")
+    _check_inputs(x0, y0, t_end, h * MAX_RK4_STEPS)
     rhs = compile_rhs(sys)
     n_steps = max(1, math.ceil(t_end / h))
     h = t_end / n_steps

@@ -45,22 +45,29 @@ def _var_rank(name):
     return (0, i) if i is not None else (1, name)
 
 
+def _pair_rank(pair):
+    return _var_rank(pair[0])
+
+
 def _mono(pairs):
     """Build a canonical monomial from (var, exp) pairs; drops zero exponents."""
     merged = {}
     for v, e in pairs:
         if e:
             merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(((v, e) for v, e in merged.items() if e),
-                        key=lambda p: _var_rank(p[0])))
+    return tuple(sorted(((v, e) for v, e in merged.items() if e), key=_pair_rank))
 
 
 def _mono_mul(m1, m2):
+    """The product of two canonical monomials (positive exponents, sorted)."""
     if not m1:
         return m2
     if not m2:
         return m1
-    return _mono(list(m1) + list(m2))
+    merged = dict(m1)
+    for v, e in m2:
+        merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items(), key=_pair_rank))
 
 
 def _mono_degree(m):
@@ -83,6 +90,21 @@ def _mono_div(m2, m1):
     for v, e in m1:
         d[v] -= e
     return _mono(d.items())
+
+
+def _add_into(out, terms):
+    """Add `terms` to the term dict `out` in place; a sum of zero drops its
+    monomial, so `out` ends as `Poly(out) + Poly(terms)` would, in order."""
+    for m, c in terms.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s += c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
 
 
 def _coerce_coeff(c):
@@ -188,12 +210,7 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+        _add_into(out, other.terms)
         p = Poly.__new__(Poly)
         p.terms = out
         return p
@@ -222,11 +239,15 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                s = out.get(m)
+                if s is None:
+                    out[m] = c1 * c2
+                else:
+                    s += c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
         p = Poly.__new__(Poly)
         p.terms = out
         return p
@@ -264,20 +285,28 @@ class Poly:
             if not e:
                 continue
             d[var] = e - 1
-            out[_mono(d.items())] = out.get(_mono(d.items()), Fraction(0)) + c * e
+            out[_mono(d.items())] = c * e  # distinct terms have distinct derivatives
         return Poly(out)
 
     def subs(self, bindings):
         """Simultaneous substitution of variables by polynomials (fully expanded)."""
         bound = {v: Poly._coerce(p) for v, p in bindings.items()}
-        total = Poly.zero()
+        powers = {}  # (var, exp) -> its image, each computed once
+        out = {}
         for m, c in self.terms.items():
             term = Poly.const(c)
-            for v, e in m:
-                base = bound.get(v)
-                term = term * (base ** e if base is not None else Poly({((v, e),): 1}))
-            total = total + term
-        return total
+            for pair in m:
+                power = powers.get(pair)
+                if power is None:
+                    v, e = pair
+                    base = bound.get(v)
+                    power = powers[pair] = (base ** e if base is not None
+                                            else Poly({(pair,): 1}))
+                term = term * power
+            _add_into(out, term.terms)
+        p = Poly.__new__(Poly)
+        p.terms = out
+        return p
 
     def eval_rational(self, point):
         """Exact evaluation; every variable must be bound."""

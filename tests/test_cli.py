@@ -301,13 +301,58 @@ class TestOrbit:
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1e-8"),
         ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "-1"),
-        ("--t-end", "1e6")])
+        ("--t-end", "1e6"), ("--t-end", "834")])
     def test_unbounded_input_rejected(self, capsys, flag, value):
         start = time.perf_counter()
         code, _, err = run(capsys, "orbit", "--family", "0,1,0,0,1,0,-1,0",
                            "--x0", "0.3", "--y0", "0", f"{flag}={value}")
         assert code == 2 and err.startswith("error:")
         assert time.perf_counter() - start < 5.0
+
+
+class TestNumericFlags:
+    """Numeric flags read ASCII text only, and otherwise as int and float do."""
+
+    ARGV = {"-m": ["classify", "--family", "0,0,0,1,0,0,0,0"],
+            "-N": ["boundary", "--params", "0,1,-1,0"],
+            "--x0": ["orbit", "--family", "0,1,0,0,1,0,-1,0", "--y0", "0"],
+            "--y0": ["orbit", "--family", "0,1,0,0,1,0,-1,0", "--x0", "0.3"],
+            "--t-end": ["orbit", "--family", "0,1,0,0,1,0,-1,0",
+                        "--x0", "0.3", "--y0", "0"],
+            "--tol": ["orbit", "--family", "0,1,0,0,1,0,-1,0",
+                      "--x0", "0.3", "--y0", "0"]}
+
+    # Arabic-Indic digits, which int() and float() read as 3, 400, 0.3, ...
+    @pytest.mark.parametrize("flag, convert, text", [
+        ("-m", int, "\u0663"),
+        ("-N", int, "\u0664\u0660\u0660"),
+        ("--x0", float, "\u0660.\u0663"),
+        ("--y0", float, "\u0660"),
+        ("--t-end", float, "\u0661"),
+        ("--tol", float, "\u0661e-8"),
+    ])
+    def test_non_ascii_number_rejected(self, capsys, flag, convert, text):
+        convert(text)  # what argparse's plain type= would accept
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV[flag] + [f"{flag}={text}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {flag}: invalid {convert.__name__} value: {text!r}\n")
+        assert "Traceback" not in captured.err
+
+    def test_ascii_parsed_as_int_and_float(self):
+        args = build_parser().parse_args(
+            ["orbit", "--x0", " 1_0.5 ", "--y0", "-0", "--t-end", "1e1",
+             "--tol", "INF"])
+        assert (args.x0, args.t_end, args.tol) == (10.5, 10.0, math.inf)
+        assert math.copysign(1.0, args.y0) == -1.0
+        args = build_parser().parse_args(["boundary", "--params", "0,1,-1,0",
+                                          "-N", " +1_024 "])
+        assert args.n == 1024
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["classify", "--family", "0,0,0,1,0,0,0,0",
+                                       "-m", "3.0"])
 
 
 class TestBoundary:

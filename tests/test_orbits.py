@@ -90,6 +90,79 @@ class TestIntegrate:
         integrate(ROT, 1.0, 0.0, 0.5)
         integrate(ROT, 1.0, 0.0, 0.5)
 
+    def test_rhs_bit_identical_to_numpy_scalars(self):
+        # the right-hand side on numpy scalars, as iterating the state gives;
+        # fsum itself may raise OverflowError or, on inf - inf, ValueError
+        def reference(pterms, qterms, state):
+            x, y = state
+            try:
+                return (math.fsum(c * x ** i * y ** j for c, i, j in pterms),
+                        math.fsum(c * x ** i * y ** j for c, i, j in qterms))
+            except (ArithmeticError, ValueError) as exc:
+                return type(exc)
+
+        def outcome(rhs, state):
+            try:
+                return rhs(0.0, state)
+            except (ArithmeticError, ValueError) as exc:
+                return type(exc)
+
+        rnd = np.random.default_rng(20240824)
+        overflowed = 0
+        for _ in range(20):
+            params = numeric(**{n: Fraction(int(rnd.integers(-9, 10)),
+                                            int(rnd.integers(1, 5)))
+                                for n in quintic.PARAM_NAMES})
+            sysm = quintic.build_system(params)
+            terms = [[(float(c.constant_value()), i, j)
+                      for (i, j), c in poly.xy_coefficients().items()]
+                     for poly in (sysm.p, sysm.q)]
+            rhs = orbits.compile_rhs(sysm)
+            scales = 10.0 ** rnd.uniform(-3, 200, size=500)
+            states = rnd.uniform(-1, 1, size=(500, 2)) * scales[:, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for state in states:
+                    try:
+                        float(state[0]) ** 5
+                    except OverflowError:
+                        overflowed += 1
+                    want = reference(*terms, state)
+                    got = outcome(rhs, state)
+                    assert repr(got) == repr(want), state
+        assert overflowed > 1000  # the numpy fallback ran
+
+    def test_rk45_call_count_bounds_t_end(self, monkeypatch):
+        # MAX_T_END assumes RK45 spends at least 2 + 6 calls per MAX_STEP
+        compile_rhs = orbits.compile_rhs
+        calls = []
+
+        def counting(sys):
+            rhs = compile_rhs(sys)
+
+            def counted(t, state):
+                calls.append(t)
+                return rhs(t, state)
+
+            return counted
+
+        monkeypatch.setattr(orbits, "compile_rhs", counting)
+        integrate(ROT, 1.0, 0.0, 10.0)
+        assert len(calls) >= 2 + 6 * math.ceil(10.0 / orbits.MAX_STEP)
+
+    def test_t_end_beyond_call_budget_rejected(self):
+        assert orbits.MAX_T_END == pytest.approx(833.3)
+        with pytest.raises(ValueError, match=r"t_end must be in \(0, 833\.3\]"):
+            integrate(ROT, 1.0, 0.0, 834.0)
+        with pytest.raises(ValueError, match=r"t_end must be in \(0, 833\.3\]"):
+            ray_return_time(ROT, 1.0, 0.0, t_max=834.0)
+
+    def test_rk4_t_end_beyond_call_budget_rejected(self, monkeypatch):
+        assert orbits.MAX_RK4_STEPS * 4 <= orbits.MAX_RHS_CALLS
+        monkeypatch.setattr(orbits, "MAX_RK4_STEPS", 10)
+        assert len(integrate_rk4(ROT, 1.0, 0.0, 1.0, 0.1).t) == 11
+        with pytest.raises(ValueError, match=r"t_end must be in \(0, 1\]"):
+            integrate_rk4(ROT, 1.0, 0.0, 1.01, 0.1)
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             integrate(ROT, 1.0, 0.0, 1.0, tol=0.0)

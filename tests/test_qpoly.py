@@ -304,6 +304,158 @@ class TestSolver:
                 assert acc == rhs[i]
 
 
+# ----------------------------------------------------------------------
+# term order: byte-stable printing and build_system's pinned term order rely on
+# the insertion order of `.terms`, so the ring ops are compared, order
+# included, with plain copies of the earlier algorithms kept here
+
+ORDER = ("x", "y", "a", "b", "c", "d", "e", "f", "g", "h")
+
+
+def ref_mono(pairs):
+    merged = {}
+    for v, e in pairs:
+        if e:
+            merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(((v, e) for v, e in merged.items() if e),
+                        key=lambda p: ((0, ORDER.index(p[0])) if p[0] in ORDER
+                                       else (1, p[0]))))
+
+
+def ref_add(t1, t2):
+    out = dict(t1)
+    for m, c in t2.items():
+        s = out.get(m, Fraction(0)) + c
+        if s:
+            out[m] = s
+        elif m in out:
+            del out[m]
+    return out
+
+
+def ref_mul(t1, t2):
+    out = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = m2 if not m1 else m1 if not m2 else ref_mono(list(m1) + list(m2))
+            s = out.get(m, Fraction(0)) + c1 * c2
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return out
+
+
+def ref_pow(t, n):
+    result, base = {(): Fraction(1)}, t
+    while n:
+        if n & 1:
+            result = ref_mul(result, base)
+        base = ref_mul(base, base)
+        n >>= 1
+    return result
+
+
+def ref_subs(t, bindings):
+    total = {}
+    for m, c in t.items():
+        term = {(): c}
+        for v, e in m:
+            base = bindings.get(v)
+            term = ref_mul(term, ref_pow(base, e) if base is not None
+                           else {((v, e),): Fraction(1)})
+        total = ref_add(total, term)
+    return total
+
+
+def ref_diff(t, var):
+    out = {}
+    for m, c in t.items():
+        d = dict(m)
+        e = d.get(var, 0)
+        if not e:
+            continue
+        d[var] = e - 1
+        out[ref_mono(d.items())] = out.get(ref_mono(d.items()), Fraction(0)) + c * e
+    return {m: c for m, c in out.items() if c}
+
+
+# ranked symbols and two that rank after them (u as in case (iii), s as in
+# the reversibility slope)
+SYMBOLS = ORDER + ("u", "s")
+
+
+@st.composite
+def ordered_polys(draw, n):
+    """n polys over one draw of three symbols, with terms in drawn order.
+
+    Exponents up to 2 and coefficients +-1, +-2 keep the monomial pool small,
+    so sums and products cancel terms and later terms bring them back.
+    """
+    names = draw(st.lists(st.sampled_from(SYMBOLS), min_size=3, max_size=3,
+                          unique=True))
+    mono = st.lists(st.tuples(st.sampled_from(names), st.integers(1, 2)),
+                    max_size=2).map(ref_mono)
+    coeff = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 2)])
+    out = []
+    for _ in range(n):
+        terms = {}
+        for m, c in draw(st.lists(st.tuples(mono, coeff), max_size=6)):
+            terms[m] = c
+        out.append(Poly(terms))
+    return names, out
+
+
+def items(p):
+    return list(p.terms.items())
+
+
+class TestTermOrder:
+    """Every ring op gives the terms of the earlier algorithms, in their order."""
+
+    @seed(21)
+    @settings(max_examples=100, deadline=None)
+    @given(ordered_polys(3))
+    def test_add(self, drawn):
+        _, (p, q, r) = drawn
+        # q cancels part of p, r brings some of those monomials back
+        part = Poly(dict(list(p.terms.items())[::2]))
+        assert items(p + q) == list(ref_add(p.terms, q.terms).items())
+        got = p - part + q + r + p
+        want = ref_add(ref_add(ref_add(ref_add(p.terms, (-part).terms),
+                                       q.terms), r.terms), p.terms)
+        assert items(got) == list(want.items())
+
+    @seed(22)
+    @settings(max_examples=100, deadline=None)
+    @given(ordered_polys(2))
+    def test_mul(self, drawn):
+        _, (p, q) = drawn
+        assert items(p * q) == list(ref_mul(p.terms, q.terms).items())
+        # (p + q)(p - q): the cross terms cancel
+        s, d = p + q, p - q
+        assert items(s * d) == list(ref_mul(s.terms, d.terms).items())
+
+    @seed(23)
+    @settings(max_examples=100, deadline=None)
+    @given(ordered_polys(3))
+    def test_subs(self, drawn):
+        (v, w, _), (p, q, r) = drawn
+        # q and r may hold v and w themselves: the substitution is simultaneous
+        got = p.subs({v: q, w: r})
+        want = ref_subs(p.terms, {v: q.terms, w: r.terms})
+        assert items(got) == list(want.items())
+        assert items(p.subs({v: 0})) == list(ref_subs(p.terms, {v: {}}).items())
+
+    @seed(24)
+    @settings(max_examples=100, deadline=None)
+    @given(ordered_polys(1))
+    def test_diff(self, drawn):
+        names, (p,) = drawn
+        for v in names + ["x"]:
+            assert items(p.diff(v)) == list(ref_diff(p.terms, v).items())
+
+
 GENS = sympy.symbols("x y a b") if sympy else ()
 
 

@@ -13,7 +13,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .qpoly import Poly, parse_expr, ParseError, QPolyError
+from .qpoly import MAX_DIGITS, Poly, parse_expr, ParseError, QPolyError
 from .lyapunov import PlanarSystem, pl_constants, LyapunovError
 from . import quintic, structure
 
@@ -28,6 +28,10 @@ def parse_rational(text):
     text = text.strip()
     if text.isascii():  # Fraction also reads digits such as '١'
         try:
+            # Fraction writes 1e10000000 out in full, and every product then
+            # pays for its digits: an exponent may not exceed a literal's cap
+            if abs(int(text.lower().partition("e")[2] or 0)) > MAX_DIGITS:
+                raise InputError(f"exponent above {MAX_DIGITS} in {text!r}")
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass

@@ -5,17 +5,20 @@ degree so that dF/dt = D_1 (x^4+y^4) + D_2 (x^6+y^6) + ...; the D_i are the
 constants returned here, as exact polynomials in the system parameters.
 
 Each homogeneous part is kept as its list of coefficients of x^(k-i) y^i:
-Fractions for a numeric system, parameter Polys where parameters remain.
-Derivatives are index shifts and products are convolutions.  Each stage
-solves L f = r for one homogeneous f, where L f = y f_x - x f_y is the action
-of the linear rotation field.  L only couples neighbouring coefficients, so
-two short recurrences solve it exactly.
+integer numerators over one denominator per form for a numeric system,
+parameter Polys (and Fractions) where parameters remain.  Derivatives are
+index shifts and products are convolutions.  Each stage solves L f = r for
+one homogeneous f, where L f = y f_x - x f_y is the action of the linear
+rotation field.  L only couples neighbouring coefficients, so two short
+recurrences solve it exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import floordiv
 
 from .qpoly import Poly, as_poly
 
@@ -89,33 +92,49 @@ def _form_poly(c):
     return Poly(terms)  # drops the zero coefficients
 
 
-def _solve_stage(r, k):
+def _over(x, n):
+    """x / n for Fraction and parameter Poly entries."""
+    return x * Fraction(1, n)
+
+
+def _solve_stage(r, k, div=_over):
     """The degree-k f with L f = r, both as coefficients of x^(k-i) y^i.
 
     Row i reads (k-i+1) f_(i-1) - (i+1) f_(i+1) = r_i.  The even rows give
     the odd coefficients forward from f_(-1) = 0, the odd rows the even ones
     backward from f_(k+1) = 0.  For even k the last even row is left out (the
     caller makes r average to zero, which satisfies it) and f_k stays 0.
+    On integers scaled by `_exact_scale(k)`, div = floordiv is exact.
     """
     f = [0] * (k + 2)  # f[k + 1] is f_(k+1) and, as f[-1], f_(-1)
     for i in range(0, k, 2):
-        f[i + 1] = ((k - i + 1) * f[i - 1] - r[i]) * Fraction(1, i + 1)
+        f[i + 1] = div((k - i + 1) * f[i - 1] - r[i], i + 1)
     for i in reversed(range(1, k + 1, 2)):
-        f[i - 1] = (r[i] + (i + 1) * f[i + 1]) * Fraction(1, k - i + 1)
+        f[i - 1] = div(r[i] + (i + 1) * f[i + 1], k - i + 1)
     return f[:k + 1]
 
 
-def _circle_average(r, k):
+def _circle_average(r, k, div=_over):
     """Circle average of sum r_i x^(k-i) y^i over that of x^k + y^k, k even.
 
-    cos^(k-i) sin^i averages to w_i, with w_(i+2) = w_i (i+1)/(k-i-1); the
-    scale w_0 = w_k = 1 makes the average of x^k + y^k equal to 2.
+    The averages of cos^(k-i) sin^i, i even, are in the ratio of the
+    integers w_i, with w_0 = w_k = (k-1)!! and w_(i+2) = w_i (i+1)/(k-i-1);
+    x^k + y^k has 2 w_0 on that scale.
     """
-    w, total = Fraction(1), 0
+    w0 = w = math.prod(range(1, k, 2))
+    total = 0
     for i in range(0, k, 2):
         total = total + w * r[i]
-        w *= Fraction(i + 1, k - i - 1)
-    return (total + r[k]) * Fraction(1, 2)
+        w = w * (i + 1) // (k - i - 1)
+    return div(total + w * r[k], 2 * w0)
+
+
+def _exact_scale(k):
+    """A factor that makes every quotient of _solve_stage(., k) on integers
+    exact, and for even k those of _circle_average before it."""
+    forward = math.prod(range(1, k + 1, 2))  # the divisors i + 1
+    scale = math.lcm(forward, math.prod(range(k, 0, -2)))  # and k - i + 1
+    return scale if k % 2 else 2 * forward * scale  # 2 w_0 = 2 (k-1)!!
 
 
 def _convolve(out, a, b):
@@ -146,6 +165,11 @@ def pl_constants(sys, m):
     vanishes.  Even stage K = k+1: D is fixed by the circle average, then
     L(f_K) = D (x^K + y^K) - (known terms), with a zero y^K coefficient in f_K.
     Every f_k and known part is a coefficient list of x^(k-i) y^i.
+
+    A fully numeric system runs on integers: p and q over one denominator s,
+    each f_k over its own den[k].  A known part is scaled by `_exact_scale`,
+    so the recurrences divide exactly with //, and each stage ends with one
+    gcd reduction.  D_k and the f_k become Fractions only at the end.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -153,22 +177,52 @@ def pl_constants(sys, m):
         raise LyapunovError(f"requested {m} constants exceeds the cap {CAP}")
     p, q = check_linear_center(sys)
 
-    f = {2: [Fraction(1, 2), 0, Fraction(1, 2)]}
+    entries = [c for form in (*p.values(), *q.values()) for c in form]
+    numeric = not any(isinstance(c, Poly) for c in entries)
+    if numeric:
+        s = math.lcm(*(c.denominator for c in entries))
+        p, q = ({k: [int(c * s) for c in form] for k, form in pq.items()}
+                for pq in (p, q))
+        f, den, div = {2: [1, 0, 1]}, {2: 2}, floordiv
+    else:
+        f, div = {2: [Fraction(1, 2), 0, Fraction(1, 2)]}, _over
+
+    def known_part(deg):
+        """The known terms of degree deg, scaled for `div`, and their
+        denominator."""
+        if not numeric:
+            return _stage_known(f, p, q, deg), 1
+        e = math.lcm(*den.values())
+        known = _stage_known({i: fi if den[i] == e else
+                              [c * (e // den[i]) for c in fi]
+                              for i, fi in f.items()}, p, q, deg)
+        scale = _exact_scale(deg)
+        return [c * scale for c in known], e * s * scale
+
+    def solve(r, k, e):
+        f[k] = _solve_stage(r, k, div)
+        if numeric:
+            g = math.gcd(e, *f[k])
+            f[k], den[k] = [c // g for c in f[k]], e // g
+
     raw = []
     for k in range(3, 2 * m + 2, 2):
         # odd stage: kill the degree-k component
-        f[k] = _solve_stage([-c for c in _stage_known(f, p, q, k)], k)
+        known, e = known_part(k)
+        solve([-c for c in known], k, e)
 
         # even stage: the degree-K component must be D*(x^K + y^K); L f
         # averages to zero over the circle, which fixes D
         K = k + 1
-        known = _stage_known(f, p, q, K)
-        d = _circle_average(known, K)
+        known, e = known_part(K)
+        d = _circle_average(known, K, div)
         rhs = [-c for c in known]
         rhs[0] = rhs[0] + d  # rhs[K] would get d too, but its row is not read
-        f[K] = _solve_stage(rhs, K)
-        raw.append(as_poly(d))
+        solve(rhs, K, e)
+        raw.append(as_poly(Fraction(d, e) if numeric else d))
 
+    if numeric:
+        f = {k: [Fraction(c, den[k]) for c in fk] for k, fk in f.items()}
     report = LyapunovReport(constants=[d.canonical() for d in raw], raw=raw,
                             f_components={k: _form_poly(c) for k, c in f.items()})
     if all(not d.variables() for d in raw):

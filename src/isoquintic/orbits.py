@@ -67,7 +67,8 @@ def compile_rhs(sys):
     """Compile a numeric PlanarSystem into a fast (t, state) -> derivative.
 
     The derivative raises StiffnessError when called more than MAX_RHS_CALLS
-    times, which bounds the work of one solve whatever its step sizes.
+    times, which bounds the work of one solve whatever its step sizes, and
+    when its terms sum past the float range (or to inf - inf).
     """
     def collect(poly):
         out = []
@@ -93,10 +94,15 @@ def compile_rhs(sys):
         # Python floats: iterating the array would give slower numpy scalars
         x, y = state.tolist() if isinstance(state, np.ndarray) else state
         try:
-            return field(x, y)
-        except OverflowError:
-            # numpy scalars give the same values, with +-inf where float ** raises
-            return field(np.float64(x), np.float64(y))
+            try:
+                return field(x, y)
+            except OverflowError:
+                # numpy scalars give the same values, with +-inf where float ** raises
+                return field(np.float64(x), np.float64(y))
+        except (OverflowError, ValueError) as exc:  # fsum past the float range, inf - inf
+            raise StiffnessError(
+                f"right-hand side overflowed at t = {t:.6g} "
+                f"(|state| = {math.hypot(x, y):.3g}): {exc}") from None
 
     return rhs
 

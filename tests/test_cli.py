@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -298,6 +300,21 @@ class TestOrbit:
                               f"spent at t = ")
         assert "(|state| = " in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("family, x0, message", [
+        # finite terms whose sum passes the float range
+        ("1e308,1e308,0,0,0,0,0,0", "1", "intermediate overflow in fsum"),
+        # terms that overflow to +inf and -inf
+        ("1e300,0,0,0,0,0,0,-1e300", "1e5", "-inf + inf in fsum"),
+    ])
+    def test_rhs_overflow_is_stiffness(self, capsys, family, x0, message):
+        code, out, err = run(capsys, "orbit", f"--family={family}",
+                             f"--x0={x0}", f"--y0={x0}")
+        assert code == 1 and out == ""
+        assert err.startswith("integration failed: right-hand side overflowed "
+                              "at t = 0 (|state| = ")
+        assert err.endswith(f"): {message}\n") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1e-8"),
         ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "-1"),
@@ -481,6 +498,10 @@ class TestCostlyInputs:
         ("n-1e6", "N must be in [64, 65536]"),
         ("n-1e7", "N must be in [64, 65536]"),
         ("den-0", "denominator must be nonzero"),
+        ("exp-family", "exponent above 4300 in '1e10000000'"),
+        ("exp-params", "exponent above 4300 in '-1e10000000'"),
+        ("exp-line", "exponent above 4300 in '1e-10000000'"),
+        ("exp-bindings", "exponent above 4300 in '1E+10_000_000'"),
     ])
     def test_rejected_fast(self, capsys, tmp_path, source, message):
         kind, _, value = source.partition("-")
@@ -494,6 +515,16 @@ class TestCostlyInputs:
         elif kind == "x0":
             argv = ["orbit", "--family", "0,1,0,0,1,0,-1,0",
                     "--x0", value, "--y0", "0"]
+        elif kind == "exp":
+            # each would expand to ten million digits before any arithmetic
+            argv = {"family": ["classify", "--family=1e10000000,0,0,0,0,0,0,0"],
+                    "params": ["boundary", "--params=-1e10000000,1,-1,0"],
+                    "line": ["verify", "reversible", "--family=0,1,0,0,1,0,-1,0",
+                             "--line=1e-10000000,1"],
+                    "bindings": ["plconst", "--system", write_doc(
+                        tmp_path, "sys.json", {"family": "quintic-uic", "a": "a",
+                                               "bindings": {"a": "1E+10_000_000"}})],
+                    }[value]
         elif kind == "n":
             argv = ["boundary", "--params", "0,1,-1,0", "-N", str(int(float(value)))]
         else:
@@ -508,6 +539,49 @@ class TestCostlyInputs:
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(argv, stdout lines, exit code) of each README CLI example that shows
+    its output: `# ...` lines after the command, or one `# ... (exit N)`
+    comment on it.  Without an `(exit N)` the example reports success, 0."""
+    examples = []
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            command, _, comment = line.partition("#")
+            if command.startswith("isoquintic "):
+                examples.append((shlex.split(command)[1:], [], [0]))
+            elif command or not comment or not examples:
+                continue
+            if comment:
+                shown = re.fullmatch(r" (.*?)\s*(?:\(exit (\d)\))?", comment)
+                examples[-1][1].append(shown[1])
+                if shown[2]:
+                    examples[-1][2][0] = int(shown[2])
+    return [(argv, out, code) for argv, out, (code,) in examples if out]
+
+
+README_EXAMPLES = readme_examples()
+
+
+class TestReadme:
+    """The README's CLI examples print what the README shows."""
+
+    def test_examples_found(self):
+        assert [argv[0] for argv, _, _ in README_EXAMPLES] == [
+            "plconst", "classify", "classify", "orbit", "boundary"]
+
+    @pytest.mark.parametrize("argv, stdout, code", README_EXAMPLES, ids=[
+        f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(README_EXAMPLES)])
+    def test_example(self, capsys, monkeypatch, tmp_path, argv, stdout, code):
+        monkeypatch.chdir(tmp_path)  # where --out writes its CSV
+        assert run(capsys, *argv)[:2] == (code, "".join(f"{line}\n"
+                                                      for line in stdout))
+        for flag, path in zip(argv, argv[1:]):
+            if flag == "--out":
+                assert (tmp_path / path).read_text().count("\n") > 1
 
 # Runs `cli.main` on each argv list of sys.argv[1] in one fresh interpreter
 # and prints, after the import and after each call, the exit code and which
@@ -570,7 +644,9 @@ class TestHostileFlags:
 
     @seed(20240824)
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(["0,1,0,0,1,0,-1,0", "1,0,0,0,0,0,0,0"]),
+    @given(st.sampled_from(["0,1,0,0,1,0,-1,0", "1,0,0,0,0,0,0,0",
+                            "1e300,0,0,0,0,0,0,-1e300", "-1e300,0,1e300,0,0,0,0,0",
+                            "1e308,1e308,0,0,0,0,0,0", "0,0,0,-1e308,0,0,0,1e308"]),
            extreme, extreme, extreme, extreme)
     def test_orbit(self, family, x0, y0, t_end, tol):
         code, seconds = timed_exit(["orbit", f"--family={family}",
@@ -587,6 +663,65 @@ class TestHostileFlags:
         argv = ["boundary", f"--params={','.join(params)}"]
         if n is not None:
             argv.append(f"-N={n}")
+        code, seconds = timed_exit(argv)
+        assert code in (0, 1, 2)
+        assert seconds < 5.0
+
+
+# expressions: mostly well formed, with powers, products and parameters, some
+# text from the grammar's alphabet in no order, and the odd non-ASCII digit
+_leaves = st.one_of(
+    st.sampled_from(["x", "y", "a", "b", "0", "1", "2/3", "10000000000",
+                     "1/1000000"]),
+    st.tuples(st.sampled_from("xyab"), st.integers(0, 12)).map(
+        lambda t: f"{t[0]}^{t[1]}"))
+_grammar = st.recursive(_leaves, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+    inner.map(lambda e: f"({e})"), inner.map(lambda e: f"-{e}")),
+    max_leaves=10)
+_soup = st.text(alphabet="xyab0123456789/+-*^() .e\u0663\u00b2", max_size=24)
+expressions = st.one_of(_grammar, _grammar, _soup)
+# components with the linear part (y, -x) that `plconst` needs, or near it
+_p = st.one_of(_grammar.map(lambda e: f"y + x*y*({e})"),
+               _grammar.map(lambda e: f"y + {e}"), expressions)
+_q = st.one_of(_grammar.map(lambda e: f"-x + x^2*({e})"),
+               _grammar.map(lambda e: f"-x + {e}"), expressions)
+_values = st.one_of(_leaves, expressions, st.integers(-10, 10), st.none(),
+                    st.sampled_from(["1/0", "", [], {}, "-2.5e-3", "1e400",
+                                     "1e10000000"]))
+_explicit = st.fixed_dictionaries({"p": _p, "q": _q}, optional={
+    "bindings": st.dictionaries(st.sampled_from(["a", "b", "x"]), _values,
+                                max_size=2)})
+_family = st.fixed_dictionaries({"family": st.just("quintic-uic")},
+                                optional={n: _values for n in "acdh"})
+documents = st.one_of(
+    _explicit, _explicit, _explicit, _family, _family,
+    st.dictionaries(st.sampled_from(["p", "q", "family", "bindings", "e"]),
+                    _values, max_size=3),
+    st.sampled_from([None, 5, "y", [], ["p", "q"]]))
+
+
+class TestExpressionFuzz:
+    """Generated system documents and `verify` expressions end in a verdict
+    or an input error, fast; the calls run in-process like TestHostileFlags."""
+
+    @seed(20240824)
+    @settings(max_examples=150, deadline=None)
+    @given(documents, documents,
+           st.sampled_from(["plconst", "form1", "invariant", "integral",
+                            "reversible", "commute"]),
+           expressions, expressions, st.integers(1, 6))
+    def test_documents_and_expressions(self, tmp_path_factory, doc, other,
+                                       command, text, den, m):
+        folder = tmp_path_factory.mktemp("fuzz")
+        path = write_doc(folder, "sys.json", doc)
+        if command == "plconst":
+            argv = ["plconst", "--system", path, f"-m={m}"]
+        else:
+            argv = ["verify", command, "--system", path,
+                    f"--other={write_doc(folder, 'other.json', other)}",
+                    f"--curve={text}", f"--num={text}", f"--den={den}",
+                    f"--line={den},{m}"]
         code, seconds = timed_exit(argv)
         assert code in (0, 1, 2)
         assert seconds < 5.0

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from isoquintic.lyapunov import (
     first_nonzero, _circle_average, _form_poly, _solve_stage,
 )
 from isoquintic import quintic
+from isoquintic.cli import load_system_document
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -50,6 +53,21 @@ QUADRATIC_RAW_SHA256 = [
 # (1, b, -1, d, 1/2, f, 0, h) at m = 4
 NUMERIC_REPORTS_SHA256 = "184e311b5cc23b4d8f64e71f3f47ff9b7230bd7b19277498e56dfa661990a19a"
 PARTIAL_REPORT_SHA256 = "8cb1752db206f256ea9e5e03faa8b784388e0f9f5af6b04b9086d188a6bd85c1"
+# terms_sha of the same reports, of the numeric_points() reports at m = 6 and
+# of the numeric general quadratic and system document below, all recorded
+# on the Fraction-entry stages
+NUMERIC_TERMS_SHA256 = {
+    "points-m4":
+        "70aab84a0317a1a250a711fa65017a94aa7c946a04c94e5eec55203c6a6c164d",
+    "points-m6":
+        "11a4de394b529af6d2cf555a9038dfc05b6a5bd6b30a271b8e8a0d02c7b804ff",
+    "partial-m4":
+        "359112ed5edca90ea9d8424d514e12d809d9cd1107a499848d83eee56aba1dde",
+    "quadratic-m3":
+        "d8b12f03ebd83a19cf66af61f5924a8ee06e2f571453fdda8381481ea32dd0b3",
+    "document-m6":
+        "836c7aa27fabed11096811c3d7e9ccca08b4b03f4e74a0f2fea605f1706ffd32",
+}
 
 
 def sha(p):
@@ -168,6 +186,27 @@ def numeric_points(n=40):
         yield quintic.QuinticParams(**v)
 
 
+def terms_sha(reports):
+    """sha256 of the ordered terms of every raw and canonical constant and
+    f_k, with the first nonzero index and sign."""
+    text = []
+    for rep in reports:
+        text += [repr(list(d.terms.items())) for d in rep.raw + rep.constants]
+        text += [f"{k}: {list(part.terms.items())!r}"
+                 for k, part in rep.f_components.items()]
+        text.append(f"{rep.first_nonzero_index} {rep.sign}")
+    return hashlib.sha256("\n".join(text).encode()).hexdigest()
+
+
+# explicit components with terms outside the family (even degrees, a cubic
+# that is not x P, y P), made numeric by its bindings
+NUMERIC_DOCUMENT = {
+    "p": "y + 3/2*x^2 - x*y + 2*y^3 - 5/3*x^4*y + 7*x^5 + b*x^3",
+    "q": "-x + b*x*y - 1/4*y^2 + x^3 + 2/9*x^2*y^3 - 1000000*y^4",
+    "bindings": {"b": "-999999/1000000"},
+}
+
+
 def report_sha(reports):
     """sha256 of str of every raw and canonical constant and f_k."""
     text = []
@@ -175,6 +214,82 @@ def report_sha(reports):
         text += [str(d) for d in rep.raw + rep.constants]
         text += [f"{k}: {part}" for k, part in rep.f_components.items()]
     return hashlib.sha256("\n".join(text).encode()).hexdigest()
+
+
+def general_quadratic(v=None):
+    """y + a x^2 + b x y + c y^2, -x + d x^2 + e x y + f y^2, symbolic or at v."""
+    a, b, c, d, e, f = (Poly.var(n) if v is None else Poly.const(v[n])
+                        for n in "abcdef")
+    return PlanarSystem(Y + a * X ** 2 + b * X * Y + c * Y ** 2,
+                        -X + d * X ** 2 + e * X * Y + f * Y ** 2)
+
+
+NUMERIC_QUADRATIC = general_quadratic(dict(zip("abcdef", (
+    Fraction(3, 2), -5, Fraction(-7, 9), Fraction(2, 3), 4, Fraction(1, 1000003)))))
+
+
+@functools.cache
+def symbolic_reports():
+    """The family's report at m = 4 and the general quadratic's at m = 3."""
+    return pl_constants(family_system(), 4), pl_constants(general_quadratic(), 3)
+
+
+def evaluated(symbolic, point, m):
+    """Raw D_1..D_m and f_2..f_(2m+2) of a symbolic report at a point."""
+    bindings = {n: Poly.const(v) for n, v in point.items()}
+    return ([d.eval_rational(point) for d in symbolic.raw[:m]],
+            {k: f.subs(bindings) for k, f in symbolic.f_components.items()
+             if k <= 2 * m + 2})
+
+
+def rationals(height):
+    return st.builds(Fraction, st.integers(-height, height),
+                     st.integers(1, height))
+
+
+def on_stratum(point, level):
+    """The point moved onto the stratum where D_1..D_level vanish."""
+    v = dict(point)
+    if level >= 1:
+        v["c"] = -v["a"]
+    if level >= 2:
+        v["f"] = -3 * (v["d"] + v["h"])
+    if level >= 3 and v["a"]:
+        v["e"] = (v["b"] * v["d"] - v["a"] * v["g"] - v["b"] * v["h"]) / v["a"]
+    return v
+
+
+family_points = st.builds(on_stratum, st.sampled_from([9, 10 ** 6]).flatmap(
+    lambda height: st.fixed_dictionaries(
+        {n: rationals(height) for n in quintic.PARAM_NAMES})), st.integers(0, 3))
+
+
+class TestNumericAgainstSymbolic:
+    """The integer stages of a numeric system against the parameter-Poly
+    stages evaluated at the same point: two number paths, one answer."""
+
+    @staticmethod
+    def check(report, raw, f):
+        assert [d.constant_value() for d in report.raw] == raw
+        assert report.f_components == f
+        hit = next(((i, "positive" if d > 0 else "negative")
+                    for i, d in enumerate(raw, 1) if d), (None, None))
+        assert (report.first_nonzero_index, report.sign) == hit
+
+    @seed(31)
+    @settings(max_examples=30, deadline=None)
+    @given(family_points, st.integers(1, 4))
+    def test_family(self, point, m):
+        report = pl_constants(quintic.build_system(quintic.QuinticParams(**point)), m)
+        self.check(report, *evaluated(symbolic_reports()[0], point, m))
+
+    @seed(32)
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([9, 10 ** 6]).flatmap(lambda height: st.fixed_dictionaries(
+        {n: rationals(height) for n in "abcdef"})))
+    def test_general_quadratic(self, point):
+        report = pl_constants(general_quadratic(point), 3)
+        self.check(report, *evaluated(symbolic_reports()[1], point, 3))
 
 
 class TestPlConstants:
@@ -247,6 +362,21 @@ class TestPlConstants:
         partial = quintic.QuinticParams(1, "b", -1, "d", Fraction(1, 2), "f", 0, "h")
         rep = pl_constants(quintic.build_system(partial), 4)
         assert report_sha([rep]) == PARTIAL_REPORT_SHA256
+        # the ordered terms too, as `Poly.eval_float` adds them in that order
+        assert terms_sha(reps) == NUMERIC_TERMS_SHA256["points-m4"]
+        assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["partial-m4"]
+
+    def test_numeric_terms_pinned(self, tmp_path):
+        reps = [pl_constants(quintic.build_system(p), 6) for p in numeric_points()]
+        assert terms_sha(reps) == NUMERIC_TERMS_SHA256["points-m6"]
+        rep = pl_constants(NUMERIC_QUADRATIC, 3)
+        assert rep.first_nonzero_index == 1
+        assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["quadratic-m3"]
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(NUMERIC_DOCUMENT), encoding="utf-8")
+        rep = pl_constants(load_system_document(str(path)), 6)
+        assert rep.first_nonzero_index is not None
+        assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["document-m6"]
 
 
 class TestFirstNonzero:

@@ -92,23 +92,24 @@ class TestIntegrate:
 
     def test_rhs_bit_identical_to_numpy_scalars(self):
         # the right-hand side on numpy scalars, as iterating the state gives;
-        # fsum itself may raise OverflowError or, on inf - inf, ValueError
+        # fsum itself may raise OverflowError or, on inf - inf, ValueError,
+        # which the right-hand side reports as StiffnessError
         def reference(pterms, qterms, state):
             x, y = state
             try:
                 return (math.fsum(c * x ** i * y ** j for c, i, j in pterms),
                         math.fsum(c * x ** i * y ** j for c, i, j in qterms))
-            except (ArithmeticError, ValueError) as exc:
-                return type(exc)
+            except (ArithmeticError, ValueError):
+                return StiffnessError
 
         def outcome(rhs, state):
             try:
                 return rhs(0.0, state)
-            except (ArithmeticError, ValueError) as exc:
+            except (ArithmeticError, ValueError, StiffnessError) as exc:
                 return type(exc)
 
         rnd = np.random.default_rng(20240824)
-        overflowed = 0
+        overflowed = failed = 0
         for _ in range(20):
             params = numeric(**{n: Fraction(int(rnd.integers(-9, 10)),
                                             int(rnd.integers(1, 5)))
@@ -129,7 +130,9 @@ class TestIntegrate:
                     want = reference(*terms, state)
                     got = outcome(rhs, state)
                     assert repr(got) == repr(want), state
+                    failed += want is StiffnessError
         assert overflowed > 1000  # the numpy fallback ran
+        assert failed > 0  # and so did the StiffnessError
 
     def test_rk45_call_count_bounds_t_end(self, monkeypatch):
         # MAX_T_END assumes RK45 spends at least 2 + 6 calls per MAX_STEP

@@ -57,6 +57,16 @@ def _family_entry(text):
     return parse_rational(text)
 
 
+def _family_value(key, value):
+    """A family document's value: a symbol or rational string, or a finite
+    JSON number (json reads 1e400 as inf, and true is an int)."""
+    if not (isinstance(value, str) or type(value) is int
+            or type(value) is float and math.isfinite(value)):
+        raise InputError(
+            f"family value {key!r} must be a string or a finite number")
+    return _family_entry(str(value))
+
+
 def parse_family(text):
     parts = text.split(",")
     if len(parts) != 8:
@@ -85,7 +95,7 @@ def load_system_document(path):
             raise InputError(f"unknown keys {sorted(unknown)}")
         if doc["family"] != "quintic-uic":
             raise InputError(f"unknown family {doc['family']!r}")
-        entries = [_family_entry(str(doc.get(n, "0")))
+        entries = [_family_value(n, doc.get(n, "0"))
                    for n in quintic.PARAM_NAMES]
         sysm = quintic.build_system(quintic.QuinticParams(*entries))
     elif {"p", "q"} <= keys:
@@ -184,16 +194,14 @@ def _required(args, flag):
     return value
 
 
-def _verify_commute(args):
-    sys1 = _system_from_args(args)
+def _verify_commute(sys1, args):
     sys2 = load_system_document(_required(args, "other"))
     b1, b2 = structure.lie_bracket(sys1, sys2)
     ok = b1.is_zero and b2.is_zero
     return ok, [f"bracket1 = {_truncated(b1)}", f"bracket2 = {_truncated(b2)}"]
 
 
-def _verify_invariant(args):
-    sysm = _system_from_args(args)
+def _verify_invariant(sysm, args):
     curve = parse_expr(_required(args, "curve"))
     cof = structure.cofactor_of(sysm, curve)
     if cof is None:
@@ -201,16 +209,14 @@ def _verify_invariant(args):
     return True, [f"cofactor = {_truncated(cof)}"]
 
 
-def _verify_integral(args):
-    sysm = _system_from_args(args)
+def _verify_integral(sysm, args):
     num = parse_expr(_required(args, "num"))
     den = parse_expr(_required(args, "den"))
     res = structure.rational_integral_residual(sysm, num, den)
     return res.is_zero, [f"residual = {_truncated(res)}"]
 
 
-def _verify_reversible(args):
-    sysm = _system_from_args(args)
+def _verify_reversible(sysm, args):
     parts = _required(args, "line").split(",")
     if len(parts) != 2:
         raise InputError("--line needs 'alpha,beta'")
@@ -219,8 +225,7 @@ def _verify_reversible(args):
     return res.is_zero, [f"residual = {_truncated(res)}"]
 
 
-def _verify_form1(args):
-    sysm = _system_from_args(args)
+def _verify_form1(sysm, args):
     res = structure.angular_speed_residual(sysm)
     return res.is_zero, [f"residual = {_truncated(res)}"]
 
@@ -235,7 +240,7 @@ _VERIFY = {
 
 
 def cmd_verify(args):
-    ok, detail = _VERIFY[args.kind](args)
+    ok, detail = _VERIFY[args.kind](_system_from_args(args), args)
     verdict = "PASS" if ok else "FAIL"
     _emit(args, [verdict, *detail],
           {"command": "verify", "kind": args.kind, "verdict": verdict,

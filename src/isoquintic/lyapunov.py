@@ -36,10 +36,8 @@ class PlanarSystem:
     p: Poly
     q: Poly
 
-    def eval_float(self, x, y, extra=None):
+    def eval_float(self, x, y):
         pt = {"x": x, "y": y}
-        if extra:
-            pt.update(extra)
         return self.p.eval_float(pt), self.q.eval_float(pt)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context
 
 import numpy as np
 
@@ -63,6 +64,16 @@ class Trajectory:
         return float(self.x[-1]), float(self.y[-1])
 
 
+def _float(value):
+    """float(value), or a ValueError naming an exact value beyond its range."""
+    try:
+        return float(value)
+    except OverflowError:
+        approx = Context(prec=6).divide(value.numerator, value.denominator)
+        raise ValueError(f"coefficient {approx.normalize()} is beyond the "
+                         f"float range") from None
+
+
 def compile_rhs(sys):
     """Compile a numeric PlanarSystem into a fast (t, state) -> derivative.
 
@@ -73,7 +84,7 @@ def compile_rhs(sys):
     def collect(poly):
         out = []
         for (i, j), c in poly.xy_coefficients().items():
-            out.append((float(c.constant_value()), i, j))
+            out.append((_float(c.constant_value()), i, j))
         return out
 
     pterms = collect(sys.p)
@@ -253,13 +264,13 @@ def _case_i_quartic(d, e, g, h):
     return Q
 
 
-def _golden_max(fun, lo, hi, tol=1e-12):
+def _golden_max(fun, lo, hi):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > tol:
+    while b - a > 1e-12:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -283,7 +294,7 @@ def boundary_curve(d, e, g, h, N=256):
     """
     if not 64 <= N <= MAX_BOUNDARY_N:
         raise ValueError(f"N must be in [64, {MAX_BOUNDARY_N}]")
-    d, e, g, h = (float(v) for v in (d, e, g, h))
+    d, e, g, h = (_float(v) for v in (d, e, g, h))
     scale = max(abs(d), abs(e), abs(g), abs(h))
     if scale == 0.0:
         # Q has no c^2 s^2 term, so it is constant on the circle only when

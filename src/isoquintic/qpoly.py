@@ -310,24 +310,20 @@ class Poly:
 
     def eval_rational(self, point):
         """Exact evaluation; every variable must be bound."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
-            for v, e in m:
-                if v not in point:
-                    raise UnboundVariableError(f"unbound variable '{v}'")
-                val *= Fraction(point[v]) ** e
-            total += val
-        return total
+        return self._eval(point, Fraction)
 
     def eval_float(self, point):
-        total = 0.0
+        return self._eval(point, float)
+
+    def _eval(self, point, num):
+        """The sum of the terms at `point` in the number type `num`."""
+        total = num(0)
         for m, c in self.terms.items():
-            val = float(c)
+            val = num(c)
             for v, e in m:
                 if v not in point:
                     raise UnboundVariableError(f"unbound variable '{v}'")
-                val *= float(point[v]) ** e
+                val *= num(point[v]) ** e
             total += val
         return total
 

@@ -12,7 +12,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .qpoly import Poly, RationalFunction, as_poly
-from .lyapunov import PlanarSystem, pl_constants
+from .lyapunov import PlanarSystem, _convolve, pl_constants
 
 PARAM_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -242,13 +242,11 @@ class DarbouxExpIntegral:
 
     e: Fraction
     g: Fraction
-    equal_variant: bool
-    candidate: object  # the certified DarbouxCandidate
 
     def eval_float(self, x, y):
         from .structure import c3_exponent
         r2 = x * x + y * y
-        if self.equal_variant:
+        if self.e == self.g:
             ev = float(self.e)
             return r2 / (1.0 + ev * r2) * math.exp((1.0 + x * x) / (ev * r2))
         ev, gv = float(self.e), float(self.g)
@@ -298,8 +296,7 @@ def first_integral(params, case):
             raise QuinticError(f"certificate failed: {verdict.residual}")
         if params.is_numeric:
             e, g = Fraction(e), Fraction(g)
-        return FirstIntegralSpec("darboux-exp",
-                                 DarbouxExpIntegral(e, g, e == g, cand))
+        return FirstIntegralSpec("darboux-exp", DarbouxExpIntegral(e, g))
 
     R = _partner_factor(p, tag)
     if R is None:
@@ -318,9 +315,7 @@ def first_integral(params, case):
 @dataclass(frozen=True)
 class BScaling:
     scale: object          # sqrt(|b|), Fraction when exact, else float
-    exact: bool
-    swapped: bool          # x and y exchanged (b < 0)
-    time_reversed: bool
+    swapped: bool          # x and y exchanged and time reversed (b < 0)
 
 
 def _exact_sqrt(q):
@@ -343,21 +338,13 @@ def normalize_b(params):
     if b == 0:
         raise QuinticError("b = 0 is already in normalized form")
     if b == 1:
-        scaling = BScaling(Fraction(1), True, False, False)
-        return params, scaling
+        return params, BScaling(Fraction(1), False)
     b2 = b ** 2
-    if b > 0:
-        e1, g1 = e / b2, g / b2
-        swapped = reversed_ = False
-        root = _exact_sqrt(b)
-    else:
-        e1, g1 = -g / b2, -e / b2
-        swapped = reversed_ = True
-        root = _exact_sqrt(-b)
+    e1, g1 = (e / b2, g / b2) if b > 0 else (-g / b2, -e / b2)
+    root = _exact_sqrt(abs(b))
     scale = root if root is not None else math.sqrt(abs(float(b)))
-    scaling = BScaling(scale, root is not None, swapped, reversed_)
     new = QuinticParams(0, Fraction(1), 0, 0, e1, 0, g1, 0)
-    return new, scaling
+    return new, BScaling(scale, b < 0)
 
 
 def rotate_to_canonical(params):
@@ -376,36 +363,21 @@ def rotate_to_canonical(params):
     phi = math.atan(tan_phi)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
 
-    coeffs = {(2, 0): float(v["a"]), (1, 1): float(v["b"]), (0, 2): float(v["c"]),
-              (4, 0): float(v["d"]), (3, 1): float(v["e"]), (2, 2): float(v["f"]),
-              (1, 3): float(v["g"]), (0, 4): float(v["h"])}
-    rotated = _rotate_xy_coeffs(coeffs, cos_phi, sin_phi)
-    b1 = rotated.get((1, 1), 0.0)
-    e1 = rotated.get((3, 1), 0.0)
-    g1 = rotated.get((1, 3), 0.0)
-    residual = max(abs(rotated.get(ij, 0.0))
-                   for ij in ((2, 0), (0, 2), (4, 0), (2, 2), (0, 4)))
-    return RotationData(b1, e1, g1, phi, residual)
+    quad = _rotate_form([float(v[n]) for n in "abc"], cos_phi, sin_phi)
+    quart = _rotate_form([float(v[n]) for n in "defgh"], cos_phi, sin_phi)
+    residual = max(abs(c) for c in (quad[0], quad[2], *quart[::2]))
+    return RotationData(quad[1], quart[1], quart[3], phi, residual)
 
 
-def _rotate_xy_coeffs(coeffs, c, s):
-    """Expand R(c x + s y, -s x + c y) for a float coefficient dict."""
-    out = {}
-    for (i, j), v in coeffs.items():
-        part = {(0, 0): v}
-        for _ in range(i):
-            part = _fmul(part, {(1, 0): c, (0, 1): s})
-        for _ in range(j):
-            part = _fmul(part, {(1, 0): -s, (0, 1): c})
-        for ij, w in part.items():
-            out[ij] = out.get(ij, 0.0) + w
-    return out
-
-
-def _fmul(p1, p2):
-    out = {}
-    for (i1, j1), v1 in p1.items():
-        for (i2, j2), v2 in p2.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0.0) + v1 * v2
+def _rotate_form(form, c, s):
+    """The coefficient list of a binary form R(x, y) (see lyapunov._forms)
+    turned into that of R(c x + s y, -s x + c y)."""
+    k = len(form) - 1
+    out = [0.0] * (k + 1)
+    for j, v in enumerate(form):
+        part = [v]
+        for linear in [[c, s]] * (k - j) + [[-s, c]] * j:
+            part, factor = [0.0] * (len(part) + 1), part
+            _convolve(part, factor, linear)
+        _convolve(out, part, [1.0])
     return out

@@ -167,17 +167,22 @@ def verify_darboux_integral(sys, cand):
     return DarbouxVerdict(False, residual=total)
 
 
+def _c1_c2(u, shift):
+    """C1 = x^2 + y^2 and C2 = shift + u + u^2 of the b = 1 normal form,
+    u = e x^2 + g y^2, with their cofactors and the weights 2 and -1."""
+    c1 = AlgebraicInvariant(X ** 2 + Y ** 2, 2 * X * Y * (1 + u))
+    c2 = AlgebraicInvariant(shift + u + u ** 2, 2 * X * Y * (1 + 2 * u))
+    return (c1, Fraction(2)), (c2, Fraction(-1))
+
+
 def darboux_candidate(e, g):
     """Darboux data for the b = 1 normal form with e != g: H = C1^2/(C2 C3)."""
     e = Poly._coerce(e)
     g = Poly._coerce(g)
     u = e * X ** 2 + g * Y ** 2
-    c1 = AlgebraicInvariant(X ** 2 + Y ** 2, 2 * X * Y * (1 + u))
-    c2 = AlgebraicInvariant((e - g) + u + u ** 2, 2 * X * Y * (1 + 2 * u))
     c3 = IntegralExponent(u, e - g, 2 * X * Y)
-    return DarbouxCandidate(
-        algebraic=((c1, Fraction(2)), (c2, Fraction(-1))),
-        exponential=((c3, Fraction(-1)),))
+    return DarbouxCandidate(algebraic=_c1_c2(u, e - g),
+                            exponential=((c3, Fraction(-1)),))
 
 
 def darboux_candidate_equal(e):
@@ -191,17 +196,17 @@ def darboux_candidate_equal(e):
     if e == 0:
         raise ValueError("the e = g variant needs e != 0")
     u = e * (X ** 2 + Y ** 2)
-    c1 = AlgebraicInvariant(X ** 2 + Y ** 2, 2 * X * Y * (1 + u))
-    c2 = AlgebraicInvariant(Poly.const(0) + u + u ** 2, 2 * X * Y * (1 + 2 * u))
     g_exp = RationalFunction(1 + X ** 2, X ** 2 + Y ** 2)
     c3 = RationalExponent(g_exp, -2 * e * X * Y)
-    return DarbouxCandidate(
-        algebraic=((c1, Fraction(2)), (c2, Fraction(-1))),
-        exponential=((c3, Fraction(1, e)),))
+    return DarbouxCandidate(algebraic=_c1_c2(u, Poly.zero()),
+                            exponential=((c3, Fraction(1, e)),))
 
 
 # ----------------------------------------------------------------------
 # reversibility
+
+SLOPE = "s"  # the symbol of reversible_modulo_constraint's slope
+
 
 def _reflected_compose(poly, xp, yp, den, n):
     """den^n * poly(xp/den, yp/den) for poly of degree <= n in x, y."""
@@ -240,36 +245,36 @@ class ReversibilityVerdict:
     witness: Poly | None = None
 
 
-def reversible_modulo_constraint(sys, constraint, slope="s"):
-    """Reversibility about the lines alpha x + beta y = 0 with (alpha, beta) =
-    (s, -1) and s constrained by a quadratic (e.g. a s^2 - b s - a = 0).
+def reversible_modulo_constraint(sys, constraint):
+    """Reversibility about the lines s x - y = 0, with the slope symbol s
+    constrained by a quadratic (e.g. a s^2 - b s - a = 0).
 
     The residual is pseudo-reduced modulo the constraint (fraction-free, the
     leading coefficient is treated as invertible); Yes iff the remainder
     vanishes identically.
     """
-    c2 = constraint.coefficient(slope, 2)
-    c1 = constraint.coefficient(slope, 1)
-    c0 = constraint.coefficient(slope, 0)
+    c2 = constraint.coefficient(SLOPE, 2)
+    c1 = constraint.coefficient(SLOPE, 1)
+    c0 = constraint.coefficient(SLOPE, 0)
     if c2.is_zero:
         raise ValueError("constraint must be quadratic in the slope symbol")
-    if constraint != c2 * Poly.var(slope, 2) + c1 * Poly.var(slope) + c0:
+    if constraint != c2 * Poly.var(SLOPE, 2) + c1 * Poly.var(SLOPE) + c0:
         raise ValueError("constraint has terms beyond degree 2 in the slope")
 
-    residual = reversibility_residual(sys, Poly.var(slope), Poly.const(-1))
-    rem = _pseudo_rem_quadratic(residual, constraint, c2, slope)
+    residual = reversibility_residual(sys, Poly.var(SLOPE), Poly.const(-1))
+    rem = _pseudo_rem_quadratic(residual, constraint, c2)
     if rem.is_zero:
         return ReversibilityVerdict(True)
     return ReversibilityVerdict(False, witness=rem)
 
 
-def _pseudo_rem_quadratic(poly, constraint, lead, slope):
+def _pseudo_rem_quadratic(poly, constraint, lead):
     while True:
-        deg = poly.degree_in((slope,))
+        deg = poly.degree_in((SLOPE,))
         if deg < 2:
             return poly
-        top = poly.coefficient(slope, deg)
-        poly = lead * poly - top * Poly.var(slope, deg - 2) * constraint
+        top = poly.coefficient(SLOPE, deg)
+        poly = lead * poly - top * Poly.var(SLOPE, deg - 2) * constraint
 
 
 def angular_speed_residual(sys):

@@ -337,13 +337,10 @@ def rotated_params(params):
     a, b = float(v["a"]), float(v["b"])
     tan_phi = (-b + math.sqrt(b * b + 4 * a * a)) / (2 * a)
     phi = math.atan(tan_phi)
-    coeffs = {(2, 0): float(v["a"]), (1, 1): float(v["b"]),
-              (0, 2): float(v["c"]), (4, 0): float(v["d"]),
-              (3, 1): float(v["e"]), (2, 2): float(v["f"]),
-              (1, 3): float(v["g"]), (0, 4): float(v["h"])}
-    rot = quintic._rotate_xy_coeffs(coeffs, math.cos(phi), math.sin(phi))
-    order = [(2, 0), (1, 1), (0, 2), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
-    return QuinticParams(*(Fraction(rot.get(ij, 0.0)) for ij in order))
+    c, s = math.cos(phi), math.sin(phi)
+    rot = (quintic._rotate_form([float(v[n]) for n in "abc"], c, s)
+           + quintic._rotate_form([float(v[n]) for n in "defgh"], c, s))
+    return QuinticParams(*(Fraction(r) for r in rot))
 
 
 def test_criterion_9_rotation():

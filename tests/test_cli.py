@@ -13,7 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from isoquintic import orbits
 from isoquintic.cli import build_parser, main
@@ -87,6 +87,10 @@ class TestPlconst:
         assert code == 0
         assert out.splitlines()[0] == "D1 = 1"
 
+    def test_m_below_one(self, capsys):
+        assert run(capsys, "plconst", "--family", "a,b,c,d,e,f,g,h",
+                   "-m", "0") == (2, "", "error: m must be >= 1\n")
+
 
 class TestClassify:
     def test_center_case_ii(self, capsys):
@@ -118,6 +122,12 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--family", "0,0,0,-1,0,0,0,0")
         assert code == 1
         assert out.strip() == "FOCUS k=2 sign=-"
+
+    def test_undetermined_below_first_nonzero(self, capsys):
+        # D1 = a + c = 0 and D2 = 3 d = 3
+        argv = ["classify", "--family", "1,0,-1,1,0,0,0,0"]
+        assert run(capsys, *argv, "-m", "1") == (1, "UNDETERMINED m=1\n", "")
+        assert run(capsys, *argv, "-m", "2") == (1, "FOCUS k=2 sign=+\n", "")
 
     def test_symbolic_rejected(self, capsys):
         code, _, err = run(capsys, "classify", "--family", "a,0,0,0,0,0,0,0")
@@ -190,6 +200,17 @@ class TestVerify:
                            "--num", "x^2 + y^2", "--den", "1 + 2*x*y")
         assert code == 1
         assert out.splitlines()[0] == "FAIL"
+
+    def test_long_residual_truncated(self, capsys):
+        code, out, _ = run(capsys, "verify", "integral",
+                           "--family", "a,b,c,d,e,f,g,h",
+                           "--num", "x^2+y^2", "--den", "1+x^2*y")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "FAIL" and len(lines) == 2
+        assert lines[1].startswith("residual = -x^8*y*d - x^7*y^2*e")
+        assert lines[1].endswith(" + 2*x^4*y^2*f + ... (35 terms)")
+        assert lines[1].count(" + ") + lines[1].count(" - ") == 20
 
     def test_reversible_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "reversible",
@@ -315,6 +336,11 @@ class TestOrbit:
         assert err.endswith(f"): {message}\n") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_coefficient_beyond_float_range(self, capsys):
+        assert run(capsys, "orbit", "--family", "1e400,0,0,0,0,0,0,0",
+                   "--x0", "0.1", "--y0", "0") == (
+            2, "", "error: coefficient 1E+400 is beyond the float range\n")
+
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1e-8"),
         ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "-1"),
@@ -401,6 +427,12 @@ class TestBoundary:
         code, _, err = run(capsys, "boundary", "--params", "1,2")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("params, value", [("1e400,1,1,1", "1E+400"),
+                                               ("0,1,-1e400,0", "-1E+400")])
+    def test_coefficient_beyond_float_range(self, capsys, params, value):
+        assert run(capsys, "boundary", f"--params={params}") == (
+            2, "", f"error: coefficient {value} is beyond the float range\n")
+
 
 class TestDocuments:
     def test_unknown_keys_rejected(self, capsys, tmp_path):
@@ -408,6 +440,37 @@ class TestDocuments:
                          {"p": "y", "q": "-x", "extra": 1})
         code, _, err = run(capsys, "plconst", "--system", path, "-m", "1")
         assert code == 2 and "unknown keys" in err
+
+    def test_unknown_family_key_rejected(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "sys.json",
+                         {"family": "quintic-uic", "a": "1", "z": "2"})
+        assert run(capsys, "plconst", "--system", path, "-m", "1") == (
+            2, "", "error: unknown keys ['z']\n")
+
+    def test_bindings_not_an_object(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "sys.json",
+                         {"p": "y + a*x^2", "q": "-x", "bindings": ["a", 1]})
+        assert run(capsys, "plconst", "--system", path, "-m", "1") == (
+            2, "", "error: bindings must be an object\n")
+
+    # json reads 1e400 as inf; true and false are ints to Python
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN", "null",
+                                       "true", "false", "[1]"])
+    def test_family_value_not_string_or_finite(self, capsys, tmp_path, value):
+        path = tmp_path / "sys.json"
+        path.write_text(f'{{"family": "quintic-uic", "a": {value}, "c": 2}}',
+                        encoding="utf-8")
+        assert run(capsys, "plconst", "--system", str(path), "-m", "1") == (
+            2, "", "error: family value 'a' must be a string or a finite "
+                   "number\n")
+
+    @pytest.mark.parametrize("value, d1", [("0.5", "1"), ("-3", "-1")])
+    def test_family_value_string_or_number(self, capsys, tmp_path, value, d1):
+        path = tmp_path / "sys.json"
+        path.write_text(f'{{"family": "quintic-uic", "a": {value}, "c": 2}}',
+                        encoding="utf-8")
+        assert run(capsys, "plconst", "--system", str(path), "-m", "1") == (
+            0, f"D1 = {d1}\n", "")
 
     def test_unknown_family_rejected(self, capsys, tmp_path):
         path = write_doc(tmp_path, "sys.json", {"family": "cubic", "a": "1"})
@@ -622,7 +685,7 @@ class TestImports:
 
 
 EXTREMES = ["0", "-0", "1e-300", "-1e-300", "1e8", "1e9", "1e200",
-            "nan", "inf", "63", "10000000"]
+            "nan", "inf", "63", "10000000", "1e400", "-1e400"]
 extreme = st.sampled_from(EXTREMES)
 
 
@@ -646,8 +709,10 @@ class TestHostileFlags:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["0,1,0,0,1,0,-1,0", "1,0,0,0,0,0,0,0",
                             "1e300,0,0,0,0,0,0,-1e300", "-1e300,0,1e300,0,0,0,0,0",
-                            "1e308,1e308,0,0,0,0,0,0", "0,0,0,-1e308,0,0,0,1e308"]),
+                            "1e308,1e308,0,0,0,0,0,0", "0,0,0,-1e308,0,0,0,1e308",
+                            "1e400,0,0,0,0,0,0,0"]),
            extreme, extreme, extreme, extreme)
+    @example("1e400,0,0,0,0,0,0,0", "0.1", "0", "63", "1e8")
     def test_orbit(self, family, x0, y0, t_end, tol):
         code, seconds = timed_exit(["orbit", f"--family={family}",
                                     f"--x0={x0}", f"--y0={y0}",
@@ -688,7 +753,8 @@ _q = st.one_of(_grammar.map(lambda e: f"-x + x^2*({e})"),
                _grammar.map(lambda e: f"-x + {e}"), expressions)
 _values = st.one_of(_leaves, expressions, st.integers(-10, 10), st.none(),
                     st.sampled_from(["1/0", "", [], {}, "-2.5e-3", "1e400",
-                                     "1e10000000"]))
+                                     "1e10000000", math.inf, math.nan, True,
+                                     0.25]))
 _explicit = st.fixed_dictionaries({"p": _p, "q": _q}, optional={
     "bindings": st.dictionaries(st.sampled_from(["a", "b", "x"]), _values,
                                 max_size=2)})
@@ -699,6 +765,14 @@ documents = st.one_of(
     st.dictionaries(st.sampled_from(["p", "q", "family", "bindings", "e"]),
                     _values, max_size=3),
     st.sampled_from([None, 5, "y", [], ["p", "q"]]))
+
+
+def family_value_ok(value):
+    """A family document's value is a string or a finite, non-boolean
+    number; anything else is an input error, whatever the command."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        return False
+    return isinstance(value, str) or math.isfinite(value)
 
 
 class TestExpressionFuzz:
@@ -725,3 +799,6 @@ class TestExpressionFuzz:
         code, seconds = timed_exit(argv)
         assert code in (0, 1, 2)
         assert seconds < 5.0
+        if isinstance(doc, dict) and "family" in doc and not all(
+                family_value_ok(doc[n]) for n in "abcdefgh" if n in doc):
+            assert code == 2

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context
 
 import numpy as np
 
-from .structure import angular_speed_residual, DomainError
+from .structure import angular_speed_residual
 from . import quintic
+from .quintic import _float
 
 ESCAPE_RADIUS = 1e9
 TOL = 1e-10            # default rtol = atol of the adaptive integrator
@@ -62,16 +62,6 @@ class Trajectory:
 
     def endpoint(self):
         return float(self.x[-1]), float(self.y[-1])
-
-
-def _float(value):
-    """float(value), or a ValueError naming an exact value beyond its range."""
-    try:
-        return float(value)
-    except OverflowError:
-        approx = Context(prec=6).divide(value.numerator, value.denominator)
-        raise ValueError(f"coefficient {approx.normalize()} is beyond the "
-                         f"float range") from None
 
 
 def compile_rhs(sys):
@@ -234,12 +224,6 @@ def ray_return_time(sys, x0, y0, tol=TOL, t_max=2.5 * math.pi):
     return T, (float(xs), float(ys))
 
 
-def closure_defect(sys, x0, y0):
-    """Distance between start and the first ray return; ~0 for a center."""
-    _, (xe, ye) = ray_return_time(sys, x0, y0)
-    return math.hypot(xe - x0, ye - y0)
-
-
 # ----------------------------------------------------------------------
 # period-annulus boundary for case (i)
 
@@ -363,7 +347,7 @@ def center_type(params, case):
     v = params.fractions()
     tag = case.tag
     if tag is quintic.CaseTag.CASE_II:
-        return _eg_verdict(float(v["e"]), float(v["g"]))
+        return _eg_verdict(_float(v["e"]), _float(v["g"]))
     if tag is quintic.CaseTag.CASE_III:
         rot = quintic.rotate_to_canonical(params)
         return _eg_verdict(rot.e1, rot.g1)
@@ -374,20 +358,3 @@ def center_type(params, case):
     return CenterTypeVerdict(boundary.btype,
                              f"maximizers({len(boundary.maximizers)})")
 
-
-def conservation_drift(integral, traj):
-    """Max relative drift of a first integral along a trajectory."""
-    try:
-        h0 = integral.eval_float(float(traj.x[0]), float(traj.y[0]))
-    except (ZeroDivisionError, ValueError) as exc:
-        raise DomainError(f"integral undefined at the initial sample: {exc}")
-    if h0 == 0:
-        raise DomainError("integral vanishes at the initial sample")
-    worst = 0.0
-    for x, y in zip(traj.x, traj.y):
-        try:
-            h = integral.eval_float(float(x), float(y))
-        except (ZeroDivisionError, ValueError) as exc:
-            raise DomainError(f"integral undefined at ({x}, {y}): {exc}")
-        worst = max(worst, abs(h - h0) / abs(h0))
-    return worst

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context
 from enum import Enum
 from fractions import Fraction
 
@@ -26,6 +27,16 @@ class QuinticError(Exception):
 
 class NoSymbolicPartner(QuinticError):
     """Case (iii) with d or e nonzero has no known polynomial partner."""
+
+
+def _float(value):
+    """float(value), or a ValueError naming an exact value beyond its range."""
+    try:
+        return float(value)
+    except OverflowError:
+        approx = Context(prec=6).divide(value.numerator, value.denominator)
+        raise ValueError(f"coefficient {approx.normalize()} is beyond the "
+                         f"float range") from None
 
 
 @dataclass(frozen=True)
@@ -356,28 +367,29 @@ def rotate_to_canonical(params):
     is the largest rotated coefficient that ought to vanish.
     """
     v = params.fractions()
-    a, b = float(v["a"]), float(v["b"])
+    a, b = _float(v["a"]), _float(v["b"])
     if a == 0:
         raise QuinticError("rotation requires a != 0")
     tan_phi = (-b + math.sqrt(b * b + 4 * a * a)) / (2 * a)
     phi = math.atan(tan_phi)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
 
-    quad = _rotate_form([float(v[n]) for n in "abc"], cos_phi, sin_phi)
-    quart = _rotate_form([float(v[n]) for n in "defgh"], cos_phi, sin_phi)
+    quad = _rotate_form([_float(v[n]) for n in "abc"], cos_phi, sin_phi)
+    quart = _rotate_form([_float(v[n]) for n in "defgh"], cos_phi, sin_phi)
     residual = max(abs(c) for c in (quad[0], quad[2], *quart[::2]))
     return RotationData(quad[1], quart[1], quart[3], phi, residual)
 
 
-def _rotate_form(form, c, s):
+def _rotate_form(form, c, s, zero=0.0):
     """The coefficient list of a binary form R(x, y) (see lyapunov._forms)
-    turned into that of R(c x + s y, -s x + c y)."""
+    turned into that of R(c x + s y, -s x + c y).  Entries no term reaches
+    stay `zero`: 0.0 for float rotations, 0 for exact or Poly ones."""
     k = len(form) - 1
-    out = [0.0] * (k + 1)
+    out = [zero] * (k + 1)
     for j, v in enumerate(form):
         part = [v]
         for linear in [[c, s]] * (k - j) + [[-s, c]] * j:
-            part, factor = [0.0] * (len(part) + 1), part
+            part, factor = [zero] * (len(part) + 1), part
             _convolve(part, factor, linear)
-        _convolve(out, part, [1.0])
+        _convolve(out, part, [1])
     return out

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qpoly import Poly, RationalFunction, as_poly, divide_exact
-from .lyapunov import PlanarSystem
+from .lyapunov import _forms
+from .quintic import _rotate_form
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -58,22 +59,6 @@ def cofactor_of(sys, curve):
     if curve.is_zero:
         raise ValueError("curve must be nonzero")
     return divide_exact(directional_derivative(sys, curve), curve)
-
-
-def radial_cofactor_theorem_check(R, Q):
-    """Residual of the invariance identity for the commuting radial pair.
-
-    With p = y + x R, q = -x + y R and the radial partner (x Q, y Q), the
-    curve Q = 0 must be invariant with cofactor x R_x + y R_y.  Returns
-    x (Q_x p + Q_y q) - x (x R_x + y R_y) Q, which is zero whenever the pair
-    commutes.
-    """
-    sys1 = PlanarSystem(Y + X * R, -X + Y * R)
-    sys2 = PlanarSystem(X * Q, Y * Q)
-    if not commutes(sys1, sys2):
-        raise NotCommutingError("the radial pair does not commute")
-    cof = X * R.diff("x") + Y * R.diff("y")
-    return X * directional_derivative(sys1, Q) - X * cof * Q
 
 
 def integrating_factor_from_pair(sys1, sys2):
@@ -246,12 +231,18 @@ class ReversibilityVerdict:
 
 
 def reversible_modulo_constraint(sys, constraint):
-    """Reversibility about the lines s x - y = 0, with the slope symbol s
-    constrained by a quadratic (e.g. a s^2 - b s - a = 0).
+    """Reversibility of a radial system about the lines s x - y = 0, with
+    the slope symbol s constrained by a quadratic (e.g. a s^2 - b s - a = 0).
 
-    The residual is pseudo-reduced modulo the constraint (fraction-free, the
-    leading coefficient is treated as invertible); Yes iff the remainder
-    vanishes identically.
+    The system must have the radial form p = w y + x P, q = -w x + y P with
+    w free of x and y (checked as x q - y p + w (x^2 + y^2) = 0, w the
+    coefficient of y in p); anything else is a ValueError.  The reflection
+    about the line then reverses the flow exactly when P is odd in the
+    coordinate normal to it: with x = u - s v and y = s u + v, every
+    coefficient of u^(k-j) v^j with even j in P_k(u - s v, s u + v) must
+    vanish.  Each is pseudo-reduced modulo the constraint (fraction-free,
+    the leading coefficient is treated as invertible); the witness of a
+    failing verdict is the first remainder that does not vanish.
     """
     c2 = constraint.coefficient(SLOPE, 2)
     c1 = constraint.coefficient(SLOPE, 1)
@@ -260,12 +251,19 @@ def reversible_modulo_constraint(sys, constraint):
         raise ValueError("constraint must be quadratic in the slope symbol")
     if constraint != c2 * Poly.var(SLOPE, 2) + c1 * Poly.var(SLOPE) + c0:
         raise ValueError("constraint has terms beyond degree 2 in the slope")
+    omega = sys.p.xy_coefficients().get((0, 1), Poly.zero())
+    if not (X * sys.q - Y * sys.p + omega * (X ** 2 + Y ** 2)).is_zero:
+        raise ValueError("system is not of the radial form "
+                         "p = w y + x P, q = -w x + y P")
 
-    residual = reversibility_residual(sys, Poly.var(SLOPE), Poly.const(-1))
-    rem = _pseudo_rem_quadratic(residual, constraint, c2)
-    if rem.is_zero:
-        return ReversibilityVerdict(True)
-    return ReversibilityVerdict(False, witness=rem)
+    # p_k = x P_(k-1) + (w y for k = 1): P_(k-1) is p_k without its y^k entry
+    for _, form in sorted(_forms(sys.p).items()):
+        rotated = _rotate_form(form[:-1], 1, -Poly.var(SLOPE), zero=0)
+        for coeff in rotated[::2]:
+            rem = _pseudo_rem_quadratic(as_poly(coeff), constraint, c2)
+            if not rem.is_zero:
+                return ReversibilityVerdict(False, witness=rem)
+    return ReversibilityVerdict(True)
 
 
 def _pseudo_rem_quadratic(poly, constraint, lead):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from isoquintic.qpoly import Poly
+from isoquintic.lyapunov import PlanarSystem
 
 
 @pytest.fixture
@@ -37,3 +38,16 @@ def polys(draw, vars=("x", "y", "a", "b"), max_terms=4, max_exp=3):
             term = term * Poly.var(v, draw(st.integers(0, max_exp)))
         p = p + term
     return p
+
+
+def scaled_case_iii_system():
+    """2 a^3 times the case (iii) system of quintic.case_substitution, with
+    its symbols u, v written d, e: no power of 1/a is left."""
+    x, y = Poly.var("x"), Poly.var("y")
+    a, b, d, e = (Poly.var(n) for n in "abde")
+    quad = a * x ** 2 + b * x * y - a * y ** 2
+    big = (2 * a ** 3 + 2 * a ** 2 * d * x ** 2 - 2 * a * b * d * x * y
+           + 2 * a ** 2 * e * x * y + 2 * a ** 2 * d * y ** 2
+           - b ** 2 * d * y ** 2 + a * b * e * y ** 2)
+    P = quad * big
+    return PlanarSystem(2 * a ** 3 * y + x * P, -2 * a ** 3 * x + y * P)

@@ -14,6 +14,7 @@ from isoquintic.qpoly import Poly, parse_expr
 from isoquintic.lyapunov import PlanarSystem, pl_constants, first_nonzero
 from isoquintic import quintic, structure, orbits
 from isoquintic.quintic import QuinticParams, CaseTag
+from conftest import scaled_case_iii_system
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -218,16 +219,6 @@ def test_criterion_6_integrating_factors():
     u = e * X ** 2 + g * Y ** 2
     ok = ok and mu_ii.den == (X ** 2 + Y ** 2) * ((e - g) + u * (b + u))
     report(6, "integrating factors", ok)
-
-
-def scaled_case_iii_system():
-    a, b, d, e = (Poly.var(n) for n in "abde")
-    quad = a * X ** 2 + b * X * Y - a * Y ** 2
-    big = (2 * a ** 3 + 2 * a ** 2 * d * X ** 2 - 2 * a * b * d * X * Y
-           + 2 * a ** 2 * e * X * Y + 2 * a ** 2 * d * Y ** 2
-           - b ** 2 * d * Y ** 2 + a * b * e * Y ** 2)
-    P = quad * big
-    return PlanarSystem(2 * a ** 3 * Y + X * P, -2 * a ** 3 * X + Y * P)
 
 
 def test_criterion_7_reversibility():

@@ -11,7 +11,7 @@ from isoquintic import orbits, quintic
 from isoquintic.orbits import (
     OrbitError, EscapedError, NoReturnError, StiffnessError,
     InapplicableBoundaryError, integrate, integrate_rk4, ray_return_time,
-    closure_defect, boundary_curve, center_type, conservation_drift,
+    boundary_curve, center_type,
 )
 from isoquintic.structure import DomainError
 
@@ -25,6 +25,30 @@ def numeric(**kw):
     full = {n: 0 for n in quintic.PARAM_NAMES}
     full.update(kw)
     return quintic.QuinticParams.numeric(*(full[n] for n in quintic.PARAM_NAMES))
+
+
+def closure_defect(sys, x0, y0):
+    """Distance between start and the first ray return; ~0 for a center."""
+    _, (xe, ye) = ray_return_time(sys, x0, y0)
+    return math.hypot(xe - x0, ye - y0)
+
+
+def conservation_drift(integral, traj):
+    """Max relative drift of a first integral along a trajectory."""
+    try:
+        h0 = integral.eval_float(float(traj.x[0]), float(traj.y[0]))
+    except (ZeroDivisionError, ValueError) as exc:
+        raise DomainError(f"integral undefined at the initial sample: {exc}")
+    if h0 == 0:
+        raise DomainError("integral vanishes at the initial sample")
+    worst = 0.0
+    for x, y in zip(traj.x, traj.y):
+        try:
+            h = integral.eval_float(float(x), float(y))
+        except (ZeroDivisionError, ValueError) as exc:
+            raise DomainError(f"integral undefined at ({x}, {y}): {exc}")
+        worst = max(worst, abs(h - h0) / abs(h0))
+    return worst
 
 
 class TestIntegrate:
@@ -362,6 +386,14 @@ class TestCenterType:
         params = numeric(a=1, c=-1, d=1, f=f, g=g, h=h)
         verdict = center_type(params, quintic.theorem_case(params))
         assert (verdict.tag, verdict.evidence) == ("B2", "eg-rule")
+
+    def test_coefficient_beyond_float_range(self):
+        big = 10 ** 400
+        f, g, h = quintic.case_iii_fgh(1, 0, big, 0)
+        for params in (numeric(b=1, e=big, g=1),
+                       numeric(a=1, c=-1, d=big, f=f, g=g, h=h)):
+            with pytest.raises(ValueError, match="beyond the float range"):
+                center_type(params, quintic.theorem_case(params))
 
     def test_rules_agree_where_both_apply(self):
         # the quartic-only subfamily satisfies (i) and, when b = 0, the

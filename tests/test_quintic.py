@@ -358,6 +358,13 @@ class TestRotation:
         with pytest.raises(QuinticError):
             rotate_to_canonical(numeric(b=1))
 
+    def test_coefficient_beyond_float_range(self):
+        f, g, h = case_iii_fgh(1, 0, 10 ** 400, 0)
+        params = QuinticParams.numeric(1, 0, -1, 10 ** 400, 0, f, g, h)
+        with pytest.raises(ValueError,
+                           match=r"coefficient 1E\+400 is beyond the float range"):
+            rotate_to_canonical(params)
+
     def test_random_case_iii_residuals(self, rng):
         for _ in range(30):
             a = Fraction(rng.choice([v for v in range(-4, 5) if v]))

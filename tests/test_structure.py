@@ -1,23 +1,24 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from scipy.integrate import quad
 
-from isoquintic.qpoly import Poly, parse_expr, RationalFunction
+from isoquintic.qpoly import Poly, parse_expr, RationalFunction, as_poly
 from isoquintic.lyapunov import PlanarSystem
 from isoquintic import quintic, structure
 from isoquintic.structure import (
     StructureError, NotCommutingError, DegeneratePairError, DomainError,
-    lie_bracket, commutes, cofactor_of, radial_cofactor_theorem_check,
+    lie_bracket, commutes, cofactor_of, directional_derivative,
     integrating_factor_from_pair, rational_integral_residual,
     AlgebraicInvariant, DarbouxCandidate, verify_darboux_integral,
     darboux_candidate, darboux_candidate_equal,
     reversibility_residual, reversible_modulo_constraint,
-    angular_speed_residual, c3_exponent,
+    _pseudo_rem_quadratic, angular_speed_residual, c3_exponent,
 )
-from conftest import polys
+from conftest import polys, scaled_case_iii_system
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -68,6 +69,22 @@ class TestCofactor:
     def test_zero_curve_rejected(self):
         with pytest.raises(ValueError):
             cofactor_of(ROT, Poly.zero())
+
+
+def radial_cofactor_theorem_check(R, Q):
+    """Residual of the invariance identity for the commuting radial pair.
+
+    With p = y + x R, q = -x + y R and the radial partner (x Q, y Q), the
+    curve Q = 0 must be invariant with cofactor x R_x + y R_y.  Returns
+    x (Q_x p + Q_y q) - x (x R_x + y R_y) Q, which is zero whenever the pair
+    commutes.
+    """
+    sys1 = PlanarSystem(Y + X * R, -X + Y * R)
+    sys2 = PlanarSystem(X * Q, Y * Q)
+    if not commutes(sys1, sys2):
+        raise NotCommutingError("the radial pair does not commute")
+    cof = X * R.diff("x") + Y * R.diff("y")
+    return X * directional_derivative(sys1, Q) - X * cof * Q
 
 
 class TestRadialPair:
@@ -218,30 +235,44 @@ class TestReversibility:
         with pytest.raises(ValueError):
             reversibility_residual(ROT, 0, 0)
 
-    def scaled_case_iii_system(self):
-        a, b, d, e = (Poly.var(n) for n in "abde")
-        quad = a * X ** 2 + b * X * Y - a * Y ** 2
-        big = (2 * a ** 3 + 2 * a ** 2 * d * X ** 2 - 2 * a * b * d * X * Y
-               + 2 * a ** 2 * e * X * Y + 2 * a ** 2 * d * Y ** 2
-               - b ** 2 * d * Y ** 2 + a * b * e * Y ** 2)
-        P = quad * big
-        return PlanarSystem(2 * a ** 3 * Y + X * P, -2 * a ** 3 * X + Y * P)
-
-    def constraint(self):
-        a, b, s = Poly.var("a"), Poly.var("b"), Poly.var("s")
+    def constraint(self, a="a", b="b"):
+        a, b, s = as_poly(a), as_poly(b), Poly.var("s")
         return a * s ** 2 - b * s - a
 
     def test_constrained_lines(self):
-        verdict = reversible_modulo_constraint(self.scaled_case_iii_system(),
-                                               self.constraint())
+        sysm = scaled_case_iii_system()
+        verdict = reversible_modulo_constraint(sysm, self.constraint())
         assert verdict.reversible
+        assert self.oracle(sysm, self.constraint())
 
     def test_constrained_lines_perturbed(self):
-        sysm = self.scaled_case_iii_system()
-        bad = PlanarSystem(sysm.p + Poly.var("g") * X ** 3 * Y ** 2, sysm.q)
+        # g x^2 y^2 added to P keeps the radial form and breaks the symmetry
+        sysm = scaled_case_iii_system()
+        g = Poly.var("g") * X ** 2 * Y ** 2
+        bad = PlanarSystem(sysm.p + X * g, sysm.q + Y * g)
         verdict = reversible_modulo_constraint(bad, self.constraint())
         assert not verdict.reversible
         assert verdict.witness is not None and not verdict.witness.is_zero
+        assert not self.oracle(bad, self.constraint())
+
+    @pytest.mark.parametrize("p,q", [
+        (Y + 1, -X),                              # a constant term
+        (Y + X ** 2, -X),                         # x^2 added to p only
+        (Y + Poly.var("g") * X ** 3 * Y ** 2, -X),  # g x^3 y^2 in p only
+        (2 * Y, -X),                              # linear part no rotation
+    ])
+    def test_requires_radial_form(self, p, q):
+        with pytest.raises(ValueError, match="radial form"):
+            reversible_modulo_constraint(PlanarSystem(p, q), self.constraint())
+
+    def test_zero_angular_speed(self):
+        # with w = 0 the reflected field is parallel to (x P, y P) whatever
+        # P is, so the whole-field residual vanishes; reversing the flow
+        # also needs P odd in the normal coordinate, which x^2 is not
+        sysm = PlanarSystem(X ** 3, X ** 2 * Y)
+        assert reversibility_residual(sysm, 1, 0).is_zero
+        verdict = reversible_modulo_constraint(sysm, self.constraint(1, 0))
+        assert not verdict.reversible
 
     def test_constraint_must_be_quadratic(self):
         with pytest.raises(ValueError):
@@ -249,13 +280,53 @@ class TestReversibility:
         with pytest.raises(ValueError):
             reversible_modulo_constraint(ROT, Poly.var("s") - 1)
 
+    def oracle(self, sysm, constraint):
+        """The verdict of reflecting the whole system: the cleared residual
+        of reversibility_residual, pseudo-reduced modulo the constraint."""
+        residual = reversibility_residual(sysm, Poly.var("s"), -1)
+        lead = constraint.coefficient("s", 2)
+        return _pseudo_rem_quadratic(residual, constraint, lead).is_zero
+
+    def test_agrees_with_oracle_numeric(self):
+        """Case (iii) points, each with its own constraint a s^2 - b s - a,
+        and the same points with one of d..h moved off case (iii).  Where
+        b^2 + 4 a^2 is a square the constraint splits into two lines."""
+        rng = random.Random(20261018)
+
+        def draw(lo=-3, hi=3):
+            return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
+
+        split = [(2, 3), (-2, 3), (2, -3), (1, 0), (3, 8), (6, -5),
+                 (Fraction(1, 2), Fraction(3, 4))]
+        ab = [tuple(map(Fraction, pair)) for pair in split]
+        while len(ab) < 50:
+            a = draw()
+            if a:
+                ab.append((a, draw()))
+        disagree = []
+        for i, (a, b) in enumerate(ab):
+            d, e = draw(), draw()
+            values = dict(zip("abcdefgh", (a, b, -a, d, e,
+                                           *quintic.case_iii_fgh(a, b, d, e))))
+            for perturbed in (False, True):
+                if perturbed:
+                    values[rng.choice("defgh")] += draw(1, 3) * rng.choice((-1, 1))
+                sysm = quintic.build_system(
+                    quintic.QuinticParams(*values.values()))
+                constraint = self.constraint(a, b)
+                verdict = reversible_modulo_constraint(sysm, constraint)
+                assert verdict.reversible is not perturbed
+                if verdict.reversible is not self.oracle(sysm, constraint):
+                    disagree.append((i, perturbed))
+        assert disagree == []
+
     def test_scaled_system_matches_family(self):
         """The cleared form really is 2 a^3 times the case (iii) family."""
         a = Poly.var("a")
         sub = quintic.case_substitution(quintic.CaseTag.CASE_III)
         params = quintic.QuinticParams("a", "b", *(sub[n] for n in "cdefgh"))
         fam = quintic.build_system(params)
-        scaled = self.scaled_case_iii_system()
+        scaled = scaled_case_iii_system()
         de = {"d": sub["d"], "e": sub["e"]}
         for lhs, rhs in ((scaled.p, fam.p), (scaled.q, fam.q)):
             assert lhs.subs(de) == 2 * a ** 3 * rhs

@@ -221,7 +221,8 @@ def _verify_reversible(sysm, args):
     if len(parts) != 2:
         raise InputError("--line needs 'alpha,beta'")
     alpha, beta = (parse_rational(p) for p in parts)
-    res = structure.reversibility_residual(sysm, alpha, beta)
+    first, second = structure.reversibility_residual(sysm, alpha, beta)
+    res = first or second  # the first nonzero component, if any
     return res.is_zero, [f"residual = {_truncated(res)}"]
 
 

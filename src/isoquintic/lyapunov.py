@@ -5,12 +5,12 @@ degree so that dF/dt = D_1 (x^4+y^4) + D_2 (x^6+y^6) + ...; the D_i are the
 constants returned here, as exact polynomials in the system parameters.
 
 Each homogeneous part is kept as its list of coefficients of x^(k-i) y^i:
-integer numerators over one denominator per form for a numeric system,
-parameter Polys (and Fractions) where parameters remain.  Derivatives are
-index shifts and products are convolutions.  Each stage solves L f = r for
-one homogeneous f, where L f = y f_x - x f_y is the action of the linear
-rotation field.  L only couples neighbouring coefficients, so two short
-recurrences solve it exactly.
+integer numerators over one denominator per form, in one stage loop for
+numeric and symbolic systems (ints, or integer-coefficient parameter Polys).
+Derivatives are index shifts and products are convolutions.  Each stage
+solves L f = r for one homogeneous f, where L f = y f_x - x f_y is the action
+of the linear rotation field.  L only couples neighbouring coefficients, so
+two short recurrences solve it exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import floordiv
 
-from .qpoly import Poly, as_poly
+from .qpoly import Poly
 
 CAP = 6
 
@@ -76,33 +76,35 @@ class LyapunovReport:
     sign: str | None = None
 
 
-def _form_poly(c):
-    """The Poly sum c_j x^(k-j) y^j of a coefficient list c_0..c_k."""
+def _form_poly(c, den=1):
+    """The Poly sum c_j x^(k-j) y^j / den of a coefficient list c_0..c_k,
+    with Fraction coefficients."""
     k = len(c) - 1
     terms = {}
     for j, cj in enumerate(c):
         xy = tuple((v, e) for v, e in (("x", k - j), ("y", j)) if e)
         if isinstance(cj, Poly):
             for m, q in cj.terms.items():
-                terms[xy + m] = q
+                terms[xy + m] = Fraction(q, den)
         else:
-            terms[xy] = cj
+            terms[xy] = Fraction(cj, den)
     return Poly(terms)  # drops the zero coefficients
 
 
-def _over(x, n):
-    """x / n for Fraction and parameter Poly entries."""
-    return x * Fraction(1, n)
+def _poly_numbers(entries):
+    """The numbers in a list of numbers and parameter Polys."""
+    return (v for c in entries
+            for v in (c.terms.values() if isinstance(c, Poly) else (c,)))
 
 
-def _solve_stage(r, k, div=_over):
+def _solve_stage(r, k, div=floordiv):
     """The degree-k f with L f = r, both as coefficients of x^(k-i) y^i.
 
     Row i reads (k-i+1) f_(i-1) - (i+1) f_(i+1) = r_i.  The even rows give
     the odd coefficients forward from f_(-1) = 0, the odd rows the even ones
     backward from f_(k+1) = 0.  For even k the last even row is left out (the
     caller makes r average to zero, which satisfies it) and f_k stays 0.
-    On integers scaled by `_exact_scale(k)`, div = floordiv is exact.
+    On integer entries scaled by `_exact_scale(k)`, div = floordiv is exact.
     """
     f = [0] * (k + 2)  # f[k + 1] is f_(k+1) and, as f[-1], f_(-1)
     for i in range(0, k, 2):
@@ -112,7 +114,7 @@ def _solve_stage(r, k, div=_over):
     return f[:k + 1]
 
 
-def _circle_average(r, k, div=_over):
+def _circle_average(r, k, div=floordiv):
     """Circle average of sum r_i x^(k-i) y^i over that of x^k + y^k, k even.
 
     The averages of cos^(k-i) sin^i, i even, are in the ratio of the
@@ -164,10 +166,11 @@ def pl_constants(sys, m):
     L(f_K) = D (x^K + y^K) - (known terms), with a zero y^K coefficient in f_K.
     Every f_k and known part is a coefficient list of x^(k-i) y^i.
 
-    A fully numeric system runs on integers: p and q over one denominator s,
-    each f_k over its own den[k].  A known part is scaled by `_exact_scale`,
-    so the recurrences divide exactly with //, and each stage ends with one
-    gcd reduction.  D_k and the f_k become Fractions only at the end.
+    Numeric and symbolic systems run one integer loop: p and q over one
+    denominator s, each f_k over its own den[k], with int or integer-Poly
+    entries.  A known part is scaled by `_exact_scale`, so the recurrences
+    divide exactly with //, and each stage ends with one gcd over its
+    coefficients.  D_k and the f_k get Fraction coefficients only at the end.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -176,20 +179,15 @@ def pl_constants(sys, m):
     p, q = check_linear_center(sys)
 
     entries = [c for form in (*p.values(), *q.values()) for c in form]
-    numeric = not any(isinstance(c, Poly) for c in entries)
-    if numeric:
-        s = math.lcm(*(c.denominator for c in entries))
-        p, q = ({k: [int(c * s) for c in form] for k, form in pq.items()}
-                for pq in (p, q))
-        f, den, div = {2: [1, 0, 1]}, {2: 2}, floordiv
-    else:
-        f, div = {2: [Fraction(1, 2), 0, Fraction(1, 2)]}, _over
+    numbers = _poly_numbers if any(isinstance(c, Poly) for c in entries) else iter
+    s = math.lcm(*(c.denominator for c in numbers(entries)))
+    p, q = ({k: [c * s // 1 for c in form] for k, form in pq.items()}
+            for pq in (p, q))
+    f, den = {2: [1, 0, 1]}, {2: 2}
 
     def known_part(deg):
-        """The known terms of degree deg, scaled for `div`, and their
+        """The known terms of degree deg, scaled for //, and their
         denominator."""
-        if not numeric:
-            return _stage_known(f, p, q, deg), 1
         e = math.lcm(*den.values())
         known = _stage_known({i: fi if den[i] == e else
                               [c * (e // den[i]) for c in fi]
@@ -198,10 +196,9 @@ def pl_constants(sys, m):
         return [c * scale for c in known], e * s * scale
 
     def solve(r, k, e):
-        f[k] = _solve_stage(r, k, div)
-        if numeric:
-            g = math.gcd(e, *f[k])
-            f[k], den[k] = [c // g for c in f[k]], e // g
+        f[k] = _solve_stage(r, k)
+        g = math.gcd(e, *numbers(f[k]))
+        f[k], den[k] = [c // g for c in f[k]], e // g
 
     raw = []
     for k in range(3, 2 * m + 2, 2):
@@ -213,16 +210,14 @@ def pl_constants(sys, m):
         # averages to zero over the circle, which fixes D
         K = k + 1
         known, e = known_part(K)
-        d = _circle_average(known, K, div)
+        d = _circle_average(known, K)
         rhs = [-c for c in known]
         rhs[0] = rhs[0] + d  # rhs[K] would get d too, but its row is not read
         solve(rhs, K, e)
-        raw.append(as_poly(Fraction(d, e) if numeric else d))
+        raw.append(_form_poly([d], e))  # D = d / e, a form of degree 0
 
-    if numeric:
-        f = {k: [Fraction(c, den[k]) for c in fk] for k, fk in f.items()}
-    report = LyapunovReport(constants=[d.canonical() for d in raw], raw=raw,
-                            f_components={k: _form_poly(c) for k, c in f.items()})
+    parts = {k: _form_poly(c, den[k]) for k, c in f.items()}
+    report = LyapunovReport([d.canonical() for d in raw], raw, parts)
     if all(not d.variables() for d in raw):
         hit = first_nonzero(report, {})
         if hit is not None:

@@ -1,9 +1,9 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 Monomials are tuples of (variable, exponent) pairs sorted by a fixed
-variable order; coefficients are `fractions.Fraction`.  Everything is
-immutable and every operation is a pure function, so values can be shared
-freely between threads.
+variable order; coefficients are `fractions.Fraction`, or ints kept int by
+`* int` and `// int`.  Everything is immutable and every operation is a pure
+function, so values can be shared freely between threads.
 
 The canonical term order is graded lexicographic with variable order
 x, y, a, b, c, d, e, f, g, h (any other symbol ranks after these,
@@ -115,6 +115,13 @@ def _coerce_coeff(c):
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
+def _wrap(terms):
+    """The Poly on a dict of nonzero coefficients by canonical monomials, as is."""
+    p = Poly.__new__(Poly)
+    p.terms = terms
+    return p
+
+
 def as_poly(v):
     """A symbol name as its variable, a Poly as itself, any other number exact."""
     if isinstance(v, str):
@@ -211,16 +218,12 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         _add_into(out, other.terms)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = Poly._coerce(other)
@@ -232,6 +235,8 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, int):  # keeps int coefficients int
+            return _wrap({m: c * other for m, c in self.terms.items()} if other else {})
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -248,11 +253,13 @@ class Poly:
                         out[m] = s
                     else:
                         del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return _wrap(out)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, n):
+        """The quotient by an int n that divides every coefficient exactly."""
+        return _wrap({m: c // n for m, c in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -304,9 +311,7 @@ class Poly:
                                             else Poly({(pair,): 1}))
                 term = term * power
             _add_into(out, term.terms)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return _wrap(out)
 
     def eval_rational(self, point):
         """Exact evaluation; every variable must be bound."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from enum import Enum
 from fractions import Fraction
 
@@ -37,6 +37,24 @@ def _float(value):
         approx = Context(prec=6).divide(value.numerator, value.denominator)
         raise ValueError(f"coefficient {approx.normalize()} is beyond the "
                          f"float range") from None
+
+
+def _float_sqrt(q):
+    """sqrt(q) for a rational q > 0 as a float: math.sqrt(float(q)) where
+    float(q) is a nonzero float, else rounded from a decimal root.  A root
+    beyond the float range is a ValueError naming it."""
+    try:
+        approx = float(q)
+    except OverflowError:
+        approx = 0.0
+    if approx:
+        return math.sqrt(approx)
+    ctx = Context(prec=30, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    root = ctx.divide(q.numerator, q.denominator).sqrt(ctx)
+    value = float(root)
+    if not 0 < value < math.inf:
+        raise ValueError(f"root {root:.6g} is beyond the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -353,7 +371,7 @@ def normalize_b(params):
     b2 = b ** 2
     e1, g1 = (e / b2, g / b2) if b > 0 else (-g / b2, -e / b2)
     root = _exact_sqrt(abs(b))
-    scale = root if root is not None else math.sqrt(abs(float(b)))
+    scale = root if root is not None else _float_sqrt(abs(b))
     new = QuinticParams(0, Fraction(1), 0, 0, e1, 0, g1, 0)
     return new, BScaling(scale, b < 0)
 

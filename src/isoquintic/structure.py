@@ -202,12 +202,10 @@ def _reflected_compose(poly, xp, yp, den, n):
 
 
 def reversibility_residual(sys, alpha, beta):
-    """Cleared residual of the reflection-symmetry condition about the line
-    alpha x + beta y = 0; the zero polynomial iff the system is reversible
-    about that line.
-
-    2 a b (p p' - q q') + (b^2 - a^2)(p q' + p' q), with (x', y') the
-    reflection of (x, y) and all (alpha^2 + beta^2) denominators cleared.
+    """The two components of M F(M x) + F(x), M the reflection about the
+    line alpha x + beta y = 0, with all (alpha^2 + beta^2) denominators
+    cleared; both are the zero polynomial iff the system is reversible about
+    that line.
     """
     alpha = as_poly(alpha)
     beta = as_poly(beta)
@@ -220,8 +218,9 @@ def reversibility_residual(sys, alpha, beta):
     p, q = sys.p, sys.q
     pr = _reflected_compose(p, xp, yp, den, n)
     qr = _reflected_compose(q, xp, yp, den, n)
-    return (2 * alpha * beta * (p * pr - q * qr)
-            + (beta ** 2 - alpha ** 2) * (p * qr + pr * q))
+    scale = den ** (n + 1)
+    return ((beta ** 2 - alpha ** 2) * pr - 2 * alpha * beta * qr + scale * p,
+            -2 * alpha * beta * pr + (alpha ** 2 - beta ** 2) * qr + scale * q)
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,14 @@ class TestVerify:
                            "--family", "1,0,0,0,0,0,0,0", "--line", "0,1")
         assert code == 1
 
+    def test_reversible_needs_reversed_flow(self, capsys, tmp_path):
+        # (x, y) is symmetric about x = 0 but the reflection keeps its flow
+        path = write_doc(tmp_path, "sys.json", {"p": "x", "q": "y"})
+        code, out, _ = run(capsys, "verify", "reversible", "--system", path,
+                           "--line", "1,0")
+        assert code == 1
+        assert out.splitlines() == ["FAIL", "residual = 2*x"]
+
     def test_reversible_bad_line(self, capsys):
         code, _, err = run(capsys, "verify", "reversible",
                            "--family", "0,1,0,0,0,0,0,0", "--line", "1")

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from conftest import coeffs, polys, random_poly
-from isoquintic.qpoly import Poly
+from isoquintic.qpoly import Poly, as_poly
 from isoquintic.lyapunov import (
-    PlanarSystem, LyapunovError, check_linear_center, pl_constants,
-    first_nonzero, _circle_average, _form_poly, _solve_stage,
+    PlanarSystem, LyapunovError, LyapunovReport, check_linear_center,
+    pl_constants, first_nonzero, _circle_average, _form_poly, _solve_stage,
+    _stage_known,
 )
 from isoquintic import quintic
 from isoquintic.cli import load_system_document
@@ -53,9 +54,10 @@ QUADRATIC_RAW_SHA256 = [
 # (1, b, -1, d, 1/2, f, 0, h) at m = 4
 NUMERIC_REPORTS_SHA256 = "184e311b5cc23b4d8f64e71f3f47ff9b7230bd7b19277498e56dfa661990a19a"
 PARTIAL_REPORT_SHA256 = "8cb1752db206f256ea9e5e03faa8b784388e0f9f5af6b04b9086d188a6bd85c1"
-# terms_sha of the same reports, of the numeric_points() reports at m = 6 and
-# of the numeric general quadratic and system document below, all recorded
-# on the Fraction-entry stages
+# terms_sha of the same reports, of the numeric_points() reports at m = 6, of
+# the numeric general quadratic and system document below, and of the
+# symbolic family at m = 6 and general quadratic at m = 3, all recorded on
+# the Fraction-entry stages
 NUMERIC_TERMS_SHA256 = {
     "points-m4":
         "70aab84a0317a1a250a711fa65017a94aa7c946a04c94e5eec55203c6a6c164d",
@@ -67,7 +69,41 @@ NUMERIC_TERMS_SHA256 = {
         "d8b12f03ebd83a19cf66af61f5924a8ee06e2f571453fdda8381481ea32dd0b3",
     "document-m6":
         "836c7aa27fabed11096811c3d7e9ccca08b4b03f4e74a0f2fea605f1706ffd32",
+    "family-m6":
+        "18ad7f02897d11b04caa7322edf4b11a00501b74dc0ea1272e83f8bfe516a281",
+    "symbolic-quadratic-m3":
+        "b52f27c99fb013cdeb77a5d65903cfd23d43090fcd0ad6d4d68cb99fe529ea61",
 }
+
+
+def over(x, n):
+    """x / n for Fraction and parameter-Poly entries, the division of the
+    Fraction-entry stages."""
+    return x * Fraction(1, n)
+
+
+def fraction_stages(sys, m):
+    """The report of the stage loop run on Fraction and parameter-Poly
+    entries divided with `over`: no cleared denominators, no scaling, no gcd.
+    An oracle for `pl_constants`, which runs the same stages on integers."""
+    p, q = check_linear_center(sys)
+    f = {2: [Fraction(1, 2), 0, Fraction(1, 2)]}
+    raw = []
+    for k in range(3, 2 * m + 2, 2):
+        f[k] = _solve_stage([-c for c in _stage_known(f, p, q, k)], k, over)
+        known = _stage_known(f, p, q, k + 1)
+        d = _circle_average(known, k + 1, over)
+        rhs = [-c for c in known]
+        rhs[0] = rhs[0] + d
+        f[k + 1] = _solve_stage(rhs, k + 1, over)
+        raw.append(as_poly(d))
+    report = LyapunovReport(constants=[d.canonical() for d in raw], raw=raw,
+                            f_components={k: _form_poly(c) for k, c in f.items()})
+    if all(not d.variables() for d in raw):
+        hit = first_nonzero(report, {})
+        if hit is not None:
+            report.first_nonzero_index, report.sign = hit
+    return report
 
 
 def sha(p):
@@ -102,24 +138,24 @@ class TestRotationOperator:
 
     def test_k1(self):
         # L(x) = y and L(y) = -x, inverted
-        assert _form_poly(_solve_stage(vec(Y, 1), 1)) == X
-        assert _form_poly(_solve_stage(vec(-X, 1), 1)) == Y
+        assert _form_poly(_solve_stage(vec(Y, 1), 1, over)) == X
+        assert _form_poly(_solve_stage(vec(-X, 1), 1, over)) == Y
 
     def test_k2_by_direct_differentiation(self):
         assert rotate(X ** 2) == 2 * X * Y
         assert rotate(X * Y) == Y ** 2 - X ** 2
         assert rotate(Y ** 2) == -2 * X * Y
         # inverted up to the kernel x^2 + y^2, with the y^2 coefficient 0
-        assert _form_poly(_solve_stage(vec(2 * X * Y, 2), 2)) == X ** 2
-        assert _form_poly(_solve_stage(vec(Y ** 2 - X ** 2, 2), 2)) == X * Y
-        assert _form_poly(_solve_stage(vec(-2 * X * Y, 2), 2)) == -X ** 2
+        assert _form_poly(_solve_stage(vec(2 * X * Y, 2), 2, over)) == X ** 2
+        assert _form_poly(_solve_stage(vec(Y ** 2 - X ** 2, 2), 2, over)) == X * Y
+        assert _form_poly(_solve_stage(vec(-2 * X * Y, 2), 2, over)) == -X ** 2
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
     def test_odd_degrees_nonsingular(self, k):
         # L is invertible on odd degrees: each form comes back unchanged
         for j in range(k + 1):
             g = X ** (k - j) * Y ** j
-            assert _form_poly(_solve_stage(vec(rotate(g), k), k)) == g
+            assert _form_poly(_solve_stage(vec(rotate(g), k), k, over)) == g
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_even_degrees_singular(self, k):
@@ -128,15 +164,15 @@ class TestRotationOperator:
         assert rotate((X ** 2 + Y ** 2) ** (k // 2)).is_zero
         for j in range(k + 1):
             image = vec(rotate(X ** (k - j) * Y ** j), k)
-            assert _circle_average(image, k) == 0
-        assert _circle_average(vec(X ** k + Y ** k, k), k) == 1
+            assert _circle_average(image, k, over) == 0
+        assert _circle_average(vec(X ** k + Y ** k, k), k, over) == 1
 
     def test_matches_operator_action(self):
         rnd = random.Random(4)
         for k in range(1, 14):
             g = random_form(rnd, k)
             r = rotate(g)
-            f = _solve_stage(vec(r, k), k)
+            f = _solve_stage(vec(r, k), k, over)
             assert rotate(_form_poly(f)) == r, k
             if k % 2 == 0:
                 assert f[k] == 0, k
@@ -145,7 +181,7 @@ class TestRotationOperator:
         # mean of cos^4, cos^2 sin^2, sin^4 is 3/8, 1/8, 3/8; x^4 + y^4 has 3/4
         for j, avg in enumerate([3, 0, 1, 0, 3]):
             form = vec(X ** (4 - j) * Y ** j, 4)
-            assert _circle_average(form, 4) == Fraction(avg, 6)
+            assert _circle_average(form, 4, over) == Fraction(avg, 6)
 
 
 class TestFormLists:
@@ -161,7 +197,7 @@ class TestFormLists:
         # a list may hold Fractions, ints and parameter Polys side by side
         a = Poly.var("a")
         r = [Fraction(1, 3), a, 0, 2 * a + 1]
-        f = _solve_stage(r, 3)
+        f = _solve_stage(r, 3, over)
         assert rotate(_form_poly(f)) == _form_poly(r)
 
 
@@ -265,8 +301,8 @@ family_points = st.builds(on_stratum, st.sampled_from([9, 10 ** 6]).flatmap(
 
 
 class TestNumericAgainstSymbolic:
-    """The integer stages of a numeric system against the parameter-Poly
-    stages evaluated at the same point: two number paths, one answer."""
+    """The stages of a numeric system against the parameter-Poly stages
+    evaluated at the same point: two derivations, one answer."""
 
     @staticmethod
     def check(report, raw, f):
@@ -290,6 +326,50 @@ class TestNumericAgainstSymbolic:
     def test_general_quadratic(self, point):
         report = pl_constants(general_quadratic(point), 3)
         self.check(report, *evaluated(symbolic_reports()[1], point, 3))
+
+
+def mixed_family(rnd):
+    """Seeded parameters: some symbols, the rest integers and non-integer
+    rationals such as 1/3 and -5/7."""
+    values = [0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 7),
+              Fraction(10 ** 6 + 1, 3), Fraction(-7, 10 ** 6)]
+    return [name if rnd.random() < 0.3 else rnd.choice(values)
+            for name in quintic.PARAM_NAMES]
+
+
+class TestIntegerLoopAgainstFractionStages:
+    """`pl_constants` against `fraction_stages`: the same ordered terms in
+    every raw and canonical constant and f_k, and Fraction coefficients
+    only."""
+
+    @staticmethod
+    def check(system, m):
+        report, oracle = pl_constants(system, m), fraction_stages(system, m)
+        assert list(report.f_components) == list(oracle.f_components)
+        got = report.raw + report.constants + list(report.f_components.values())
+        want = oracle.raw + oracle.constants + list(oracle.f_components.values())
+        for g, w in zip(got, want, strict=True):
+            assert list(g.terms.items()) == list(w.terms.items())
+            assert all(type(c) is Fraction for c in g.terms.values())
+        assert (report.first_nonzero_index, report.sign) == (
+            oracle.first_nonzero_index, oracle.sign)
+
+    def test_symbolic_family(self):
+        self.check(family_system(), 6)
+
+    def test_symbolic_general_quadratic(self):
+        self.check(general_quadratic(), 3)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_families(self, seed):
+        rnd = random.Random(seed)
+        for _ in range(4):
+            params = quintic.QuinticParams(*mixed_family(rnd))
+            self.check(quintic.build_system(params), rnd.randint(1, 4))
+        quadratic = dict(zip("abcdef", mixed_family(rnd)))
+        a, b, c, d, e, f = (as_poly(v) for v in quadratic.values())
+        self.check(PlanarSystem(Y + a * X ** 2 + b * X * Y + c * Y ** 2,
+                                -X + d * X ** 2 + e * X * Y + f * Y ** 2), 3)
 
 
 class TestPlConstants:
@@ -346,12 +426,14 @@ class TestPlConstants:
         rep = pl_constants(family_system(), 6)
         assert [sha(d) for d in rep.constants] == FAMILY_CONSTANT_SHA256
         assert [sha(d) for d in rep.raw] == FAMILY_RAW_SHA256
+        assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["family-m6"]
         a, b, c, d, e, f = (Poly.var(n) for n in "abcdef")
         quad = PlanarSystem(Y + a * X ** 2 + b * X * Y + c * Y ** 2,
                             -X + d * X ** 2 + e * X * Y + f * Y ** 2)
         rep = pl_constants(quad, 3)
         assert [sha(d) for d in rep.constants] == QUADRATIC_CONSTANT_SHA256
         assert [sha(d) for d in rep.raw] == QUADRATIC_RAW_SHA256
+        assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["symbolic-quadratic-m3"]
 
     def test_numeric_reports_pinned(self):
         # the reports of Fraction-entry stages, digested before they were

@@ -436,6 +436,28 @@ class TestTermOrder:
         s, d = p + q, p - q
         assert items(s * d) == list(ref_mul(s.terms, d.terms).items())
 
+    @seed(25)
+    @settings(max_examples=50, deadline=None)
+    @given(ordered_polys(1))
+    def test_int_scalar(self, drawn):
+        _, (p,) = drawn
+        for n in (0, 1, -1, 7, -7, 10 ** 30):
+            want = list(ref_mul(p.terms, {(): Fraction(n)}).items())
+            for got in (p * n, n * p):
+                assert items(got) == want
+                assert all(type(c) is Fraction for c in got.terms.values())
+            # integer coefficients stay int
+            assert all(type(c) is int for c in (p // 1 * n).terms.values())
+
+    @seed(26)
+    @settings(max_examples=50, deadline=None)
+    @given(ordered_polys(1))
+    def test_floordiv_of_a_multiple(self, drawn):
+        _, (p,) = drawn
+        for n in (1, -1, 7, -7, 10 ** 30):
+            assert items(p * n // n) == items(p)
+            assert items(p // 1 * n // n) == items(p)
+
     @seed(23)
     @settings(max_examples=100, deadline=None)
     @given(ordered_polys(3))

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -320,6 +321,26 @@ class TestNormalizeB:
         _, sc = normalize_b(numeric(b=2))
         assert not isinstance(sc.scale, Fraction)
         assert abs(sc.scale - math.sqrt(2)) < 1e-15
+        assert sc.scale == math.sqrt(2.0)  # math.sqrt(float(b)), bit for bit
+
+    @pytest.mark.parametrize("b,scale", [
+        (2 * 10 ** 400, 1.4142135623730951e200),
+        (Fraction(2, 10 ** 400), 1.4142135623730951e-200),
+    ], ids=["huge", "tiny"])
+    def test_b_beyond_float_range(self, b, scale):
+        # float(b) overflows or underflows to 0.0; sqrt|b| is a float
+        params = numeric(b=b, e=1, g=2)
+        _, sc = normalize_b(params)
+        assert sc.scale == scale
+        case = quintic.CenterCase(CaseTag.CASE_II)
+        assert first_integral(params, case).kind == "darboux-exp"
+
+    @pytest.mark.parametrize("b,root", [(2 * 10 ** 700, "1.41421e+350"),
+                                        (Fraction(-2, 10 ** 700), "1.41421e-350")],
+                             ids=["huge", "tiny"])
+    def test_root_beyond_float_range_rejected(self, b, root):
+        with pytest.raises(ValueError, match=re.escape(f"root {root} is beyond")):
+            normalize_b(numeric(b=b, e=1))
 
     def test_zero_rejected(self):
         with pytest.raises(QuinticError):

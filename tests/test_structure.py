@@ -206,24 +206,29 @@ class TestDarboux:
                                     DarbouxCandidate(algebraic=((bad, 1),)))
 
 
+def reversible(sysm, alpha, beta):
+    """Do both components of reversibility_residual vanish?"""
+    return all(r.is_zero for r in reversibility_residual(sysm, alpha, beta))
+
+
 class TestReversibility:
     def test_axis_symmetric_family(self):
         sysm = quintic.build_system(quintic.QuinticParams.numeric(
             0, 1, 0, 0, 1, 0, -1, 0))
-        assert reversibility_residual(sysm, 0, 1).is_zero
-        assert reversibility_residual(sysm, 1, 0).is_zero
+        assert reversible(sysm, 0, 1)
+        assert reversible(sysm, 1, 0)
 
     def test_focus_not_reversible_about_axis(self):
         sysm = quintic.build_system(quintic.QuinticParams.numeric(
             1, 0, 0, 0, 0, 0, 0, 0))
-        assert not reversibility_residual(sysm, 0, 1).is_zero
+        assert not reversible(sysm, 0, 1)
 
     def test_cubic_diagonal_symmetry(self):
         sysm = quintic.build_system(quintic.QuinticParams.numeric(
             1, 0, -1, 0, 0, 0, 0, 0))
-        assert reversibility_residual(sysm, 1, -1).is_zero
-        assert reversibility_residual(sysm, 1, 1).is_zero
-        assert not reversibility_residual(sysm, 0, 1).is_zero
+        assert reversible(sysm, 1, -1)
+        assert reversible(sysm, 1, 1)
+        assert not reversible(sysm, 0, 1)
 
     def test_float_line_entry(self):
         sysm = quintic.build_system(quintic.QuinticParams.numeric(
@@ -267,10 +272,11 @@ class TestReversibility:
 
     def test_zero_angular_speed(self):
         # with w = 0 the reflected field is parallel to (x P, y P) whatever
-        # P is, so the whole-field residual vanishes; reversing the flow
-        # also needs P odd in the normal coordinate, which x^2 is not
+        # P is; reversing the flow also needs P odd in the normal
+        # coordinate, which x^2 is not
         sysm = PlanarSystem(X ** 3, X ** 2 * Y)
-        assert reversibility_residual(sysm, 1, 0).is_zero
+        # M F(M x) = F(x): the reflection keeps the flow instead of reversing it
+        assert reversibility_residual(sysm, 1, 0) == (2 * sysm.p, 2 * sysm.q)
         verdict = reversible_modulo_constraint(sysm, self.constraint(1, 0))
         assert not verdict.reversible
 
@@ -281,11 +287,12 @@ class TestReversibility:
             reversible_modulo_constraint(ROT, Poly.var("s") - 1)
 
     def oracle(self, sysm, constraint):
-        """The verdict of reflecting the whole system: the cleared residual
-        of reversibility_residual, pseudo-reduced modulo the constraint."""
-        residual = reversibility_residual(sysm, Poly.var("s"), -1)
+        """The verdict of reflecting the whole system: both cleared
+        components of reversibility_residual, pseudo-reduced modulo the
+        constraint."""
         lead = constraint.coefficient("s", 2)
-        return _pseudo_rem_quadratic(residual, constraint, lead).is_zero
+        return all(_pseudo_rem_quadratic(r, constraint, lead).is_zero
+                   for r in reversibility_residual(sysm, Poly.var("s"), -1))
 
     def test_agrees_with_oracle_numeric(self):
         """Case (iii) points, each with its own constraint a s^2 - b s - a,

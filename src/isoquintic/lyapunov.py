@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import floordiv
 
-from .qpoly import Poly
+from .qpoly import Poly, convolve, form_poly
 
 CAP = 6
 
@@ -41,23 +41,12 @@ class PlanarSystem:
         return self.p.eval_float(pt), self.q.eval_float(pt)
 
 
-def _forms(poly):
-    """Homogeneous parts of `poly` in x, y by degree k, each the list of its
-    coefficients of x^(k-j) y^j, j = 0..k."""
-    forms = {}
-    for (i, j), c in poly.xy_coefficients().items():
-        k = i + j
-        c = c if c.variables() else c.constant_value()
-        forms.setdefault(k, [0] * (k + 1))[j] = c
-    return forms
-
-
 def check_linear_center(sys):
     """Require linear part exactly (y, -x) and no constant terms.
 
     Returns the homogeneous parts of p and q as coefficient lists.
     """
-    p, q = _forms(sys.p), _forms(sys.q)
+    p, q = sys.p.forms(), sys.q.forms()
     if 0 in p or 0 in q:
         raise LyapunovError("system has a constant term")
     if p.get(1, [0, 0]) != [0, 1]:
@@ -67,6 +56,14 @@ def check_linear_center(sys):
     return p, q
 
 
+def check_count(m):
+    """Require 1 <= m <= CAP constants."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > CAP:
+        raise LyapunovError(f"requested {m} constants exceeds the cap {CAP}")
+
+
 @dataclass
 class LyapunovReport:
     constants: list  # canonical (integer-primitive, sign preserved)
@@ -74,21 +71,6 @@ class LyapunovReport:
     f_components: dict = field(repr=False, default_factory=dict)
     first_nonzero_index: int | None = None
     sign: str | None = None
-
-
-def _form_poly(c, den=1):
-    """The Poly sum c_j x^(k-j) y^j / den of a coefficient list c_0..c_k,
-    with Fraction coefficients."""
-    k = len(c) - 1
-    terms = {}
-    for j, cj in enumerate(c):
-        xy = tuple((v, e) for v, e in (("x", k - j), ("y", j)) if e)
-        if isinstance(cj, Poly):
-            for m, q in cj.terms.items():
-                terms[xy + m] = Fraction(q, den)
-        else:
-            terms[xy] = Fraction(cj, den)
-    return Poly(terms)  # drops the zero coefficients
 
 
 def _poly_numbers(entries):
@@ -137,24 +119,15 @@ def _exact_scale(k):
     return scale if k % 2 else 2 * forward * scale  # 2 w_0 = 2 (k-1)!!
 
 
-def _convolve(out, a, b):
-    """Add the coefficients of the product of forms a and b into out."""
-    for s, bs in enumerate(b):
-        if bs:
-            for t, at in enumerate(a):
-                if at:
-                    out[s + t] = out[s + t] + at * bs
-
-
 def _stage_known(f, p, q, deg):
     """Degree-`deg` part of dF/dt = F_x p + F_y q over the known f_i, i < deg."""
     total = [0] * (deg + 1)
     for i, fi in f.items():
         j = deg + 1 - i
         if j in p:  # d/dx: x^(i-t) y^t -> (i-t) x^(i-1-t) y^t
-            _convolve(total, [(i - t) * fi[t] for t in range(i)], p[j])
+            convolve(total, [(i - t) * fi[t] for t in range(i)], p[j])
         if j in q:  # d/dy: x^(i-t) y^t -> t x^(i-t) y^(t-1)
-            _convolve(total, [(t + 1) * fi[t + 1] for t in range(i)], q[j])
+            convolve(total, [(t + 1) * fi[t + 1] for t in range(i)], q[j])
     return total
 
 
@@ -172,10 +145,7 @@ def pl_constants(sys, m):
     divide exactly with //, and each stage ends with one gcd over its
     coefficients.  D_k and the f_k get Fraction coefficients only at the end.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > CAP:
-        raise LyapunovError(f"requested {m} constants exceeds the cap {CAP}")
+    check_count(m)
     p, q = check_linear_center(sys)
 
     entries = [c for form in (*p.values(), *q.values()) for c in form]
@@ -214,9 +184,9 @@ def pl_constants(sys, m):
         rhs = [-c for c in known]
         rhs[0] = rhs[0] + d  # rhs[K] would get d too, but its row is not read
         solve(rhs, K, e)
-        raw.append(_form_poly([d], e))  # D = d / e, a form of degree 0
+        raw.append(form_poly([d], e))  # D = d / e, a form of degree 0
 
-    parts = {k: _form_poly(c, den[k]) for k, c in f.items()}
+    parts = {k: form_poly(c, den[k]) for k, c in f.items()}
     report = LyapunovReport([d.canonical() for d in raw], raw, parts)
     if all(not d.variables() for d in raw):
         hit = first_nonzero(report, {})

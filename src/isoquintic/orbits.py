@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qpoly import to_float
 from .structure import angular_speed_residual
 from . import quintic
-from .quintic import _float
 
 ESCAPE_RADIUS = 1e9
 TOL = 1e-10            # default rtol = atol of the adaptive integrator
@@ -72,10 +72,11 @@ def compile_rhs(sys):
     when its terms sum past the float range (or to inf - inf).
     """
     def collect(poly):
-        out = []
-        for (i, j), c in poly.xy_coefficients().items():
-            out.append((_float(c.constant_value()), i, j))
-        return out
+        if poly.variables() - {"x", "y"}:
+            raise ValueError("system has parameters left")
+        # in term order, on which the overflow of math.fsum depends
+        return [(to_float(c), dict(m).get("x", 0), dict(m).get("y", 0))
+                for m, c in poly.terms.items()]
 
     pterms = collect(sys.p)
     qterms = collect(sys.q)
@@ -278,7 +279,7 @@ def boundary_curve(d, e, g, h, N=256):
     """
     if not 64 <= N <= MAX_BOUNDARY_N:
         raise ValueError(f"N must be in [64, {MAX_BOUNDARY_N}]")
-    d, e, g, h = (_float(v) for v in (d, e, g, h))
+    d, e, g, h = (to_float(v) for v in (d, e, g, h))
     scale = max(abs(d), abs(e), abs(g), abs(h))
     if scale == 0.0:
         # Q has no c^2 s^2 term, so it is constant on the circle only when
@@ -347,7 +348,7 @@ def center_type(params, case):
     v = params.fractions()
     tag = case.tag
     if tag is quintic.CaseTag.CASE_II:
-        return _eg_verdict(_float(v["e"]), _float(v["g"]))
+        return _eg_verdict(to_float(v["e"]), to_float(v["g"]))
     if tag is quintic.CaseTag.CASE_III:
         rot = quintic.rotate_to_canonical(params)
         return _eg_verdict(rot.e1, rot.g1)

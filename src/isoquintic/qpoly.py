@@ -9,11 +9,16 @@ The canonical term order is graded lexicographic with variable order
 x, y, a, b, c, d, e, f, g, h (any other symbol ranks after these,
 alphabetically).  Printing and leading-term extraction both use it, which
 makes all symbolic output byte-stable.
+
+A binary form of degree k in x, y is also held as the list of its
+coefficients of x^(k-j) y^j (numbers, or Polys in the other symbols); see
+`Poly.forms`, `form_poly`, `convolve` and `substitute_form`.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
 _KNOWN_VARS = ("x", "y", "a", "b", "c", "d", "e", "f", "g", "h")
@@ -131,6 +136,21 @@ def as_poly(v):
     return Poly.const(v)
 
 
+def to_float(value):
+    """float(value), or a ValueError naming an exact value beyond its range."""
+    try:
+        return float(value)
+    except OverflowError:
+        # top 64 bits only: decimal conversion of a whole int is quadratic
+        n, d = value.numerator, value.denominator
+        sn, sd = max(n.bit_length() - 64, 0), max(d.bit_length() - 64, 0)
+        ctx = Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        approx = ctx.multiply(ctx.divide(n >> sn, d >> sd), ctx.power(2, sn - sd))
+        ctx.prec = 6
+        raise ValueError(f"coefficient {ctx.normalize(approx)} is beyond the "
+                         f"float range") from None
+
+
 class Poly:
     """A sparse polynomial with exact rational coefficients."""
 
@@ -181,17 +201,11 @@ class Poly:
         return bool(self.terms)
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {v for m in self.terms for v, _ in m}
 
     def degree_in(self, vars=("x", "y")):
-        vs = set(vars)
-        if not self.terms:
-            return 0
-        return max(sum(e for v, e in m if v in vs) for m in self.terms)
+        return max((sum(e for v, e in m if v in vars) for m in self.terms),
+                   default=0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _mono_key(t[0]))
@@ -334,23 +348,19 @@ class Poly:
 
     # -- structure ----------------------------------------------------
 
-    def homogeneous_parts(self):
-        """Split into components homogeneous in x, y (other symbols count as degree 0)."""
-        parts = {}
-        for m, c in self.terms.items():
-            k = sum(e for v, e in m if v in ("x", "y"))
-            parts.setdefault(k, {})[m] = c
-        return {k: Poly(t) for k, t in sorted(parts.items())}
-
-    def xy_coefficients(self):
-        """Map (i, j) exponents of x, y to the coefficient polynomial in the rest."""
-        out = {}
+    def forms(self):
+        """The homogeneous parts in x, y by ascending degree k, each the list
+        of its coefficients of x^(k-j) y^j, j = 0..k: 0, a Fraction, or a
+        Poly in the other symbols."""
+        forms = {}
         for m, c in self.terms.items():
             d = dict(m)
             i, j = d.pop("x", 0), d.pop("y", 0)
-            rest = _mono(d.items())
-            out.setdefault((i, j), {})[rest] = c
-        return {ij: Poly(t) for ij, t in out.items()}
+            form = forms.setdefault(i + j, [{} for _ in range(i + j + 1)])
+            form[j][tuple(d.items())] = c
+        # a coefficient free of other symbols is its number
+        return {k: [Poly(t) if any(t) else t.get((), 0) for t in form]
+                for k, form in sorted(forms.items())}
 
     def coefficient(self, var, exp):
         """Coefficient polynomial of var**exp (the remaining factor of each term)."""
@@ -439,6 +449,49 @@ def divide_exact(p, d):
         quo = quo + t
         rem = rem - t * d
     return quo
+
+
+# ----------------------------------------------------------------------
+# binary forms as coefficient lists (see the module docstring)
+
+def form_poly(c, den=1):
+    """The Poly sum c_j x^(k-j) y^j / den of a coefficient list c_0..c_k,
+    with Fraction coefficients."""
+    k = len(c) - 1
+    terms = {}
+    for j, cj in enumerate(c):
+        xy = tuple((v, e) for v, e in (("x", k - j), ("y", j)) if e)
+        if isinstance(cj, Poly):
+            for m, q in cj.terms.items():
+                terms[xy + m] = Fraction(q, den)
+        else:
+            terms[xy] = Fraction(cj, den)
+    return Poly(terms)  # drops the zero coefficients
+
+
+def convolve(out, a, b):
+    """Add the coefficients of the product of forms a and b into out."""
+    for s, bs in enumerate(b):
+        if bs:
+            for t, at in enumerate(a):
+                if at:
+                    out[s + t] = out[s + t] + at * bs
+
+
+def substitute_form(form, lx, ly):
+    """The coefficient list of R(lx[0] x + lx[1] y, ly[0] x + ly[1] y) for
+    the form R with coefficient list `form`.  Entries no term reaches are
+    0 * lx[0]: 0.0 for a float map, an exact zero for an exact one."""
+    k = len(form) - 1
+    zero = 0 * lx[0]
+    out = [zero] * (k + 1)
+    for j, v in enumerate(form):
+        part = [v]
+        for linear in [lx] * (k - j) + [ly] * j:
+            part, factor = [zero] * (len(part) + 1), part
+            convolve(part, factor, linear)
+        convolve(out, part, [1])
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,8 @@ from decimal import MAX_EMAX, MIN_EMIN, Context
 from enum import Enum
 from fractions import Fraction
 
-from .qpoly import Poly, RationalFunction, as_poly
-from .lyapunov import PlanarSystem, _convolve, pl_constants
+from .qpoly import Poly, RationalFunction, as_poly, substitute_form, to_float
+from .lyapunov import PlanarSystem, check_count, pl_constants
 
 PARAM_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -27,16 +27,6 @@ class QuinticError(Exception):
 
 class NoSymbolicPartner(QuinticError):
     """Case (iii) with d or e nonzero has no known polynomial partner."""
-
-
-def _float(value):
-    """float(value), or a ValueError naming an exact value beyond its range."""
-    try:
-        return float(value)
-    except OverflowError:
-        approx = Context(prec=6).divide(value.numerator, value.denominator)
-        raise ValueError(f"coefficient {approx.normalize()} is beyond the "
-                         f"float range") from None
 
 
 def _float_sqrt(q):
@@ -178,6 +168,7 @@ class Classification:
 
 
 def classify(params, m=4):
+    check_count(m)
     case = theorem_case(params)
     if case is not None:
         return Classification("center", case=case)
@@ -385,29 +376,15 @@ def rotate_to_canonical(params):
     is the largest rotated coefficient that ought to vanish.
     """
     v = params.fractions()
-    a, b = _float(v["a"]), _float(v["b"])
+    a, b = to_float(v["a"]), to_float(v["b"])
     if a == 0:
         raise QuinticError("rotation requires a != 0")
     tan_phi = (-b + math.sqrt(b * b + 4 * a * a)) / (2 * a)
     phi = math.atan(tan_phi)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    lx, ly = [cos_phi, sin_phi], [-sin_phi, cos_phi]
 
-    quad = _rotate_form([_float(v[n]) for n in "abc"], cos_phi, sin_phi)
-    quart = _rotate_form([_float(v[n]) for n in "defgh"], cos_phi, sin_phi)
+    quad = substitute_form([to_float(v[n]) for n in "abc"], lx, ly)
+    quart = substitute_form([to_float(v[n]) for n in "defgh"], lx, ly)
     residual = max(abs(c) for c in (quad[0], quad[2], *quart[::2]))
     return RotationData(quad[1], quart[1], quart[3], phi, residual)
-
-
-def _rotate_form(form, c, s, zero=0.0):
-    """The coefficient list of a binary form R(x, y) (see lyapunov._forms)
-    turned into that of R(c x + s y, -s x + c y).  Entries no term reaches
-    stay `zero`: 0.0 for float rotations, 0 for exact or Poly ones."""
-    k = len(form) - 1
-    out = [zero] * (k + 1)
-    for j, v in enumerate(form):
-        part = [v]
-        for linear in [[c, s]] * (k - j) + [[-s, c]] * j:
-            part, factor = [zero] * (len(part) + 1), part
-            _convolve(part, factor, linear)
-        _convolve(out, part, [1])
-    return out

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qpoly import Poly, RationalFunction, as_poly, divide_exact
-from .lyapunov import _forms
-from .quintic import _rotate_form
+from .qpoly import (Poly, RationalFunction, as_poly, divide_exact, form_poly,
+                    substitute_form)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -193,14 +192,6 @@ def darboux_candidate_equal(e):
 SLOPE = "s"  # the symbol of reversible_modulo_constraint's slope
 
 
-def _reflected_compose(poly, xp, yp, den, n):
-    """den^n * poly(xp/den, yp/den) for poly of degree <= n in x, y."""
-    total = Poly.zero()
-    for k, part in poly.homogeneous_parts().items():
-        total = total + part.subs({"x": xp, "y": yp}) * den ** (n - k)
-    return total
-
-
 def reversibility_residual(sys, alpha, beta):
     """The two components of M F(M x) + F(x), M the reflection about the
     line alpha x + beta y = 0, with all (alpha^2 + beta^2) denominators
@@ -212,15 +203,18 @@ def reversibility_residual(sys, alpha, beta):
     if alpha.is_zero and beta.is_zero:
         raise ValueError("(alpha, beta) must not both be zero")
     den = alpha ** 2 + beta ** 2
-    xp = (beta ** 2 - alpha ** 2) * X - 2 * alpha * beta * Y
-    yp = -2 * alpha * beta * X + (alpha ** 2 - beta ** 2) * Y
+    mx = [beta ** 2 - alpha ** 2, -2 * alpha * beta]  # den M, row by row
+    my = [mx[1], -mx[0]]
     n = max(sys.p.degree_in(), sys.q.degree_in())
-    p, q = sys.p, sys.q
-    pr = _reflected_compose(p, xp, yp, den, n)
-    qr = _reflected_compose(q, xp, yp, den, n)
+
+    def reflected(poly):  # den^n poly(M x), one binary form at a time
+        return sum((form_poly(substitute_form(form, mx, my)) * den ** (n - k)
+                    for k, form in poly.forms().items()), Poly.zero())
+
+    pr, qr = reflected(sys.p), reflected(sys.q)
     scale = den ** (n + 1)
-    return ((beta ** 2 - alpha ** 2) * pr - 2 * alpha * beta * qr + scale * p,
-            -2 * alpha * beta * pr + (alpha ** 2 - beta ** 2) * qr + scale * q)
+    return (mx[0] * pr + mx[1] * qr + scale * sys.p,
+            my[0] * pr + my[1] * qr + scale * sys.q)
 
 
 @dataclass(frozen=True)
@@ -250,14 +244,16 @@ def reversible_modulo_constraint(sys, constraint):
         raise ValueError("constraint must be quadratic in the slope symbol")
     if constraint != c2 * Poly.var(SLOPE, 2) + c1 * Poly.var(SLOPE) + c0:
         raise ValueError("constraint has terms beyond degree 2 in the slope")
-    omega = sys.p.xy_coefficients().get((0, 1), Poly.zero())
+    forms = sys.p.forms()
+    omega = as_poly(forms.get(1, [0, 0])[1])
     if not (X * sys.q - Y * sys.p + omega * (X ** 2 + Y ** 2)).is_zero:
         raise ValueError("system is not of the radial form "
                          "p = w y + x P, q = -w x + y P")
 
     # p_k = x P_(k-1) + (w y for k = 1): P_(k-1) is p_k without its y^k entry
-    for _, form in sorted(_forms(sys.p).items()):
-        rotated = _rotate_form(form[:-1], 1, -Poly.var(SLOPE), zero=0)
+    slope = Poly.var(SLOPE)
+    for form in forms.values():
+        rotated = substitute_form(form[:-1], [1, -slope], [slope, 1])
         for coeff in rotated[::2]:
             rem = _pseudo_rem_quadratic(as_poly(coeff), constraint, c2)
             if not rem.is_zero:

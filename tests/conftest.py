@@ -13,6 +13,13 @@ def rng():
     return random.Random(20240824)
 
 
+@pytest.fixture(scope="session")
+def beyond_decimal_emax():
+    """10^1000001: beyond the float range, and beyond the default Emax
+    999999 of a decimal context."""
+    return Fraction(10 ** 1000001)
+
+
 def random_poly(rnd, vars=("x", "y", "a", "b"), max_terms=5, max_exp=3,
                 coeff_range=9):
     terms = {}

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from isoquintic.qpoly import Poly, parse_expr
+from isoquintic.qpoly import Poly, parse_expr, substitute_form
 from isoquintic.lyapunov import PlanarSystem, pl_constants, first_nonzero
 from isoquintic import quintic, structure, orbits
 from isoquintic.quintic import QuinticParams, CaseTag
@@ -329,8 +329,8 @@ def rotated_params(params):
     tan_phi = (-b + math.sqrt(b * b + 4 * a * a)) / (2 * a)
     phi = math.atan(tan_phi)
     c, s = math.cos(phi), math.sin(phi)
-    rot = (quintic._rotate_form([float(v[n]) for n in "abc"], c, s)
-           + quintic._rotate_form([float(v[n]) for n in "defgh"], c, s))
+    rot = (substitute_form([float(v[n]) for n in "abc"], [c, s], [-s, c])
+           + substitute_form([float(v[n]) for n in "defgh"], [c, s], [-s, c]))
     return QuinticParams(*(Fraction(r) for r in rot))
 
 

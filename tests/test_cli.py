@@ -129,6 +129,13 @@ class TestClassify:
         assert run(capsys, *argv, "-m", "1") == (1, "UNDETERMINED m=1\n", "")
         assert run(capsys, *argv, "-m", "2") == (1, "FOCUS k=2 sign=+\n", "")
 
+    @pytest.mark.parametrize("m, error", [
+        ("0", "m must be >= 1"), ("7", "requested 7 constants exceeds the cap 6")])
+    @pytest.mark.parametrize("family", ["0,1,0,0,2,0,3,0", "1,0,0,0,0,0,0,0"])
+    def test_m_checked_on_centers_and_foci(self, capsys, family, m, error):
+        assert run(capsys, "classify", "--family", family,
+                   "-m", m) == (2, "", f"error: {error}\n")
+
     def test_symbolic_rejected(self, capsys):
         code, _, err = run(capsys, "classify", "--family", "a,0,0,0,0,0,0,0")
         assert code == 2 and "error:" in err

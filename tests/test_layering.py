@@ -1,0 +1,95 @@
+"""The package's import structure, read from the source with `ast`: no
+module imports another module's private name, and the graph of imports
+between the package's modules has no cycle.  Imports inside functions
+count too."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "isoquintic"
+
+
+def imports(path):
+    """(imported sibling module, imported names) for each import in a file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:  # from .m import name
+                yield node.module, [alias.name for alias in node.names]
+            else:  # from . import m
+                yield from ((alias.name, []) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            parts = (node.module or "").split(".")
+            if parts[0] == PACKAGE.name and len(parts) > 1:
+                yield parts[1], [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == PACKAGE.name and len(parts) > 1:
+                    yield parts[1], []
+
+
+def graph(package):
+    """Module -> (sibling it imports -> names it imports from there)."""
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        edges = out[path.stem] = {}
+        for target, names in imports(path):
+            if target != path.stem:
+                edges.setdefault(target, []).extend(names)
+    return out
+
+
+def private_imports(package):
+    return [(module, target, name)
+            for module, edges in graph(package).items()
+            for target, names in edges.items()
+            for name in names if name.startswith("_")]
+
+
+def find_cycle(package):
+    """One import cycle as a list of modules, or None."""
+    edges = graph(package)
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return None
+        path.append(module)
+        for target in sorted(edges.get(module, {})):
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return None
+
+    return next(filter(None, map(visit, sorted(edges))), None)
+
+
+def test_reads_the_package():
+    edges = graph(PACKAGE)
+    assert {"qpoly", "lyapunov", "quintic", "structure", "orbits", "cli"} <= set(edges)
+    assert set(edges["structure"]) == {"qpoly"}
+    assert set(edges["qpoly"]) == set()
+
+
+def test_no_private_name_crosses_modules():
+    assert private_imports(PACKAGE) == []
+
+
+def test_import_graph_is_acyclic():
+    assert find_cycle(PACKAGE) is None
+
+
+def test_checks_catch_a_cycle_and_a_private_import(tmp_path):
+    """Both checks on a package that breaks both rules, the cycle closed by
+    a function-level import."""
+    pkg = tmp_path / PACKAGE.name
+    pkg.mkdir()
+    (pkg / "a.py").write_text("from .b import _helper\n")
+    (pkg / "b.py").write_text("def f():\n    from . import c\n")
+    (pkg / "c.py").write_text(f"import {PACKAGE.name}.a\n")
+    assert private_imports(pkg) == [("a", "b", "_helper")]
+    assert find_cycle(pkg) == ["a", "b", "c", "a"]

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from conftest import coeffs, polys, random_poly
-from isoquintic.qpoly import Poly, as_poly
+from isoquintic.qpoly import Poly, as_poly, form_poly
 from isoquintic.lyapunov import (
     PlanarSystem, LyapunovError, LyapunovReport, check_linear_center,
-    pl_constants, first_nonzero, _circle_average, _form_poly, _solve_stage,
-    _stage_known,
+    pl_constants, first_nonzero, _circle_average, _solve_stage, _stage_known,
 )
 from isoquintic import quintic
 from isoquintic.cli import load_system_document
@@ -98,7 +97,7 @@ def fraction_stages(sys, m):
         f[k + 1] = _solve_stage(rhs, k + 1, over)
         raw.append(as_poly(d))
     report = LyapunovReport(constants=[d.canonical() for d in raw], raw=raw,
-                            f_components={k: _form_poly(c) for k, c in f.items()})
+                            f_components={k: form_poly(c) for k, c in f.items()})
     if all(not d.variables() for d in raw):
         hit = first_nonzero(report, {})
         if hit is not None:
@@ -112,11 +111,9 @@ def sha(p):
 
 def vec(poly, k):
     """Coefficients of x^(k-j) y^j, j = 0..k, of a degree-k form in x, y."""
-    out = [Poly.zero()] * (k + 1)
-    for (i, j), c in poly.xy_coefficients().items():
-        assert i + j == k, f"{poly} is not homogeneous of degree {k}"
-        out[j] = c
-    return out
+    forms = poly.forms()
+    assert set(forms) <= {k}, f"{poly} is not homogeneous of degree {k}"
+    return forms.get(k, [0] * (k + 1))
 
 
 def rotate(g):
@@ -138,24 +135,24 @@ class TestRotationOperator:
 
     def test_k1(self):
         # L(x) = y and L(y) = -x, inverted
-        assert _form_poly(_solve_stage(vec(Y, 1), 1, over)) == X
-        assert _form_poly(_solve_stage(vec(-X, 1), 1, over)) == Y
+        assert form_poly(_solve_stage(vec(Y, 1), 1, over)) == X
+        assert form_poly(_solve_stage(vec(-X, 1), 1, over)) == Y
 
     def test_k2_by_direct_differentiation(self):
         assert rotate(X ** 2) == 2 * X * Y
         assert rotate(X * Y) == Y ** 2 - X ** 2
         assert rotate(Y ** 2) == -2 * X * Y
         # inverted up to the kernel x^2 + y^2, with the y^2 coefficient 0
-        assert _form_poly(_solve_stage(vec(2 * X * Y, 2), 2, over)) == X ** 2
-        assert _form_poly(_solve_stage(vec(Y ** 2 - X ** 2, 2), 2, over)) == X * Y
-        assert _form_poly(_solve_stage(vec(-2 * X * Y, 2), 2, over)) == -X ** 2
+        assert form_poly(_solve_stage(vec(2 * X * Y, 2), 2, over)) == X ** 2
+        assert form_poly(_solve_stage(vec(Y ** 2 - X ** 2, 2), 2, over)) == X * Y
+        assert form_poly(_solve_stage(vec(-2 * X * Y, 2), 2, over)) == -X ** 2
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
     def test_odd_degrees_nonsingular(self, k):
         # L is invertible on odd degrees: each form comes back unchanged
         for j in range(k + 1):
             g = X ** (k - j) * Y ** j
-            assert _form_poly(_solve_stage(vec(rotate(g), k), k, over)) == g
+            assert form_poly(_solve_stage(vec(rotate(g), k), k, over)) == g
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_even_degrees_singular(self, k):
@@ -173,7 +170,7 @@ class TestRotationOperator:
             g = random_form(rnd, k)
             r = rotate(g)
             f = _solve_stage(vec(r, k), k, over)
-            assert rotate(_form_poly(f)) == r, k
+            assert rotate(form_poly(f)) == r, k
             if k % 2 == 0:
                 assert f[k] == 0, k
 
@@ -191,14 +188,14 @@ class TestFormLists:
         st.one_of(polys(vars=("a", "b"), max_terms=3), coeffs),
         min_size=k + 1, max_size=k + 1)))
     def test_list_poly_round_trip(self, c):
-        assert vec(_form_poly(c), len(c) - 1) == c
+        assert vec(form_poly(c), len(c) - 1) == c
 
     def test_numeric_and_symbolic_entries_mix(self):
         # a list may hold Fractions, ints and parameter Polys side by side
         a = Poly.var("a")
         r = [Fraction(1, 3), a, 0, 2 * a + 1]
         f = _solve_stage(r, 3, over)
-        assert rotate(_form_poly(f)) == _form_poly(r)
+        assert rotate(form_poly(f)) == form_poly(r)
 
 
 def family_system():
@@ -418,9 +415,8 @@ class TestPlConstants:
             expected = expected + d * (X ** k + Y ** k)
         diff = dF - expected
         # agreement through every fully-determined degree
-        for deg, part in diff.homogeneous_parts().items():
-            if deg <= 2 * m + 2:
-                assert part.is_zero, f"degree {deg} residual {part}"
+        low = {deg: form for deg, form in diff.forms().items() if deg <= 2 * m + 2}
+        assert not low, f"residual forms {low}"
 
     def test_constants_pinned(self):
         rep = pl_constants(family_system(), 6)

@@ -139,8 +139,8 @@ class TestIntegrate:
                                             int(rnd.integers(1, 5)))
                                 for n in quintic.PARAM_NAMES})
             sysm = quintic.build_system(params)
-            terms = [[(float(c.constant_value()), i, j)
-                      for (i, j), c in poly.xy_coefficients().items()]
+            terms = [[(float(c), dict(m).get("x", 0), dict(m).get("y", 0))
+                      for m, c in poly.terms.items()]
                      for poly in (sysm.p, sysm.q)]
             rhs = orbits.compile_rhs(sysm)
             scales = 10.0 ** rnd.uniform(-3, 200, size=500)
@@ -284,6 +284,21 @@ def quartic_images(draw):
     if draw(st.booleans()):
         d, h = -d, -h
     return q, (d, e, g, h)
+
+
+class TestBeyondFloatRange:
+    def test_compile_rhs(self, beyond_decimal_emax):
+        sysm = PlanarSystem(Y + beyond_decimal_emax * X ** 2, -X)
+        with pytest.raises(ValueError, match=r"coefficient 1E\+1000001 is beyond"):
+            orbits.compile_rhs(sysm)
+
+    def test_boundary_curve(self, beyond_decimal_emax):
+        with pytest.raises(ValueError, match=r"coefficient 1E\+1000001 is beyond"):
+            boundary_curve(0, beyond_decimal_emax, 1, 0)
+
+    def test_parameters_left(self):
+        with pytest.raises(ValueError, match="parameters left"):
+            orbits.compile_rhs(PlanarSystem(Y + Poly.var("a") * X ** 2, -X))
 
 
 class TestBoundary:

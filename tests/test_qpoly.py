@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, seed, settings, strategies as st
 from isoquintic.qpoly import (
     Poly, ParseError, UnboundVariableError, SingularMatrixError,
     MAX_DEGREE, MAX_DIGITS, MAX_TERMS, parse_expr, divide_exact,
-    solve_linear_exact,
+    solve_linear_exact, as_poly, form_poly, substitute_form, to_float,
 )
-from conftest import polys, random_poly
+from conftest import coeffs, polys, random_poly
 
 try:  # the differential oracle is an optional test dependency
     import sympy
@@ -98,24 +99,85 @@ class TestEval:
                 == p.eval_rational(pt) + q.eval_rational(pt))
 
 
-class TestHomogeneous:
+form_entries = st.one_of(st.just(0), coeffs, polys(vars=("a", "b"), max_terms=3))
+dyadic = st.integers(-8, 8).map(lambda n: n / 4)  # floats whose products are exact
+
+
+def forms_of(entries):
+    return st.integers(0, 5).flatmap(
+        lambda k: st.lists(entries, min_size=k + 1, max_size=k + 1))
+
+
+def subs_form(form, lx, ly):
+    """substitute_form's polynomial by Poly.subs on the whole form."""
+    (a, b), (c, d) = [as_poly(v) for v in lx], [as_poly(v) for v in ly]
+    return form_poly(form).subs({"x": a * X + b * Y, "y": c * X + d * Y})
+
+
+class TestForms:
     def test_split(self):
-        p = Y + X * (Poly.var("a") * X ** 2)
-        parts = p.homogeneous_parts()
-        assert set(parts) == {1, 3}
-        assert parts[1] == Y
-        assert parts[3] == Poly.var("a") * X ** 3
+        a = Poly.var("a")
+        p = Y + X * (a * X ** 2) + 3 * X * Y ** 2 + (a + 2) * Y ** 3
+        assert p.forms() == {1: [0, 1], 3: [a, 0, 3, a + 2]}
+        assert [type(c) for c in p.forms()[3]] == [Poly, int, Fraction, Poly]
 
     def test_zero(self):
-        assert Poly.zero().homogeneous_parts() == {}
+        assert Poly.zero().forms() == {}
 
-    def test_sum_reassembles(self, rng):
+    def test_round_trip(self, rng):
         for _ in range(25):
             p = random_poly(rng)
+            forms = p.forms()
+            assert list(forms) == sorted(forms)
             total = Poly.zero()
-            for part in p.homogeneous_parts().values():
-                total = total + part
+            for k, form in forms.items():
+                assert len(form) == k + 1
+                assert all(c == 0 or isinstance(c, Fraction) or c.variables()
+                           for c in form)
+                assert form_poly(form).forms() == {k: form}
+                total = total + form_poly(form)
             assert total == p
+
+    @seed(13)
+    @settings(max_examples=60, deadline=None)
+    @given(forms_of(form_entries), st.lists(form_entries, min_size=4, max_size=4))
+    def test_substitute_matches_subs(self, form, m):
+        out = substitute_form(form, m[:2], m[2:])
+        assert len(out) == len(form)
+        assert form_poly(out) == subs_form(form, m[:2], m[2:])
+
+    @seed(14)
+    @settings(max_examples=60, deadline=None)
+    @given(forms_of(dyadic), st.lists(dyadic, min_size=4, max_size=4))
+    def test_substitute_floats_matches_subs(self, form, m):
+        out = substitute_form(form, m[:2], m[2:])
+        assert all(type(c) is float for c in out)
+        form, m = [Fraction(v) for v in form], [Fraction(v) for v in m]
+        assert form_poly([Fraction(c) for c in out]) == subs_form(form, m[:2], m[2:])
+
+
+class TestToFloat:
+    def test_in_range(self):
+        assert to_float(Fraction(1, 3)) == 1 / 3
+        assert to_float(Fraction(1, 10 ** 400)) == 0.0
+
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(10 ** 400), "1E+400"),
+        (Fraction(-10 ** 400), "-1E+400"),
+        (Fraction(10 ** 800, 10 ** 400 - 1), "1E+400"),
+        (Fraction(2 ** 1024), "1.79769E+308"),
+        (Fraction(-10 ** 400, 7), "-1.42857E+399"),
+    ])
+    def test_beyond_range_named(self, value, text):
+        message = f"coefficient {text} is beyond the float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            to_float(value)
+
+    def test_beyond_decimal_emax(self, beyond_decimal_emax):
+        with pytest.raises(ValueError, match=r"coefficient 1E\+1000001 is beyond"):
+            to_float(beyond_decimal_emax)
+        with pytest.raises(ValueError, match=r"coefficient 3.33333E\+1000000 is"):
+            to_float(beyond_decimal_emax / 3)
 
 
 class TestRingLaws:

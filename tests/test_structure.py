@@ -18,7 +18,7 @@ from isoquintic.structure import (
     reversibility_residual, reversible_modulo_constraint,
     _pseudo_rem_quadratic, angular_speed_residual, c3_exponent,
 )
-from conftest import polys, scaled_case_iii_system
+from conftest import polys, random_poly, scaled_case_iii_system
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -211,6 +211,29 @@ def reversible(sysm, alpha, beta):
     return all(r.is_zero for r in reversibility_residual(sysm, alpha, beta))
 
 
+def subs_reflection_residual(sys, alpha, beta):
+    """reversibility_residual computed with Poly.subs on whole homogeneous
+    parts instead of substitute_form on their coefficient lists."""
+    alpha, beta = as_poly(alpha), as_poly(beta)
+    den = alpha ** 2 + beta ** 2
+    xp = (beta ** 2 - alpha ** 2) * X - 2 * alpha * beta * Y
+    yp = -2 * alpha * beta * X + (alpha ** 2 - beta ** 2) * Y
+    n = max(sys.p.degree_in(), sys.q.degree_in())
+
+    def reflected(poly):  # den^n poly(xp / den, yp / den)
+        parts = {}
+        for m, c in poly.terms.items():
+            k = sum(e for v, e in m if v in ("x", "y"))
+            parts[k] = parts.get(k, Poly.zero()) + Poly({m: c})
+        return sum((part.subs({"x": xp, "y": yp}) * den ** (n - k)
+                    for k, part in parts.items()), Poly.zero())
+
+    pr, qr = reflected(sys.p), reflected(sys.q)
+    scale = den ** (n + 1)
+    return ((beta ** 2 - alpha ** 2) * pr - 2 * alpha * beta * qr + scale * sys.p,
+            -2 * alpha * beta * pr + (alpha ** 2 - beta ** 2) * qr + scale * sys.q)
+
+
 class TestReversibility:
     def test_axis_symmetric_family(self):
         sysm = quintic.build_system(quintic.QuinticParams.numeric(
@@ -239,6 +262,25 @@ class TestReversibility:
     def test_zero_line_rejected(self):
         with pytest.raises(ValueError):
             reversibility_residual(ROT, 0, 0)
+
+    def test_zero_system(self):
+        zero = PlanarSystem(Poly.zero(), Poly.zero())
+        assert reversibility_residual(zero, 1, 2) == (Poly.zero(), Poly.zero())
+
+    def test_matches_subs_reflection(self):
+        """Seeded systems of degree <= 4 in x, y, every third with a symbol
+        a, about numeric and symbolic lines, against the Poly.subs
+        reflection."""
+        rng = random.Random(1307)
+        lines = [(0, 1), (1, 0), (1, -1), (Fraction(2, 3), Fraction(-5, 4)),
+                 ("s", -1), ("a", "b")]
+        for i in range(30):
+            vars = ("x", "y", "a") if i % 3 == 0 else ("x", "y")
+            sysm = PlanarSystem(random_poly(rng, vars, max_exp=2),
+                                random_poly(rng, vars, max_exp=2))
+            for line in lines:
+                assert (reversibility_residual(sysm, *line)
+                        == subs_reflection_residual(sysm, *line)), (sysm, line)
 
     def constraint(self, a="a", b="b"):
         a, b, s = as_poly(a), as_poly(b), Poly.var("s")
@@ -287,12 +329,12 @@ class TestReversibility:
             reversible_modulo_constraint(ROT, Poly.var("s") - 1)
 
     def oracle(self, sysm, constraint):
-        """The verdict of reflecting the whole system: both cleared
-        components of reversibility_residual, pseudo-reduced modulo the
+        """The verdict of reflecting the whole system with Poly.subs: both
+        cleared components of the residual, pseudo-reduced modulo the
         constraint."""
         lead = constraint.coefficient("s", 2)
         return all(_pseudo_rem_quadratic(r, constraint, lead).is_zero
-                   for r in reversibility_residual(sysm, Poly.var("s"), -1))
+                   for r in subs_reflection_residual(sysm, Poly.var("s"), -1))
 
     def test_agrees_with_oracle_numeric(self):
         """Case (iii) points, each with its own constraint a s^2 - b s - a,

@@ -11,10 +11,18 @@ Derivatives are index shifts and products are convolutions.  Each stage
 solves L f = r for one homogeneous f, where L f = y f_x - x f_y is the action
 of the linear rotation field.  L only couples neighbouring coefficients, so
 two short recurrences solve it exactly.
+
+`stage_constants` is that loop, as a generator of integer numerators over
+positive denominators; it runs only as far as it is read.  `pl_constants`
+reads the first m and reports them with Fraction coefficients, and
+`quintic.classify` reads up to the first nonzero one.  They, and
+`first_nonzero`, take that constant's index and sign from
+`first_nonzero_numerator`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,6 +87,14 @@ def _poly_numbers(entries):
             for v in (c.terms.values() if isinstance(c, Poly) else (c,)))
 
 
+def _cleared(c, s):
+    """c * s as an int or an integer-coefficient Poly, for a multiple s of
+    the denominators in c."""
+    if isinstance(c, Poly):
+        return c * s // 1
+    return c.numerator * (s // c.denominator)
+
+
 def _solve_stage(r, k, div=floordiv):
     """The degree-k f with L f = r, both as coefficients of x^(k-i) y^i.
 
@@ -131,47 +147,44 @@ def _stage_known(f, p, q, deg):
     return total
 
 
-def pl_constants(sys, m):
-    """Compute the first m Lyapunov constants of `sys`, exactly.
+def stage_constants(p, q):
+    """Yield D_1, D_2, ... of the system with forms p, q (as returned by
+    `check_linear_center`), each as (d, e, f): D_k = d / e with e > 0 and d
+    an int or an integer-coefficient Poly, and f the f_2..f_(2k+2) solved so
+    far, each as (coefficient list, denominator).  The stages run only as
+    far as the consumer reads.
 
     Odd stage k: solve L(f_k) = -(known terms) so the degree-k part of dF/dt
     vanishes.  Even stage K = k+1: D is fixed by the circle average, then
     L(f_K) = D (x^K + y^K) - (known terms), with a zero y^K coefficient in f_K.
-    Every f_k and known part is a coefficient list of x^(k-i) y^i.
 
     Numeric and symbolic systems run one integer loop: p and q over one
-    denominator s, each f_k over its own den[k], with int or integer-Poly
-    entries.  A known part is scaled by `_exact_scale`, so the recurrences
-    divide exactly with //, and each stage ends with one gcd over its
-    coefficients.  D_k and the f_k get Fraction coefficients only at the end.
+    denominator s, each f_k over its own, with int or integer-Poly entries.
+    A known part is scaled by `_exact_scale`, so the recurrences divide
+    exactly with //, and each stage ends with one gcd over its coefficients.
     """
-    check_count(m)
-    p, q = check_linear_center(sys)
-
     entries = [c for form in (*p.values(), *q.values()) for c in form]
     numbers = _poly_numbers if any(isinstance(c, Poly) for c in entries) else iter
     s = math.lcm(*(c.denominator for c in numbers(entries)))
-    p, q = ({k: [c * s // 1 for c in form] for k, form in pq.items()}
+    p, q = ({k: [_cleared(c, s) for c in form] for k, form in pq.items()}
             for pq in (p, q))
-    f, den = {2: [1, 0, 1]}, {2: 2}
+    f = {2: ([1, 0, 1], 2)}
 
     def known_part(deg):
         """The known terms of degree deg, scaled for //, and their
         denominator."""
-        e = math.lcm(*den.values())
-        known = _stage_known({i: fi if den[i] == e else
-                              [c * (e // den[i]) for c in fi]
-                              for i, fi in f.items()}, p, q, deg)
+        e = math.lcm(*(den for _, den in f.values()))
+        known = _stage_known({i: fi if den == e else [c * (e // den) for c in fi]
+                              for i, (fi, den) in f.items()}, p, q, deg)
         scale = _exact_scale(deg)
         return [c * scale for c in known], e * s * scale
 
     def solve(r, k, e):
-        f[k] = _solve_stage(r, k)
-        g = math.gcd(e, *numbers(f[k]))
-        f[k], den[k] = [c // g for c in f[k]], e // g
+        fk = _solve_stage(r, k)
+        g = math.gcd(e, *numbers(fk))
+        f[k] = [c // g for c in fk], e // g
 
-    raw = []
-    for k in range(3, 2 * m + 2, 2):
+    for k in itertools.count(3, 2):
         # odd stage: kill the degree-k component
         known, e = known_part(k)
         solve([-c for c in known], k, e)
@@ -184,12 +197,34 @@ def pl_constants(sys, m):
         rhs = [-c for c in known]
         rhs[0] = rhs[0] + d  # rhs[K] would get d too, but its row is not read
         solve(rhs, K, e)
+        yield d, e, f
+
+
+def first_nonzero_numerator(numerators):
+    """Index (1-based) and sign of the first nonzero of numbers read over
+    positive denominators, reading no further; None when all are zero."""
+    for i, d in enumerate(numerators, start=1):
+        if d:
+            return i, ("positive" if d > 0 else "negative")
+    return None
+
+
+def pl_constants(sys, m):
+    """Compute the first m Lyapunov constants of `sys`, exactly: the first m
+    of `stage_constants`, with Fraction coefficients.  When none of them
+    depends on a parameter, the report also names the first nonzero one."""
+    check_count(m)
+    p, q = check_linear_center(sys)
+    numerators, raw = [], []
+    for d, e, f in itertools.islice(stage_constants(p, q), m):
+        numerators.append(d)
         raw.append(form_poly([d], e))  # D = d / e, a form of degree 0
 
-    parts = {k: form_poly(c, den[k]) for k, c in f.items()}
+    parts = {k: form_poly(c, den) for k, (c, den) in f.items()}
     report = LyapunovReport([d.canonical() for d in raw], raw, parts)
-    if all(not d.variables() for d in raw):
-        hit = first_nonzero(report, {})
+    if not any(isinstance(d, Poly) and d.variables() for d in numerators):
+        hit = first_nonzero_numerator(
+            d.constant_value() if isinstance(d, Poly) else d for d in numerators)
         if hit is not None:
             report.first_nonzero_index, report.sign = hit
     return report
@@ -198,8 +233,4 @@ def pl_constants(sys, m):
 def first_nonzero(report, bindings):
     """Index (1-based) and sign of the first constant not exactly zero."""
     point = {k: Fraction(v) for k, v in bindings.items()}
-    for i, d in enumerate(report.raw, start=1):
-        value = d.eval_rational(point)
-        if value:
-            return i, ("positive" if value > 0 else "negative")
-    return None
+    return first_nonzero_numerator(d.eval_rational(point) for d in report.raw)

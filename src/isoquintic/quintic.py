@@ -2,18 +2,25 @@
 
 The family is dx/dt = y + x*P, dy/dt = -x + y*P with
 P = a x^2 + b x y + c y^2 + d x^4 + e x^3 y + f x^2 y^2 + g x y^3 + h y^4.
+
+`family_forms` states the family once, as the binary forms of p and q;
+`build_system` is their Poly system.  `classify` runs the Lyapunov stages on
+the forms of a numeric point directly and stops at the first nonzero D_k.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from enum import Enum
 from fractions import Fraction
 
-from .qpoly import Poly, RationalFunction, as_poly, substitute_form, to_float
-from .lyapunov import PlanarSystem, check_count, pl_constants
+from .qpoly import (Poly, RationalFunction, as_poly, form_poly, substitute_form,
+                    to_decimal, to_float)
+from .lyapunov import (PlanarSystem, check_count, first_nonzero_numerator,
+                       stage_constants)
 
 PARAM_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -40,7 +47,7 @@ def _float_sqrt(q):
     if approx:
         return math.sqrt(approx)
     ctx = Context(prec=30, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    root = ctx.divide(q.numerator, q.denominator).sqrt(ctx)
+    root = to_decimal(q, ctx).sqrt(ctx)
     value = float(root)
     if not 0 < value < math.inf:
         raise ValueError(f"root {root:.6g} is beyond the float range")
@@ -100,8 +107,7 @@ class CenterCase:
     tag: CaseTag
 
 
-# the monomials of P that a, ..., h multiply; P adds them in this order, which
-# fixes the term order orbits.compile_rhs sums the right-hand side in
+# the monomials of P that a, ..., h multiply
 RADIAL_MONOMIALS = (X ** 2, X * Y, Y ** 2, X ** 4, X ** 3 * Y, X ** 2 * Y ** 2,
                     X * Y ** 3, Y ** 4)
 
@@ -113,9 +119,32 @@ def radial_factor(params):
                Poly.zero())
 
 
+def _coefficient(value):
+    """A parameter as a form coefficient: a number, or a Poly in symbols
+    other than x and y."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    value = as_poly(value)
+    names = value.variables()
+    if names & {"x", "y"}:
+        raise QuinticError(f"parameter {value} uses the variables x, y")
+    return value if names else value.constant_value()
+
+
+def family_forms(params):
+    """p and q of the family as binary forms, by degree (see `Poly.forms`):
+    x P and y P shift the coefficients of P's quadratic and quartic forms.
+    These lists fix the term order of `build_system`, so the order in which
+    orbits.compile_rhs sums the right-hand side."""
+    a, b, c, d, e, f, g, h = (_coefficient(getattr(params, n))
+                              for n in PARAM_NAMES)
+    return ({1: [0, 1], 3: [a, b, c, 0], 5: [d, e, f, g, h, 0]},
+            {1: [-1, 0], 3: [0, a, b, c], 5: [0, d, e, f, g, h]})
+
+
 def build_system(params):
-    P = radial_factor(params)
-    return PlanarSystem(Y + X * P, -X + Y * P)
+    return PlanarSystem(*(sum(map(form_poly, forms.values()), Poly.zero())
+                          for forms in family_forms(params)))
 
 
 def reduced_conditions(params):
@@ -168,15 +197,17 @@ class Classification:
 
 
 def classify(params, m=4):
+    """A center case, or the index and sign of the first nonzero D_k among
+    D_1..D_m: the stages stop at that D_k."""
     check_count(m)
     case = theorem_case(params)
     if case is not None:
         return Classification("center", case=case)
-    report = pl_constants(build_system(params), m)
-    if report.first_nonzero_index is None:
+    constants = itertools.islice(stage_constants(*family_forms(params)), m)
+    hit = first_nonzero_numerator(d for d, _, _ in constants)
+    if hit is None:
         return Classification("undetermined", m=m)
-    return Classification("focus", focus_index=report.first_nonzero_index,
-                          focus_sign=report.sign)
+    return Classification("focus", focus_index=hit[0], focus_sign=hit[1])
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,12 @@ class TestPlconst:
         assert run(capsys, "plconst", "--family", "a,b,c,d,e,f,g,h",
                    "-m", "0") == (2, "", "error: m must be >= 1\n")
 
+    @pytest.mark.parametrize("family", ["x,0,0,0,0,0,0,0", "a,b,c,d,e,f,g,y"])
+    def test_state_variable_as_parameter(self, capsys, family):
+        name = family[0] if family[0] == "x" else "y"
+        assert run(capsys, "plconst", "--family", family) == (
+            2, "", f"error: parameter {name} uses the variables x, y\n")
+
 
 class TestClassify:
     def test_center_case_ii(self, capsys):

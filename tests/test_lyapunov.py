@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ from conftest import coeffs, polys, random_poly
 from isoquintic.qpoly import Poly, as_poly, form_poly
 from isoquintic.lyapunov import (
     PlanarSystem, LyapunovError, LyapunovReport, check_linear_center,
-    pl_constants, first_nonzero, _circle_average, _solve_stage, _stage_known,
+    pl_constants, first_nonzero, stage_constants, _circle_average,
+    _solve_stage, _stage_known,
 )
 from isoquintic import quintic
 from isoquintic.cli import load_system_document
@@ -388,6 +390,28 @@ class TestPlConstants:
         assert rep.raw[0].eval_rational({}) == Fraction(2, 3)
         assert rep.first_nonzero_index == 1
         assert rep.sign == "positive"
+
+    def test_parameter_cancelled_from_constants(self):
+        """A parameter that reaches the stages but cancels from every D_k
+        leaves a Poly numerator without variables (here D_2's, zero); the
+        report still names the first nonzero constant."""
+        a = Poly.var("a")
+        sysm = PlanarSystem(Y + 5 * a * X * Y ** 4, -X - Y ** 3 - a * Y ** 5)
+        numerators = [d for d, _, _ in itertools.islice(
+            stage_constants(*check_linear_center(sysm)), 3)]
+        assert [type(d) for d in numerators] == [int, Poly, int]
+        assert numerators[1].is_zero
+        rep = pl_constants(sysm, 3)
+        assert all(not d.variables() for d in rep.raw)
+        assert (rep.first_nonzero_index, rep.sign) == (1, "negative")
+
+    def test_no_index_while_a_constant_is_symbolic(self):
+        a = Poly.var("a")
+        sysm = PlanarSystem(Y + X ** 3 + a * X ** 2 * Y, -X - a * X ** 3)
+        assert pl_constants(sysm, 1).first_nonzero_index == 1
+        rep = pl_constants(sysm, 2)
+        assert rep.raw[1].variables() == {"a"}
+        assert (rep.first_nonzero_index, rep.sign) == (None, None)
 
     def test_invalid_linear_part(self):
         with pytest.raises(LyapunovError):

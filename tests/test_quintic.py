@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 
 from isoquintic.qpoly import Poly, as_poly, parse_expr
-from isoquintic import quintic, structure
+from isoquintic import lyapunov, quintic, structure
 from isoquintic.quintic import (
     QuinticParams, QuinticError, NoSymbolicPartner, CaseTag,
-    build_system, radial_factor, reduced_conditions, case_iii_fgh,
-    theorem_case, classify, case_substitution, vanishes_under_case,
-    commuting_partner, first_integral, normalize_b, rotate_to_canonical,
+    build_system, family_forms, radial_factor, reduced_conditions,
+    case_iii_fgh, theorem_case, classify, case_substitution,
+    vanishes_under_case, commuting_partner, first_integral, normalize_b,
+    rotate_to_canonical,
 )
-from isoquintic.lyapunov import pl_constants
+from isoquintic.lyapunov import LyapunovError, pl_constants
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -42,6 +43,49 @@ class TestBuild:
     def test_angular_speed_is_uniform(self):
         sysm = build_system(QuinticParams.symbolic())
         assert (X * sysm.q - Y * sysm.p + X ** 2 + Y ** 2).is_zero
+
+
+def seeded_params(rnd):
+    """Parameters with zero entries, integers, rationals, symbols, and
+    Poly values: constant, zero, and sums in the other symbols."""
+    d, h = Poly.var("d"), Poly.var("h")
+    values = [0, 0, 1, -2, Fraction(3, 7), Fraction(-10 ** 6, 999_999),
+              "a", "e", "u", Poly.const(Fraction(5, 2)), Poly.zero(),
+              -3 * (d + h), Poly.var("b") * Poly.var("g") + 1]
+    return QuinticParams(*(rnd.choice(values) for _ in quintic.PARAM_NAMES))
+
+
+class TestBuildOnForms:
+    """`build_system` on `family_forms` against the construction
+    (y + x P, -x + y P) with P from `radial_factor`."""
+
+    @staticmethod
+    def check(params):
+        P = radial_factor(params)
+        sysm = build_system(params)
+        for got, want in ((sysm.p, Y + X * P), (sysm.q, -X + Y * P)):
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert ([type(c) for c in got.terms.values()]
+                    == [type(c) for c in want.terms.values()])
+        nonzero = [{k: c for k, c in forms.items() if any(c)}
+                   for forms in family_forms(params)]
+        assert nonzero == [sysm.p.forms(), sysm.q.forms()]
+
+    def test_symbolic(self):
+        self.check(QuinticParams.symbolic())
+
+    def test_seeded(self, rng):
+        for _ in range(200):
+            self.check(seeded_params(rng))
+        for _ in range(100):
+            self.check(QuinticParams.numeric(*(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                for _ in quintic.PARAM_NAMES)))
+
+    @pytest.mark.parametrize("value", ["x", "y", Poly.var("a") * Y])
+    def test_state_variable_rejected(self, value):
+        with pytest.raises(QuinticError, match="uses the variables x, y"):
+            build_system(QuinticParams(value, 0, 0, 0, 0, 0, 0, 0))
 
 
 class TestReducedConditions:
@@ -137,6 +181,128 @@ class TestClassify:
     def test_focus_negative(self):
         res = classify(numeric(a=-1))
         assert (res.focus_index, res.focus_sign) == (1, "negative")
+
+    @pytest.mark.parametrize("m, error", [(0, ValueError), (7, LyapunovError)])
+    def test_m_checked_before_center(self, m, error):
+        with pytest.raises(error):
+            classify(numeric(b=1, e=2, g=3), m=m)
+
+
+def random_point(rnd, height, den):
+    return {n: Fraction(rnd.randint(-height, height), rnd.randint(1, den))
+            for n in quintic.PARAM_NAMES}
+
+
+def focus_point(rnd, k, height, den):
+    """A seeded point whose first nonzero constant is D_k: D_1..D_(k-1)
+    are made to vanish through `reduced_conditions`, and a draw is kept only
+    when the full report agrees and no center case applies."""
+    while True:
+        v = random_point(rnd, height, den)
+        if k >= 2:
+            v["c"] = -v["a"]
+        if k >= 3:
+            v["f"] = -3 * (v["d"] + v["h"])
+        if k >= 4 and v["a"]:
+            v["e"] = (v["b"] * v["d"] - v["a"] * v["g"] - v["b"] * v["h"]) / v["a"]
+        params = QuinticParams(**v)
+        if (theorem_case(params) is None and pl_constants(
+                build_system(params), 4).first_nonzero_index == k):
+            return params
+
+
+def center_point(rnd, tag):
+    v = random_point(rnd, 9, 3)
+    if tag is CaseTag.CASE_I:
+        v.update(a=0, b=0, c=0, f=-3 * (v["d"] + v["h"]))
+    elif tag is CaseTag.CASE_II:
+        v.update(a=0, c=0, d=0, f=0, h=0, b=v["b"] or 1)
+    else:
+        v["a"] = v["a"] or 1
+        v["c"] = -v["a"]
+        v["f"], v["g"], v["h"] = case_iii_fgh(v["a"], v["b"], v["d"], v["e"])
+    return QuinticParams(**v)
+
+
+class TestClassifyAgainstFullReport:
+    """`classify`, which stops at the first nonzero constant, against the
+    first nonzero index and sign of the full `pl_constants` report."""
+
+    @staticmethod
+    def verdict(params, m):
+        return classify(params, m), pl_constants(build_system(params), m)
+
+    @pytest.mark.parametrize("height, den", [(9, 3), (10 ** 6, 10 ** 6)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_focus(self, rng, k, height, den):
+        for _ in range(6):
+            params = focus_point(rng, k, height, den)
+            m = rng.randint(k, lyapunov.CAP)
+            got, report = self.verdict(params, m)
+            assert got.kind == "focus" and got.focus_index == k
+            assert (got.focus_index, got.focus_sign) == (
+                report.first_nonzero_index, report.sign)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_undetermined_below_k(self, rng, k):
+        for height, den in ((9, 3), (10 ** 6, 10 ** 6)):
+            params = focus_point(rng, k, height, den)
+            for m in range(1, k):
+                got, report = self.verdict(params, m)
+                assert got == quintic.Classification("undetermined", m=m)
+                assert report.first_nonzero_index is None
+
+    @pytest.mark.parametrize("tag", list(CaseTag))
+    def test_center(self, rng, tag):
+        for _ in range(4):
+            params = center_point(rng, tag)
+            got, report = self.verdict(params, 4)
+            assert got.kind == "center" and got.case.tag is tag
+            assert report.first_nonzero_index is None
+            assert all(d.is_zero for d in report.raw)
+
+
+class TestClassifyWork:
+    """classify solves only the stages up to the first nonzero constant, and
+    forms no Poly product on numeric parameters."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"stages": 0, "mul": 0}
+        solve, mul = lyapunov._solve_stage, Poly.__mul__
+
+        def counted_solve(*args):
+            counts["stages"] += 1
+            return solve(*args)
+
+        def counted_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(lyapunov, "_solve_stage", counted_solve)
+        monkeypatch.setattr(Poly, "__mul__", counted_mul)
+        monkeypatch.setattr(Poly, "__rmul__", counted_mul)
+        return counts
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_focus(self, rng, counts, k):
+        params = focus_point(rng, k, 10 ** 6, 10 ** 6)
+        counts.update(stages=0, mul=0)
+        assert classify(params, 6).focus_index == k
+        assert counts == {"stages": 2 * k, "mul": 0}
+
+    @pytest.mark.parametrize("tag", list(CaseTag))
+    def test_center(self, rng, counts, tag):
+        params = center_point(rng, tag)
+        assert classify(params).kind == "center"
+        assert counts == {"stages": 0, "mul": 0}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_undetermined(self, rng, counts, m):
+        params = focus_point(rng, 4, 9, 3)
+        counts.update(stages=0, mul=0)
+        assert classify(params, m).kind == "undetermined"
+        assert counts == {"stages": 2 * m, "mul": 0}
 
 
 class TestCaseSubstitution:
@@ -336,8 +502,9 @@ class TestNormalizeB:
         assert first_integral(params, case).kind == "darboux-exp"
 
     @pytest.mark.parametrize("b,root", [(2 * 10 ** 700, "1.41421e+350"),
-                                        (Fraction(-2, 10 ** 700), "1.41421e-350")],
-                             ids=["huge", "tiny"])
+                                        (Fraction(-2, 10 ** 700), "1.41421e-350"),
+                                        (2 * 10 ** 300001, "4.47214e+150000")],
+                             ids=["huge", "tiny", "k300001"])
     def test_root_beyond_float_range_rejected(self, b, root):
         with pytest.raises(ValueError, match=re.escape(f"root {root} is beyond")):
             normalize_b(numeric(b=b, e=1))

@@ -114,6 +114,9 @@ def load_system_document(path):
     if bindings:
         if not isinstance(bindings, dict):
             raise InputError("bindings must be an object")
+        for name in ("x", "y"):
+            if name in bindings:
+                raise InputError(f"binding {name} names a state variable")
         subs = {k: Poly.const(parse_rational(str(v)))
                 for k, v in bindings.items()}
         sysm = PlanarSystem(sysm.p.subs(subs), sysm.q.subs(subs))

@@ -338,7 +338,10 @@ class CenterTypeVerdict:
 
 
 def _eg_verdict(e, g):
-    return CenterTypeVerdict("B2" if e * g >= 0 else "B4", "eg-rule")
+    """B4 exactly when e and g have opposite signs, read from the signs
+    themselves: a product of tiny floats underflows to a signed zero."""
+    return CenterTypeVerdict("B4" if (e < 0 < g or g < 0 < e) else "B2",
+                             "eg-rule")
 
 
 def center_type(params, case):
@@ -348,7 +351,7 @@ def center_type(params, case):
     v = params.fractions()
     tag = case.tag
     if tag is quintic.CaseTag.CASE_II:
-        return _eg_verdict(to_float(v["e"]), to_float(v["g"]))
+        return _eg_verdict(v["e"], v["g"])
     if tag is quintic.CaseTag.CASE_III:
         rot = quintic.rotate_to_canonical(params)
         return _eg_verdict(rot.e1, rot.g1)

@@ -136,23 +136,19 @@ def as_poly(v):
     return Poly.const(v)
 
 
-def to_decimal(value, ctx):
-    """An exact rational as a Decimal rounded in ctx, read from the top bits
-    of its numerator and denominator only: the decimal conversion of a whole
-    int takes time quadratic in its digits."""
-    bits = 4 * ctx.prec  # a decimal digit is under 4 bits
-    n, d = value.numerator, value.denominator
-    sn, sd = max(n.bit_length() - bits, 0), max(d.bit_length() - bits, 0)
-    return ctx.multiply(ctx.divide(n >> sn, d >> sd), ctx.power(2, sn - sd))
-
-
 def to_float(value):
-    """float(value), or a ValueError naming an exact value beyond its range."""
+    """float(value), or a ValueError naming an exact value beyond its range.
+    The name is read from the top bits of numerator and denominator only:
+    the decimal conversion of a whole int takes time quadratic in its
+    digits."""
     try:
         return float(value)
     except OverflowError:
         ctx = Context(prec=20, Emax=MAX_EMAX, Emin=MIN_EMIN)
-        approx = to_decimal(value, ctx)
+        bits = 4 * ctx.prec  # a decimal digit is under 4 bits
+        n, d = value.numerator, value.denominator
+        sn, sd = max(n.bit_length() - bits, 0), max(d.bit_length() - bits, 0)
+        approx = ctx.multiply(ctx.divide(n >> sn, d >> sd), ctx.power(2, sn - sd))
         ctx.prec = 6
         raise ValueError(f"coefficient {ctx.normalize(approx)} is beyond the "
                          f"float range") from None

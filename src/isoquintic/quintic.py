@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context
 from enum import Enum
 from fractions import Fraction
 
 from .qpoly import (Poly, RationalFunction, as_poly, form_poly, substitute_form,
-                    to_decimal, to_float)
+                    to_float)
 from .lyapunov import (PlanarSystem, check_count, first_nonzero_numerator,
                        stage_constants)
 
@@ -34,24 +33,6 @@ class QuinticError(Exception):
 
 class NoSymbolicPartner(QuinticError):
     """Case (iii) with d or e nonzero has no known polynomial partner."""
-
-
-def _float_sqrt(q):
-    """sqrt(q) for a rational q > 0 as a float: math.sqrt(float(q)) where
-    float(q) is a nonzero float, else rounded from a decimal root.  A root
-    beyond the float range is a ValueError naming it."""
-    try:
-        approx = float(q)
-    except OverflowError:
-        approx = 0.0
-    if approx:
-        return math.sqrt(approx)
-    ctx = Context(prec=30, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    root = to_decimal(q, ctx).sqrt(ctx)
-    value = float(root)
-    if not 0 < value < math.inf:
-        raise ValueError(f"root {root:.6g} is beyond the float range")
-    return value
 
 
 @dataclass(frozen=True)
@@ -288,25 +269,6 @@ class FirstIntegralSpec:
 
 
 @dataclass(frozen=True)
-class DarbouxExpIntegral:
-    """H = (x^2+y^2)^2 / (C2 * exp(I(u))) for b = 1, or the e = g variant."""
-
-    e: Fraction
-    g: Fraction
-
-    def eval_float(self, x, y):
-        from .structure import c3_exponent
-        r2 = x * x + y * y
-        if self.e == self.g:
-            ev = float(self.e)
-            return r2 / (1.0 + ev * r2) * math.exp((1.0 + x * x) / (ev * r2))
-        ev, gv = float(self.e), float(self.g)
-        u = ev * x * x + gv * y * y
-        c2 = (ev - gv) + u + u * u
-        return r2 * r2 / (c2 * math.exp(c3_exponent(u, ev - gv)))
-
-
-@dataclass(frozen=True)
 class RotationData:
     b1: float
     e1: float
@@ -318,10 +280,12 @@ class RotationData:
 def first_integral(params, case):
     """A certified first integral for the given center case.
 
-    Case (ii) with b = 0 is the case (i) system with d = h = 0.  Case (ii)
-    with numeric b outside {0, 1} is first rescaled to b = 1; the returned
-    integral is for the normalized system.  Case (iii) with d or e nonzero is
-    numeric-only (rotation data).
+    Case (ii), P = x y (b + e x^2 + g y^2), gets the Darboux integral of
+    `structure.darboux_candidate` for every b, or of
+    `darboux_candidate_equal` when e = g is a nonzero number; the payload
+    is the certified candidate.  With b = 0 it is the case (i) system with
+    d = h = 0 and gets that rational integral.  Case (iii) with d or e
+    nonzero is numeric-only (rotation data).
     """
     from . import structure
 
@@ -332,22 +296,17 @@ def first_integral(params, case):
         tag = CaseTag.CASE_I
 
     if tag is CaseTag.CASE_II:
-        b, e, g = params.b, params.e, params.g
-        if b != 1:
-            norm, _ = normalize_b(params)
-            return first_integral(norm, case)
+        b, e, g = (_coefficient(getattr(params, n)) for n in "beg")
         if e == g:
-            if isinstance(e, str) or e == 0:
+            if isinstance(e, Poly) or e == 0:
                 raise QuinticError("e = g variant needs a nonzero numeric e")
-            cand = structure.darboux_candidate_equal(Fraction(e))
+            cand = structure.darboux_candidate_equal(e, b)
         else:
-            cand = structure.darboux_candidate(p["e"], p["g"])
+            cand = structure.darboux_candidate(e, g, b)
         verdict = structure.verify_darboux_integral(sysm, cand)
         if not verdict.certified:
             raise QuinticError(f"certificate failed: {verdict.residual}")
-        if params.is_numeric:
-            e, g = Fraction(e), Fraction(g)
-        return FirstIntegralSpec("darboux-exp", DarbouxExpIntegral(e, g))
+        return FirstIntegralSpec("darboux-exp", cand)
 
     R = _partner_factor(p, tag)
     if R is None:
@@ -361,42 +320,7 @@ def first_integral(params, case):
 
 
 # ----------------------------------------------------------------------
-# case (ii) normalization and case (iii) rotation
-
-@dataclass(frozen=True)
-class BScaling:
-    scale: object          # sqrt(|b|), Fraction when exact, else float
-    swapped: bool          # x and y exchanged and time reversed (b < 0)
-
-
-def _exact_sqrt(q):
-    q = Fraction(q)
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def normalize_b(params):
-    """Rescale a case (ii) system so that b = 1.
-
-    For b > 0 this is x -> x/sqrt(b), y -> y/sqrt(b); for b < 0 the
-    substitution additionally swaps the variables and reverses time, which
-    flips the signs of the rescaled e and g.
-    """
-    v = params.fractions()
-    b, e, g = v["b"], v["e"], v["g"]
-    if b == 0:
-        raise QuinticError("b = 0 is already in normalized form")
-    if b == 1:
-        return params, BScaling(Fraction(1), False)
-    b2 = b ** 2
-    e1, g1 = (e / b2, g / b2) if b > 0 else (-g / b2, -e / b2)
-    root = _exact_sqrt(abs(b))
-    scale = root if root is not None else _float_sqrt(abs(b))
-    new = QuinticParams(0, Fraction(1), 0, 0, e1, 0, g1, 0)
-    return new, BScaling(scale, b < 0)
-
+# case (iii) rotation
 
 def rotate_to_canonical(params):
     """Numerically rotate a case (iii) system onto the form with radial part

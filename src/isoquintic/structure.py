@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qpoly import (Poly, RationalFunction, as_poly, divide_exact, form_poly,
-                    substitute_form)
+                    substitute_form, to_float)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -105,18 +105,41 @@ class RationalExponent:
 
 @dataclass(frozen=True)
 class IntegralExponent:
-    """exp(integral_0^u dt / (shift + t + t^2)); certificate
-    p u_x + q u_y = K (shift + u + u^2)."""
+    """exp(integral_0^u dt / (shift + b t + t^2)); certificate
+    p u_x + q u_y = K (shift + b u + u^2)."""
     u: Poly
     shift: Poly  # the value e - g
+    b: Poly
     cofactor: Poly
+
+
+def _float(value):
+    """A variable-free weight or coefficient (number or Poly) as a float."""
+    return to_float(as_poly(value).constant_value())
 
 
 @dataclass(frozen=True)
 class DarbouxCandidate:
-    """Invariants with rational exponents; certified when sum(lambda_i K_i) = 0."""
+    """Invariants with weights lambda (rationals, or Polys in parameters);
+    certified when sum(lambda_i K_i) = 0."""
     algebraic: tuple
     exponential: tuple = ()
+
+    def eval_float(self, x, y):
+        """prod |C_i|^lambda_i * exp(sum lambda_j G_j) at (x, y), in floats."""
+        point = {"x": x, "y": y}
+        exponent = 0.0
+        for inv, lam in self.exponential:
+            if isinstance(inv, RationalExponent):
+                g = inv.exponent.eval_float(point)
+            else:
+                g = c3_exponent(inv.u.eval_float(point), _float(inv.shift),
+                                _float(inv.b))
+            exponent += _float(lam) * g
+        value = math.exp(exponent)
+        for inv, lam in self.algebraic:
+            value *= abs(inv.curve.eval_float(point)) ** _float(lam)
+        return value
 
 
 @dataclass(frozen=True)
@@ -132,7 +155,7 @@ def verify_darboux_integral(sys, cand):
         res = directional_derivative(sys, inv.curve) - inv.cofactor * inv.curve
         if not res.is_zero:
             raise StructureError(f"algebraic invariant failed: {inv.curve}")
-        total = total + Fraction(lam) * inv.cofactor
+        total = total + lam * inv.cofactor
     for inv, lam in cand.exponential:
         if isinstance(inv, RationalExponent):
             gn, gd = inv.exponent.num, inv.exponent.den
@@ -141,49 +164,50 @@ def verify_darboux_integral(sys, cand):
         elif isinstance(inv, IntegralExponent):
             u = inv.u
             lhs = directional_derivative(sys, u)
-            if lhs != inv.cofactor * (inv.shift + u + u ** 2):
+            if lhs != inv.cofactor * (inv.shift + inv.b * u + u ** 2):
                 raise StructureError("integral-exponent invariant failed")
         else:
             raise TypeError(f"unknown exponential invariant {type(inv).__name__}")
-        total = total + Fraction(lam) * inv.cofactor
+        total = total + lam * inv.cofactor
     if total.is_zero:
         return DarbouxVerdict(True)
     return DarbouxVerdict(False, residual=total)
 
 
-def _c1_c2(u, shift):
-    """C1 = x^2 + y^2 and C2 = shift + u + u^2 of the b = 1 normal form,
-    u = e x^2 + g y^2, with their cofactors and the weights 2 and -1."""
-    c1 = AlgebraicInvariant(X ** 2 + Y ** 2, 2 * X * Y * (1 + u))
-    c2 = AlgebraicInvariant(shift + u + u ** 2, 2 * X * Y * (1 + 2 * u))
+def _c1_c2(u, shift, b):
+    """C1 = x^2 + y^2 and C2 = shift + b u + u^2, u = e x^2 + g y^2, with
+    their cofactors 2 x y (b + u) and 2 x y (b + 2 u) and the weights 2 and
+    -1."""
+    c1 = AlgebraicInvariant(X ** 2 + Y ** 2, 2 * X * Y * (b + u))
+    c2 = AlgebraicInvariant(shift + b * u + u ** 2, 2 * X * Y * (b + 2 * u))
     return (c1, Fraction(2)), (c2, Fraction(-1))
 
 
-def darboux_candidate(e, g):
-    """Darboux data for the b = 1 normal form with e != g: H = C1^2/(C2 C3)."""
-    e = Poly._coerce(e)
-    g = Poly._coerce(g)
+def darboux_candidate(e, g, b=1):
+    """Darboux data for P = x y (b + e x^2 + g y^2) with e != g:
+    H = C1^2 C2^-1 C3^-b.  u = e x^2 + g y^2 obeys du/dt = 2 x y C2, so
+    C3 = exp(integral_0^u dt / C2(t)) has cofactor 2 x y.  Each of e, g, b
+    is a number, a symbol name or a Poly in parameters."""
+    e, g, b = as_poly(e), as_poly(g), as_poly(b)
     u = e * X ** 2 + g * Y ** 2
-    c3 = IntegralExponent(u, e - g, 2 * X * Y)
-    return DarbouxCandidate(algebraic=_c1_c2(u, e - g),
-                            exponential=((c3, Fraction(-1)),))
+    c3 = IntegralExponent(u, e - g, b, 2 * X * Y)
+    return DarbouxCandidate(algebraic=_c1_c2(u, e - g, b),
+                            exponential=((c3, -b),))
 
 
-def darboux_candidate_equal(e):
-    """The b = 1 normal form with g = e: C3 = exp((1 + x^2)/(x^2 + y^2)).
-
-    The cofactor relation is 2 L1 - L2 + (1/e) L3 = 0 with L3 = -2 e x y;
-    the C3 weight is the unique one making the cofactor sum vanish
-    (C3 to the power +1/e).
-    """
+def darboux_candidate_equal(e, b=1):
+    """P = x y (b + e (x^2 + y^2)), e a nonzero number:
+    C3 = exp((1 + b x^2)/(x^2 + y^2)) has cofactor -2 e x y, so the weights
+    2, -1 and b/e make the cofactor sum vanish."""
     e = Fraction(e)
     if e == 0:
         raise ValueError("the e = g variant needs e != 0")
+    b = as_poly(b)
     u = e * (X ** 2 + Y ** 2)
-    g_exp = RationalFunction(1 + X ** 2, X ** 2 + Y ** 2)
+    g_exp = RationalFunction(1 + b * X ** 2, X ** 2 + Y ** 2)
     c3 = RationalExponent(g_exp, -2 * e * X * Y)
-    return DarbouxCandidate(algebraic=_c1_c2(u, Poly.zero()),
-                            exponential=((c3, Fraction(1, e)),))
+    return DarbouxCandidate(algebraic=_c1_c2(u, Poly.zero(), b),
+                            exponential=((c3, b * (1 / e)),))
 
 
 # ----------------------------------------------------------------------
@@ -276,28 +300,27 @@ def angular_speed_residual(sys):
 
 
 # ----------------------------------------------------------------------
-# the antiderivative of 1/(e - g + t + t^2)
+# the antiderivative of 1/(e - g + b t + t^2)
 
-def c3_exponent(u, e_minus_g):
-    """Definite integral of dt/(e-g + t + t^2) from 0 to u, branch-selected
-    by the sign of 4(e-g) - 1.  Raises DomainError on a pole inside the
+def c3_exponent(u, e_minus_g, b=1.0):
+    """Definite integral of dt/(e-g + b t + t^2) from 0 to u, branch-selected
+    by the sign of 4(e-g) - b^2.  Raises DomainError on a pole inside the
     integration segment.
     """
     lo, hi = min(0.0, u), max(0.0, u)
-    disc = 1.0 - 4.0 * e_minus_g
-    if disc >= 0.0:
-        r = math.sqrt(disc)
-        for root in ((-1.0 - r) / 2.0, (-1.0 + r) / 2.0):
+    delta = 4.0 * e_minus_g - b * b
+    if delta <= 0.0:
+        r = math.sqrt(-delta)
+        for root in ((-b - r) / 2.0, (-b + r) / 2.0):
             if lo - 1e-12 <= root <= hi + 1e-12:
                 raise DomainError(f"pole at t = {root} inside [0, {u}]")
-    delta = 4.0 * e_minus_g - 1.0
-    if abs(delta) < 1e-12:
-        F = lambda t: -2.0 / (1.0 + 2.0 * t)
+    if abs(delta) <= 1e-12 * (b * b + 4.0 * abs(e_minus_g)):
+        F = lambda t: -2.0 / (2.0 * t + b)
     elif delta > 0.0:
         rt = math.sqrt(delta)
-        F = lambda t: 2.0 / rt * math.atan((1.0 + 2.0 * t) / rt)
+        F = lambda t: 2.0 / rt * math.atan((2.0 * t + b) / rt)
     else:
         rt = math.sqrt(-delta)
         # abs: between the two poles the ratio is negative with constant sign
-        F = lambda t: math.log(abs((1.0 + 2.0 * t - rt) / (1.0 + 2.0 * t + rt))) / rt
+        F = lambda t: math.log(abs((2.0 * t + b - rt) / (2.0 * t + b + rt))) / rt
     return F(u) - F(0.0)

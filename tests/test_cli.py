@@ -474,6 +474,14 @@ class TestDocuments:
         assert run(capsys, "plconst", "--system", path, "-m", "1") == (
             2, "", "error: bindings must be an object\n")
 
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_binding_names_state_variable(self, capsys, tmp_path, name):
+        path = write_doc(tmp_path, "sys.json",
+                         {"family": "quintic-uic", "a": "1", "c": "-1",
+                          "bindings": {name: "2"}})
+        assert run(capsys, "verify", "form1", "--system", path) == (
+            2, "", f"error: binding {name} names a state variable\n")
+
     # json reads 1e400 as inf; true and false are ints to Python
     @pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN", "null",
                                        "true", "false", "[1]"])
@@ -822,4 +830,7 @@ class TestExpressionFuzz:
         assert seconds < 5.0
         if isinstance(doc, dict) and "family" in doc and not all(
                 family_value_ok(doc[n]) for n in "abcdefgh" if n in doc):
+            assert code == 2
+        bindings = doc.get("bindings") if isinstance(doc, dict) else None
+        if isinstance(bindings, dict) and {"x", "y"} & set(bindings):
             assert code == 2

@@ -1,7 +1,7 @@
 """The package's import structure, read from the source with `ast`: no
-module imports another module's private name, and the graph of imports
-between the package's modules has no cycle.  Imports inside functions
-count too."""
+module imports another module's private name, the graph of imports
+between the package's modules has no cycle, and every name a module
+imports is read in it.  Imports inside functions count too."""
 
 import ast
 from pathlib import Path
@@ -68,6 +68,28 @@ def find_cycle(package):
     return next(filter(None, map(visit, sorted(edges))), None)
 
 
+def unused_imports(package):
+    """(module, name) for each name an import binds that nothing in the
+    module reads; the strings of a module's __all__ count as reads."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        bound, read = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    bound.update(alias.asname or alias.name.split(".")[0]
+                                 for alias in node.names)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                read.update(c.value for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant))
+        out.extend((path.stem, name) for name in sorted(bound - read))
+    return out
+
+
 def test_reads_the_package():
     edges = graph(PACKAGE)
     assert {"qpoly", "lyapunov", "quintic", "structure", "orbits", "cli"} <= set(edges)
@@ -81,6 +103,23 @@ def test_no_private_name_crosses_modules():
 
 def test_import_graph_is_acyclic():
     assert find_cycle(PACKAGE) is None
+
+
+def test_every_import_is_read():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_check_catches_an_unused_import(tmp_path):
+    pkg = tmp_path / PACKAGE.name
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport math as m\n"
+        "from decimal import Context, Decimal\n"
+        "from .b import f, g\n"
+        "__all__ = ['g']\n"
+        "def h(x: Decimal):\n    from . import c\n    return f(m.pi)\n")
+    assert unused_imports(pkg) == [("a", "Context"), ("a", "c"), ("a", "os")]
 
 
 def test_checks_catch_a_cycle_and_a_private_import(tmp_path):

@@ -403,12 +403,32 @@ class TestCenterType:
         assert (verdict.tag, verdict.evidence) == ("B2", "eg-rule")
 
     def test_coefficient_beyond_float_range(self):
+        # case (iii) rotates in floats; case (ii) reads exact signs
         big = 10 ** 400
         f, g, h = quintic.case_iii_fgh(1, 0, big, 0)
-        for params in (numeric(b=1, e=big, g=1),
-                       numeric(a=1, c=-1, d=big, f=f, g=g, h=h)):
-            with pytest.raises(ValueError, match="beyond the float range"):
-                center_type(params, quintic.theorem_case(params))
+        params = numeric(a=1, c=-1, d=big, f=f, g=g, h=h)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            center_type(params, quintic.theorem_case(params))
+
+    @pytest.mark.parametrize("e,g,tag", [
+        (Fraction(1, 10 ** 200), Fraction(-1, 10 ** 200), "B4"),
+        (10 ** 400, -1, "B4"),
+        (-(10 ** 400), Fraction(-1, 10 ** 400), "B2"),
+        (0, -1, "B2"),
+    ], ids=["underflow", "overflow", "same-sign", "zero"])
+    def test_case_ii_exact_signs(self, e, g, tag):
+        """The float product e g underflows to -0.0 for the first point
+        and overflows for the second; the signs decide."""
+        params = numeric(b=1, e=e, g=g)
+        verdict = center_type(params, quintic.theorem_case(params))
+        assert (verdict.tag, verdict.evidence) == (tag, "eg-rule")
+
+    @pytest.mark.parametrize("e,g,tag", [
+        (1e-200, -1e-200, "B4"), (-1e-200, -1e-200, "B2"), (0.0, 1.0, "B2"),
+        (-0.0, 1.0, "B2"), (3.0, -2.0, "B4")])
+    def test_eg_rule_on_floats(self, e, g, tag):
+        # the case (iii) rule reads the rotated rot.e1, rot.g1
+        assert orbits._eg_verdict(e, g).tag == tag
 
     def test_rules_agree_where_both_apply(self):
         # the quartic-only subfamily satisfies (i) and, when b = 0, the

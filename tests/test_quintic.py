@@ -1,5 +1,4 @@
 import math
-import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from isoquintic.quintic import (
     QuinticParams, QuinticError, NoSymbolicPartner, CaseTag,
     build_system, family_forms, radial_factor, reduced_conditions,
     case_iii_fgh, theorem_case, classify, case_substitution,
-    vanishes_under_case, commuting_partner, first_integral, normalize_b,
+    vanishes_under_case, commuting_partner, first_integral,
     rotate_to_canonical,
 )
 from isoquintic.lyapunov import LyapunovError, pl_constants
@@ -427,16 +426,43 @@ class TestFirstIntegral:
         assert math.isfinite(val) and val > 0
 
     def test_case_ii_equal_eg(self):
-        params = numeric(b=1, e=2, g=2)
+        # C3 = exp((1 + b x^2)/(x^2 + y^2)) with weight b/e
+        params = numeric(b=4, e=2, g=2)
         spec = first_integral(params, theorem_case(params))
         assert spec.kind == "darboux-exp"
-        assert spec.payload.e == spec.payload.g
+        (c3, weight), = spec.payload.exponential
+        assert isinstance(c3, structure.RationalExponent)
+        assert c3.exponent.num == 1 + 4 * X ** 2
+        assert c3.cofactor == -4 * X * Y
+        assert weight == 2
 
     def test_case_ii_rescaled(self):
+        """b = 4, e = 16, g = -16 is b = 1, e = 1, g = -1 rescaled by
+        x -> x/2, y -> y/2; its candidate is written in its own b."""
         params = numeric(b=4, e=16, g=-16)
         spec = first_integral(params, theorem_case(params))
         assert spec.kind == "darboux-exp"
-        assert spec.payload.e == 1 and spec.payload.g == -1
+        (_, two), (c2, minus_one) = spec.payload.algebraic
+        (c3, weight), = spec.payload.exponential
+        u = 16 * X ** 2 - 16 * Y ** 2
+        assert (two, minus_one, weight) == (2, -1, -4)
+        assert c2.curve == 32 + 4 * u + u ** 2
+        assert (c3.u, c3.shift, c3.b) == (u, 32, 4)
+
+    def test_case_ii_symbolic_b(self):
+        params = QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)
+        spec = first_integral(params, theorem_case_like(CaseTag.CASE_II))
+        assert spec.kind == "darboux-exp"
+        assert spec.payload.exponential[0][1] == -Poly.var("b")
+
+    @pytest.mark.parametrize("b", [2 * 10 ** 400, Fraction(2, 10 ** 400)],
+                             ids=["huge", "tiny"])
+    def test_b_beyond_float_range(self, b):
+        # exact certification needs no float of b
+        params = numeric(b=b, e=1, g=2)
+        spec = first_integral(params, quintic.CenterCase(CaseTag.CASE_II))
+        assert spec.kind == "darboux-exp"
+        assert spec.payload.exponential[0][1] == -b
 
     def test_case_iii_quartic_numeric_only(self):
         f, g, h = case_iii_fgh(1, 0, 1, 0)
@@ -452,6 +478,12 @@ class TestFirstIntegral:
         dict(d=1, e=2, f=-3, g=1),
         dict(b=1, e=1, g=-1),
         dict(b=1, e=2, g=2),
+        dict(b=4, e=16, g=-16),
+        dict(b=2, e=1, g=-1),
+        dict(b=-1, e=1, g=-1),
+        dict(b=Fraction(1, 3), e=1, g=-1),
+        dict(b=4, e=2, g=2),
+        dict(b=-2, e=3, g=3),
     ])
     def test_constant_along_orbits(self, kw):
         params = numeric(**kw)
@@ -461,78 +493,6 @@ class TestFirstIntegral:
         base = spec.eval_float(0.3, 0.05)
         for x, y in orbit_sample_pairs(sysm, 0.3, 0.05):
             assert abs(spec.eval_float(x, y) - base) < 1e-6 * abs(base)
-
-
-class TestNormalizeB:
-    def test_positive_exact(self):
-        new, sc = normalize_b(numeric(b=4, e=16, g=0))
-        v = new.fractions()
-        assert (v["b"], v["e"], v["g"]) == (1, 1, 0)
-        assert sc.scale == 2 and isinstance(sc.scale, Fraction)
-        assert not sc.swapped
-
-    def test_identity(self):
-        params = numeric(b=1, e=2, g=3)
-        new, sc = normalize_b(params)
-        assert new == params
-        assert sc.scale == 1 and isinstance(sc.scale, Fraction)
-
-    def test_negative_swaps(self):
-        new, sc = normalize_b(numeric(b=-1, e=2, g=5))
-        v = new.fractions()
-        assert (v["b"], v["e"], v["g"]) == (1, -5, -2)
-        assert sc.swapped
-
-    def test_inexact_root(self):
-        _, sc = normalize_b(numeric(b=2))
-        assert not isinstance(sc.scale, Fraction)
-        assert abs(sc.scale - math.sqrt(2)) < 1e-15
-        assert sc.scale == math.sqrt(2.0)  # math.sqrt(float(b)), bit for bit
-
-    @pytest.mark.parametrize("b,scale", [
-        (2 * 10 ** 400, 1.4142135623730951e200),
-        (Fraction(2, 10 ** 400), 1.4142135623730951e-200),
-    ], ids=["huge", "tiny"])
-    def test_b_beyond_float_range(self, b, scale):
-        # float(b) overflows or underflows to 0.0; sqrt|b| is a float
-        params = numeric(b=b, e=1, g=2)
-        _, sc = normalize_b(params)
-        assert sc.scale == scale
-        case = quintic.CenterCase(CaseTag.CASE_II)
-        assert first_integral(params, case).kind == "darboux-exp"
-
-    @pytest.mark.parametrize("b,root", [(2 * 10 ** 700, "1.41421e+350"),
-                                        (Fraction(-2, 10 ** 700), "1.41421e-350"),
-                                        (2 * 10 ** 300001, "4.47214e+150000")],
-                             ids=["huge", "tiny", "k300001"])
-    def test_root_beyond_float_range_rejected(self, b, root):
-        with pytest.raises(ValueError, match=re.escape(f"root {root} is beyond")):
-            normalize_b(numeric(b=b, e=1))
-
-    def test_zero_rejected(self):
-        with pytest.raises(QuinticError):
-            normalize_b(numeric(b=0, e=1))
-
-    @pytest.mark.parametrize("kw", [dict(b=4, e=16, g=-8),
-                                    dict(b=-9, e=3, g=27)])
-    def test_pushforward_identity(self, kw):
-        """The normalized field really is the original one in the rescaled
-        (and possibly swapped, time-reversed) coordinates."""
-        params = numeric(**kw)
-        new, sc = normalize_b(params)
-        orig = build_system(params)
-        norm = build_system(new)
-        s = float(sc.scale)
-        for u, v in ((0.3, 0.7), (-0.5, 0.2), (1.1, -0.4)):
-            fu, fv = norm.eval_float(u, v)
-            if not sc.swapped:
-                p0, q0 = orig.eval_float(u / s, v / s)
-                assert abs(fu - s * p0) < 1e-12
-                assert abs(fv - s * q0) < 1e-12
-            else:
-                p0, q0 = orig.eval_float(v / s, u / s)
-                assert abs(fu + s * q0) < 1e-12
-                assert abs(fv + s * p0) < 1e-12
 
 
 class TestRotation:

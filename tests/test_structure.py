@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from scipy.integrate import quad
 
-from isoquintic.qpoly import Poly, parse_expr, RationalFunction, as_poly
+from isoquintic.qpoly import (Poly, RationalFunction, UnboundVariableError,
+                              as_poly, parse_expr)
 from isoquintic.lyapunov import PlanarSystem
 from isoquintic import quintic, structure
 from isoquintic.structure import (
@@ -159,8 +160,8 @@ class TestRationalIntegral:
         assert not res.is_zero
 
 
-def case_ii_system(e="e", g="g"):
-    return quintic.build_system(quintic.QuinticParams(0, 1, 0, 0, e, 0, g, 0))
+def case_ii_system(e="e", g="g", b=1):
+    return quintic.build_system(quintic.QuinticParams(0, b, 0, 0, e, 0, g, 0))
 
 
 class TestDarboux:
@@ -173,18 +174,58 @@ class TestDarboux:
         sysm = case_ii_system(Fraction(1), Fraction(-2))
         assert verify_darboux_integral(sysm, cand).certified
 
+    def test_symbolic_b_certified(self):
+        """With b a symbol the C3 weight -b is a Poly, added as it is."""
+        cand = darboux_candidate("e", "g", "b")
+        assert cand.exponential[0][1] == -Poly.var("b")
+        assert verify_darboux_integral(case_ii_system(b="b"), cand).certified
+
+    @pytest.mark.parametrize("b", [4, -2, Fraction(1, 3)])
+    def test_numeric_b_certified(self, b):
+        cand = darboux_candidate(Fraction(1), Fraction(-2), b)
+        sysm = case_ii_system(Fraction(1), Fraction(-2), b)
+        assert verify_darboux_integral(sysm, cand).certified
+        # the b = 1 candidate's cofactors are not this system's
+        wrong = darboux_candidate(Fraction(1), Fraction(-2))
+        with pytest.raises(StructureError):
+            verify_darboux_integral(sysm, wrong)
+
     def test_known_cofactors(self):
-        sysm = case_ii_system()
+        sysm = case_ii_system(b="b")
+        b = Poly.var("b")
         u = Poly.var("e") * X ** 2 + Poly.var("g") * Y ** 2
         c1 = X ** 2 + Y ** 2
-        c2 = (Poly.var("e") - Poly.var("g")) + u + u ** 2
-        assert cofactor_of(sysm, c1) == 2 * X * Y * (1 + u)
-        assert cofactor_of(sysm, c2) == 2 * X * Y * (1 + 2 * u)
+        c2 = (Poly.var("e") - Poly.var("g")) + b * u + u ** 2
+        assert cofactor_of(sysm, c1) == 2 * X * Y * (b + u)
+        assert cofactor_of(sysm, c2) == 2 * X * Y * (b + 2 * u)
+        assert directional_derivative(sysm, u) == 2 * X * Y * c2
 
     def test_equal_variant_certified(self):
         cand = darboux_candidate_equal(Fraction(2))
         sysm = case_ii_system(Fraction(2), Fraction(2))
         assert verify_darboux_integral(sysm, cand).certified
+
+    @pytest.mark.parametrize("b", [4, -2, Fraction(1, 3), "b"])
+    def test_equal_variant_any_b(self, b):
+        cand = darboux_candidate_equal(Fraction(3), b)
+        sysm = case_ii_system(Fraction(3), Fraction(3), b)
+        assert verify_darboux_integral(sysm, cand).certified
+        assert cand.exponential[0][1] == as_poly(b) * Fraction(1, 3)
+
+    def test_eval_float_is_the_product(self):
+        """H = C1^2 C2^-1 C3^-b, written out by hand at one point."""
+        b, e, g, x, y = 2.0, 1.0, -2.0, 0.3, 0.2
+        cand = darboux_candidate(Fraction(1), Fraction(-2), 2)
+        u = e * x * x + g * y * y
+        c2 = (e - g) + b * u + u * u
+        want = (x * x + y * y) ** 2 / c2 * math.exp(-b * c3_exponent(u, e - g, b))
+        assert cand.eval_float(x, y) == pytest.approx(want, rel=1e-14)
+
+    def test_eval_float_needs_numbers(self):
+        with pytest.raises(UnboundVariableError):
+            darboux_candidate("e", "g", "b").eval_float(0.1, 0.2)
+        with pytest.raises(ValueError, match="not constant"):
+            darboux_candidate(1, 2, "b").eval_float(0.1, 0.2)
 
     def test_equal_variant_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -396,24 +437,35 @@ class TestC3Exponent:
         assert c3_exponent(0.0, 0.7) == 0.0
 
     def test_boundary_branch_closed_form(self):
-        # e - g = 1/4 integrates 1/(t + 1/2)^2
+        # e - g = 1/4 integrates 1/(t + 1/2)^2; b = 4, e - g = 4 1/(t + 2)^2
         assert abs(c3_exponent(1.0, 0.25) - 4.0 / 3.0) < 1e-14
+        assert abs(c3_exponent(1.0, 4.0, 4.0) - (0.5 - 1.0 / 3.0)) < 1e-14
 
     def test_pole_raises(self):
         with pytest.raises(DomainError):
             c3_exponent(2.0, -2.0)
+        with pytest.raises(DomainError):  # the double pole t = -2 of b = 4
+            c3_exponent(-3.0, 4.0, 4.0)
 
     def test_branch_continuity(self):
         ref = c3_exponent(1.0, 0.25)
         for eps in (1e-8, -1e-8):
             assert abs(c3_exponent(1.0, 0.25 + eps) - ref) < 1e-6
 
-    @pytest.mark.parametrize("u,shift", [(2.0, 1.0), (0.5, -1.0),
-                                         (-0.3, 0.5), (1.5, 3.0)])
-    def test_against_quadrature(self, u, shift):
-        val, err = quad(lambda t: 1.0 / (shift + t + t * t),
+    # the log branch beside both poles (b = 4, shift 3 and b = -2.5,
+    # shift 1) and between them (b = 4, shift -3); b = 1/3 takes atan
+    QUADRATURE = [(2.0, 1.0, 1.0), (0.5, -1.0, 1.0), (-0.3, 0.5, 1.0),
+                  (1.5, 3.0, 1.0), (0.7, 3.0, 4.0), (-0.5, -3.0, 4.0),
+                  (0.4, 1.0, -2.5), (1.2, 0.5, 1 / 3)]
+
+    @pytest.mark.parametrize(
+        "u,shift,b", QUADRATURE,
+        ids=[f"{u}-{s}" + ("" if b == 1 else f"-b{b:.3g}")
+             for u, s, b in QUADRATURE])
+    def test_against_quadrature(self, u, shift, b):
+        val, err = quad(lambda t: 1.0 / (shift + b * t + t * t),
                         0.0, u, epsabs=1e-12, epsrel=1e-12)
-        assert abs(c3_exponent(u, shift) - val) < 1e-9
+        assert abs(c3_exponent(u, shift, b) - val) < 1e-9
 
     def test_matches_equal_variant_derivative(self):
         # numeric sanity: d/du of the integral is the integrand

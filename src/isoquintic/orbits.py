@@ -337,24 +337,17 @@ class CenterTypeVerdict:
     evidence: str  # "eg-rule" | "maximizers(k)" | "inapplicable: ..."
 
 
-def _eg_verdict(e, g):
-    """B4 exactly when e and g have opposite signs, read from the signs
-    themselves: a product of tiny floats underflows to a signed zero."""
-    return CenterTypeVerdict("B4" if (e < 0 < g or g < 0 < e) else "B2",
-                             "eg-rule")
-
-
 def center_type(params, case):
-    """B-type of a center: the e g sign rule for case (ii) (and for
-    case (iii) after numeric rotation), maximizer counting on the explicit
-    boundary for case (i)."""
+    """B-type of a center: for cases (ii) and (iii), B4 exactly when the
+    quadratic form u of P = ell (beta + u) is indefinite, read exactly from
+    its coefficients (case (ii): e and g of opposite signs); maximizer
+    counting on the explicit boundary for case (i)."""
     v = params.fractions()
-    tag = case.tag
-    if tag is quintic.CaseTag.CASE_II:
-        return _eg_verdict(v["e"], v["g"])
-    if tag is quintic.CaseTag.CASE_III:
-        rot = quintic.rotate_to_canonical(params)
-        return _eg_verdict(rot.e1, rot.g1)
+    if case.tag is not quintic.CaseTag.CASE_I:
+        u = quintic.rotate_to_canonical(params).u
+        uxx, uxy, uyy = u.forms().get(2, [0, 0, 0])
+        return CenterTypeVerdict("B4" if uxy * uxy > 4 * uxx * uyy else "B2",
+                                 "eg-rule")
     try:
         boundary = boundary_curve(v["d"], v["e"], v["g"], v["h"])
     except InapplicableBoundaryError as exc:

@@ -11,13 +11,11 @@ the forms of a numeric point directly and stops at the first nonzero D_k.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .qpoly import (Poly, RationalFunction, as_poly, form_poly, substitute_form,
-                    to_float)
+from .qpoly import Poly, RationalFunction, as_poly, divide_exact, form_poly
 from .lyapunov import (PlanarSystem, check_count, first_nonzero_numerator,
                        stage_constants)
 
@@ -29,10 +27,6 @@ Y = Poly.var("y")
 
 class QuinticError(Exception):
     pass
-
-
-class NoSymbolicPartner(QuinticError):
-    """Case (iii) with d or e nonzero has no known polynomial partner."""
 
 
 @dataclass(frozen=True)
@@ -86,18 +80,6 @@ class CaseTag(Enum):
 @dataclass(frozen=True)
 class CenterCase:
     tag: CaseTag
-
-
-# the monomials of P that a, ..., h multiply
-RADIAL_MONOMIALS = (X ** 2, X * Y, Y ** 2, X ** 4, X ** 3 * Y, X ** 2 * Y ** 2,
-                    X * Y ** 3, Y ** 4)
-
-
-def radial_factor(params):
-    """The polynomial P multiplying (x, y) in the family."""
-    p = params.polys()
-    return sum((p[n] * mono for n, mono in zip(PARAM_NAMES, RADIAL_MONOMIALS)),
-               Poly.zero())
 
 
 def _coefficient(value):
@@ -225,121 +207,103 @@ def vanishes_under_case(poly, tag):
 
 
 # ----------------------------------------------------------------------
-# commuting partners and first integrals
+# the form P = ell (beta + u) of cases (ii) and (iii), partners and integrals
 
-def _partner_factor(p, tag):
+@dataclass(frozen=True)
+class CanonicalForm:
+    """P = ell (beta + u) with u a quadratic form, y u_x - x u_y =
+    2 ell shift for a shift free of x and y, and r = b x^2 - 2 a x y, so
+    that y r_x - x r_y = 2 beta ell."""
+    ell: Poly
+    beta: Poly
+    u: Poly
+    shift: Poly
+    r: Poly
+
+
+def rotate_to_canonical(params):
+    """The exact form P = ell (beta + u) of a case (ii) or (iii) system.
+
+    Case (ii) has ell = x y, beta = b and u = e x^2 + g y^2.  Case (iii) has
+    ell = a x^2 + b x y - a y^2, beta = 1 and u = P4 / ell, so it is case
+    (ii) rotated, with every rotation-invariant piece rational.  Its shift is
+    (b d - a e) / (2 a^3), and u is indefinite exactly when the rotated e1
+    and g1 have opposite signs.  Raises QuinticError when P has no such form.
+    """
+    p = params.polys()
+    if not (p["a"] + p["c"]).is_zero:
+        raise QuinticError("the form P = ell (beta + u) needs c = -a")
+    if p["a"].is_zero:
+        ell, beta = X * Y, p["b"]
+    else:
+        ell, beta = form_poly([p[n] for n in "abc"]), Poly.const(1)
+    u = divide_exact(form_poly([p[n] for n in "defgh"]), ell)
+    if u is None:
+        raise QuinticError(f"the quartic part of P is no multiple of {ell}")
+    shift = divide_exact(Y * u.diff("x") - X * u.diff("y"), 2 * ell)
+    if shift is None:
+        raise QuinticError("y u_x - x u_y is no multiple of 2 ell")
+    return CanonicalForm(ell, beta, u, shift, p["b"] * X ** 2 - 2 * p["a"] * X * Y)
+
+
+def _case_i_factor(p):
     """R with radial partner (x (1 + R), y (1 + R)) and first integral
-    (x^2 + y^2)^k / (1 + R): the quartic of case (i) (k = 2), or the quadratic
-    of case (iii)'s cubic subfamily d = e = 0 (k = 1).  None for case (iii)
-    with d or e nonzero, which has no known polynomial partner."""
-    if tag is CaseTag.CASE_I:
-        return (p["e"] * X ** 4 - 4 * p["d"] * X ** 3 * Y
-                + 4 * p["h"] * X * Y ** 3 - p["g"] * Y ** 4)
-    if p["d"].is_zero and p["e"].is_zero:
-        return p["b"] * X ** 2 - 2 * p["a"] * X * Y
-    return None
+    (x^2 + y^2)^2 / (1 + R) in case (i)."""
+    return (p["e"] * X ** 4 - 4 * p["d"] * X ** 3 * Y
+            + 4 * p["h"] * X * Y ** 3 - p["g"] * Y ** 4)
 
 
 def commuting_partner(params, case):
-    """A transversal polynomial system commuting with the center system."""
-    p = params.polys()
-    if case.tag is CaseTag.CASE_II:
-        u = p["e"] * X ** 2 + p["g"] * Y ** 2
-        Q = (p["e"] - p["g"]) + u * (p["b"] + u)
-        return PlanarSystem(X * Q, Y * Q)
-    R = _partner_factor(p, case.tag)
-    if R is None:
-        raise NoSymbolicPartner(
-            "case (iii) with d or e nonzero: rotate to canonical form instead")
-    Q = 1 + R
+    """A transversal polynomial system (x Q, y Q) commuting with the center
+    system: Q = 1 + R in case (i); in cases (ii) and (iii) Q = C2 = shift +
+    beta u + u^2 of the form P = ell (beta + u), or 1 + r when u = 0."""
+    if case.tag is CaseTag.CASE_I:
+        Q = 1 + _case_i_factor(params.polys())
+    else:
+        form = rotate_to_canonical(params)
+        u = form.u
+        Q = 1 + form.r if u.is_zero else form.shift + form.beta * u + u ** 2
     return PlanarSystem(X * Q, Y * Q)
 
 
 @dataclass(frozen=True)
 class FirstIntegralSpec:
-    kind: str  # "rational" | "darboux-exp" | "numeric-only"
+    kind: str  # "rational" | "darboux-exp"
     payload: object
 
     def eval_float(self, x, y):
         if self.kind == "rational":
             return self.payload.eval_float({"x": x, "y": y})
-        if self.kind == "darboux-exp":
-            return self.payload.eval_float(x, y)
-        raise QuinticError("numeric-only integral has no closed-form evaluator")
-
-
-@dataclass(frozen=True)
-class RotationData:
-    b1: float
-    e1: float
-    g1: float
-    phi: float
-    residual: float
+        return self.payload.eval_float(x, y)
 
 
 def first_integral(params, case):
     """A certified first integral for the given center case.
 
-    Case (ii), P = x y (b + e x^2 + g y^2), gets the Darboux integral of
-    `structure.darboux_candidate` for every b, or of
-    `darboux_candidate_equal` when e = g is a nonzero number; the payload
-    is the certified candidate.  With b = 0 it is the case (i) system with
-    d = h = 0 and gets that rational integral.  Case (iii) with d or e
-    nonzero is numeric-only (rotation data).
+    Case (i), and case (ii) with b = 0, get (x^2 + y^2)^2 / (1 + R).  Cases
+    (ii) and (iii) are written P = ell (beta + u) by `rotate_to_canonical`:
+    with u = 0 the integral is (x^2 + y^2) / (1 + r), otherwise the Darboux
+    integral of `structure.form_candidate`, whose certified candidate is
+    the payload.
     """
     from . import structure
 
-    p = params.polys()
     sysm = build_system(params)
-    tag = case.tag
-    if tag is CaseTag.CASE_II and params.b == 0:
-        tag = CaseTag.CASE_I
-
-    if tag is CaseTag.CASE_II:
-        b, e, g = (_coefficient(getattr(params, n)) for n in "beg")
-        if e == g:
-            if isinstance(e, Poly) or e == 0:
-                raise QuinticError("e = g variant needs a nonzero numeric e")
-            cand = structure.darboux_candidate_equal(e, b)
-        else:
-            cand = structure.darboux_candidate(e, g, b)
-        verdict = structure.verify_darboux_integral(sysm, cand)
-        if not verdict.certified:
-            raise QuinticError(f"certificate failed: {verdict.residual}")
-        return FirstIntegralSpec("darboux-exp", cand)
-
-    R = _partner_factor(p, tag)
-    if R is None:
-        return FirstIntegralSpec("numeric-only", rotate_to_canonical(params))
-    num = X ** 2 + Y ** 2 if tag is CaseTag.CASE_III else (X ** 2 + Y ** 2) ** 2
-    den = 1 + R
+    p = params.polys()
+    if case.tag is CaseTag.CASE_I or (case.tag is CaseTag.CASE_II
+                                      and p["b"].is_zero):
+        num, den = (X ** 2 + Y ** 2) ** 2, 1 + _case_i_factor(p)
+    else:
+        form = rotate_to_canonical(params)
+        if not form.u.is_zero:
+            cand = structure.form_candidate(form.ell, form.u, form.shift,
+                                            form.beta, form.r)
+            verdict = structure.verify_darboux_integral(sysm, cand)
+            if not verdict.certified:
+                raise QuinticError(f"certificate failed: {verdict.residual}")
+            return FirstIntegralSpec("darboux-exp", cand)
+        num, den = X ** 2 + Y ** 2, 1 + form.r
     res = structure.rational_integral_residual(sysm, num, den)
     if not res.is_zero:
         raise QuinticError(f"integral certificate failed: residual {res}")
     return FirstIntegralSpec("rational", RationalFunction(num, den))
-
-
-# ----------------------------------------------------------------------
-# case (iii) rotation
-
-def rotate_to_canonical(params):
-    """Numerically rotate a case (iii) system onto the form with radial part
-    x y (b1 + e1 x^2 + g1 y^2).
-
-    The angle solves a tan^2(phi) + b tan(phi) - a = 0; the root
-    (-b + sqrt(b^2 + 4 a^2)) / (2a) is chosen for determinism.  The residual
-    is the largest rotated coefficient that ought to vanish.
-    """
-    v = params.fractions()
-    a, b = to_float(v["a"]), to_float(v["b"])
-    if a == 0:
-        raise QuinticError("rotation requires a != 0")
-    tan_phi = (-b + math.sqrt(b * b + 4 * a * a)) / (2 * a)
-    phi = math.atan(tan_phi)
-    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-    lx, ly = [cos_phi, sin_phi], [-sin_phi, cos_phi]
-
-    quad = substitute_form([to_float(v[n]) for n in "abc"], lx, ly)
-    quart = substitute_form([to_float(v[n]) for n in "defgh"], lx, ly)
-    residual = max(abs(c) for c in (quad[0], quad[2], *quart[::2]))
-    return RotationData(quad[1], quart[1], quart[3], phi, residual)

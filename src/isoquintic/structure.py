@@ -108,8 +108,8 @@ class IntegralExponent:
     """exp(integral_0^u dt / (shift + b t + t^2)); certificate
     p u_x + q u_y = K (shift + b u + u^2)."""
     u: Poly
-    shift: Poly  # the value e - g
-    b: Poly
+    shift: Poly
+    b: Poly  # the beta of `form_candidate`
     cofactor: Poly
 
 
@@ -174,40 +174,49 @@ def verify_darboux_integral(sys, cand):
     return DarbouxVerdict(False, residual=total)
 
 
-def _c1_c2(u, shift, b):
-    """C1 = x^2 + y^2 and C2 = shift + b u + u^2, u = e x^2 + g y^2, with
-    their cofactors 2 x y (b + u) and 2 x y (b + 2 u) and the weights 2 and
-    -1."""
-    c1 = AlgebraicInvariant(X ** 2 + Y ** 2, 2 * X * Y * (b + u))
-    c2 = AlgebraicInvariant(shift + b * u + u ** 2, 2 * X * Y * (b + 2 * u))
-    return (c1, Fraction(2)), (c2, Fraction(-1))
+def form_candidate(ell, u, shift, beta, r):
+    """Darboux data for P = ell (beta + u), u a nonzero quadratic form with
+    y u_x - x u_y = 2 ell shift, and r with y r_x - x r_y = 2 beta ell (the
+    form of `quintic.rotate_to_canonical`).
+
+    C1 = x^2 + y^2 and C2 = shift + beta u + u^2 have cofactors
+    2 ell (beta + u) and 2 ell (beta + 2 u) and the weights 2 and -1.  With
+    shift != 0, u obeys du/dt = 2 ell C2, so C3 = exp(integral_0^u dt / C2)
+    has cofactor 2 ell and weight -beta.  With shift = 0, u = kappa C1 for a
+    nonzero number kappa, and C3 = exp((1 + r) / C1) has cofactor
+    -2 kappa ell and weight beta / kappa.
+    """
+    c1 = X ** 2 + Y ** 2
+    if u.is_zero:
+        raise ValueError("the Darboux form needs u != 0")
+    if shift.is_zero:
+        kappa = divide_exact(u, c1)
+        if kappa is None or kappa.variables():
+            raise ValueError("with shift = 0, u must be a number times x^2 + y^2")
+        kappa = kappa.constant_value()
+        c3 = RationalExponent(RationalFunction(1 + r, c1), -2 * kappa * ell)
+        weight = beta * (1 / kappa)
+    else:
+        c3, weight = IntegralExponent(u, shift, beta, 2 * ell), -beta
+    return DarbouxCandidate(
+        algebraic=((AlgebraicInvariant(c1, 2 * ell * (beta + u)), Fraction(2)),
+                   (AlgebraicInvariant(shift + beta * u + u ** 2,
+                                       2 * ell * (beta + 2 * u)), Fraction(-1))),
+        exponential=((c3, weight),))
 
 
 def darboux_candidate(e, g, b=1):
-    """Darboux data for P = x y (b + e x^2 + g y^2) with e != g:
-    H = C1^2 C2^-1 C3^-b.  u = e x^2 + g y^2 obeys du/dt = 2 x y C2, so
-    C3 = exp(integral_0^u dt / C2(t)) has cofactor 2 x y.  Each of e, g, b
-    is a number, a symbol name or a Poly in parameters."""
+    """`form_candidate` of case (ii), P = x y (b + e x^2 + g y^2): H =
+    C1^2 C2^-1 C3^-b, or C3 = exp((1 + b x^2)/(x^2 + y^2)) with weight b/e
+    when e = g.  Each of e, g, b is a number, a symbol name or a Poly in
+    parameters."""
     e, g, b = as_poly(e), as_poly(g), as_poly(b)
-    u = e * X ** 2 + g * Y ** 2
-    c3 = IntegralExponent(u, e - g, b, 2 * X * Y)
-    return DarbouxCandidate(algebraic=_c1_c2(u, e - g, b),
-                            exponential=((c3, -b),))
+    return form_candidate(X * Y, e * X ** 2 + g * Y ** 2, e - g, b, b * X ** 2)
 
 
 def darboux_candidate_equal(e, b=1):
-    """P = x y (b + e (x^2 + y^2)), e a nonzero number:
-    C3 = exp((1 + b x^2)/(x^2 + y^2)) has cofactor -2 e x y, so the weights
-    2, -1 and b/e make the cofactor sum vanish."""
-    e = Fraction(e)
-    if e == 0:
-        raise ValueError("the e = g variant needs e != 0")
-    b = as_poly(b)
-    u = e * (X ** 2 + Y ** 2)
-    g_exp = RationalFunction(1 + b * X ** 2, X ** 2 + Y ** 2)
-    c3 = RationalExponent(g_exp, -2 * e * X * Y)
-    return DarbouxCandidate(algebraic=_c1_c2(u, Poly.zero(), b),
-                            exponential=((c3, b * (1 / e)),))
+    """P = x y (b + e (x^2 + y^2)), e a nonzero number."""
+    return darboux_candidate(e, e, b)
 
 
 # ----------------------------------------------------------------------
@@ -300,21 +309,21 @@ def angular_speed_residual(sys):
 
 
 # ----------------------------------------------------------------------
-# the antiderivative of 1/(e - g + b t + t^2)
+# the antiderivative of 1/(shift + b t + t^2)
 
-def c3_exponent(u, e_minus_g, b=1.0):
-    """Definite integral of dt/(e-g + b t + t^2) from 0 to u, branch-selected
-    by the sign of 4(e-g) - b^2.  Raises DomainError on a pole inside the
+def c3_exponent(u, shift, b=1.0):
+    """Definite integral of dt/(shift + b t + t^2) from 0 to u, branch-selected
+    by the sign of 4 shift - b^2.  Raises DomainError on a pole inside the
     integration segment.
     """
     lo, hi = min(0.0, u), max(0.0, u)
-    delta = 4.0 * e_minus_g - b * b
+    delta = 4.0 * shift - b * b
     if delta <= 0.0:
         r = math.sqrt(-delta)
         for root in ((-b - r) / 2.0, (-b + r) / 2.0):
             if lo - 1e-12 <= root <= hi + 1e-12:
                 raise DomainError(f"pole at t = {root} inside [0, {u}]")
-    if abs(delta) <= 1e-12 * (b * b + 4.0 * abs(e_minus_g)):
+    if abs(delta) <= 1e-12 * (b * b + 4.0 * abs(shift)):
         F = lambda t: -2.0 / (2.0 * t + b)
     elif delta > 0.0:
         rt = math.sqrt(delta)

@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from isoquintic.qpoly import Poly
+from isoquintic.qpoly import Poly, substitute_form
 from isoquintic.lyapunov import PlanarSystem
+from isoquintic.quintic import PARAM_NAMES, QuinticParams
 
 
 @pytest.fixture
@@ -58,3 +60,32 @@ def scaled_case_iii_system():
            - b ** 2 * d * y ** 2 + a * b * e * y ** 2)
     P = quad * big
     return PlanarSystem(2 * a ** 3 * y + x * P, -2 * a ** 3 * x + y * P)
+
+
+X, Y = Poly.var("x"), Poly.var("y")
+
+# the monomials of P that a, ..., h multiply
+RADIAL_MONOMIALS = (X ** 2, X * Y, Y ** 2, X ** 4, X ** 3 * Y, X ** 2 * Y ** 2,
+                    X * Y ** 3, Y ** 4)
+
+
+def radial_factor(params):
+    """The polynomial P multiplying (x, y) in the family, term by term: the
+    reference `quintic.build_system` is checked against."""
+    p = params.polys()
+    return sum((p[n] * mono for n, mono in zip(PARAM_NAMES, RADIAL_MONOMIALS)),
+               Poly.zero())
+
+
+def rotated_params(params):
+    """A case (iii) point rotated in floats by the angle phi with
+    a tan^2(phi) + b tan(phi) - a = 0 onto the form with radial part
+    x y (b1 + e1 x^2 + g1 y^2), as exact fractions of the floats."""
+    v = params.fractions()
+    a, b = float(v["a"]), float(v["b"])
+    tan_phi = (-b + math.sqrt(b * b + 4 * a * a)) / (2 * a)
+    phi = math.atan(tan_phi)
+    c, s = math.cos(phi), math.sin(phi)
+    rot = (substitute_form([float(v[n]) for n in "abc"], [c, s], [-s, c])
+           + substitute_form([float(v[n]) for n in "defgh"], [c, s], [-s, c]))
+    return QuinticParams(*(Fraction(r) for r in rot))

@@ -4,17 +4,19 @@ Run with `pytest tests/test_acceptance.py -s` to see the verdict lines as
 they are produced; without -s they appear in the captured output.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from isoquintic.qpoly import Poly, parse_expr, substitute_form
-from isoquintic.lyapunov import PlanarSystem, pl_constants, first_nonzero
+from isoquintic.qpoly import Poly, parse_expr
+from isoquintic.lyapunov import (PlanarSystem, pl_constants, first_nonzero,
+                                 stage_constants)
 from isoquintic import quintic, structure, orbits
 from isoquintic.quintic import QuinticParams, CaseTag
-from conftest import scaled_case_iii_system
+from conftest import radial_factor, rotated_params, scaled_case_iii_system
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -125,7 +127,43 @@ def test_criterion_2_reduced_relations():
             continue
         ok = any(d.eval_rational(pt) != 0 for d in rep.raw)
         count += 1
+
+    ok = ok and necessity_identities_hold()
     report(2, "reduced-relation equivalence", ok)
+
+
+def necessity_identities_hold():
+    """D1 = ... = D4 = 0 exactly when R = 0, as polynomial identities.
+
+    With sigma = {c -> -a, f -> -3d - 3h} and d_k the raw numerators of
+    `stage_constants`, d_k is a combination of R_1..R_k under sigma, and
+    sigma is what R_1 = R_2 = 0 impose.  With c = -a, R_2..R_4 are linear in
+    (f, g, h) with determinant 18 a^3: for a != 0 the only solution is
+    `case_iii_fgh` (case (iii)).  With a = c = 0, R_3 = -b (f + 6 h) and
+    R_4 = 3 b^2 h: b = 0 (case (i)) or d = f = h = 0 (case (ii)).
+    """
+    params = QuinticParams.symbolic()
+    nums = [num for num, _, _ in itertools.islice(
+        stage_constants(*quintic.family_forms(params)), 4)]
+    r = quintic.reduced_conditions(params)
+    a, b, d, f, h = (Poly.var(n) for n in "abdfh")
+    c_only, sigma = {"c": -a}, {"c": -a, "f": -3 * d - 3 * h}
+    ok = nums[0] == 192 * r[0]
+    ok = ok and nums[1].subs(c_only) == 8640 * r[1]
+    ok = ok and nums[2].subs(sigma) == 38707200 * r[2].subs(sigma)
+    ok = ok and (nums[3].subs(sigma) == 24385536000 * r[3].subs(sigma)
+                 - 36578304000 * b * r[2].subs(sigma))
+
+    m = [[rk.subs(c_only).coefficient(v, 1) for v in "fgh"] for rk in r[1:]]
+    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    ok = ok and det == 18 * a ** 3
+
+    at_a0 = [rk.subs({"a": 0, "c": 0}) for rk in r]
+    ok = ok and at_a0 == [Poly.zero(), 3 * d + f + 3 * h,
+                          -b * (f + 6 * h), 3 * b ** 2 * h]
+    return ok
 
 
 def test_criterion_3_center_certificates():
@@ -322,18 +360,6 @@ def test_criterion_8_isochronicity():
     report(8, "isochronicity at desk scale", ok)
 
 
-def rotated_params(params):
-    """Full rotated coefficient set as exact fractions of floats."""
-    v = params.fractions()
-    a, b = float(v["a"]), float(v["b"])
-    tan_phi = (-b + math.sqrt(b * b + 4 * a * a)) / (2 * a)
-    phi = math.atan(tan_phi)
-    c, s = math.cos(phi), math.sin(phi)
-    rot = (substitute_form([float(v[n]) for n in "abc"], [c, s], [-s, c])
-           + substitute_form([float(v[n]) for n in "defgh"], [c, s], [-s, c]))
-    return QuinticParams(*(Fraction(r) for r in rot))
-
-
 def test_criterion_9_rotation():
     ok = True
     for _ in range(100):
@@ -344,8 +370,9 @@ def test_criterion_9_rotation():
         b, d, e = (frac(-3, 3) for _ in range(3))
         f, g, h = quintic.case_iii_fgh(a, b, d, e)
         params = QuinticParams(a, b, -a, d, e, f, g, h)
-        rot = quintic.rotate_to_canonical(params)
-        ok = ok and rot.residual < 1e-9
+        form = quintic.rotate_to_canonical(params)
+        ok = ok and radial_factor(params) == form.ell * (form.beta + form.u)
+        ok = ok and form.shift == (b * d - a * e) / (2 * a ** 3)
         rep = pl_constants(quintic.build_system(rotated_params(params)), 4)
         ok = ok and all(abs(float(dc.constant_value())) < 1e-6
                         for dc in rep.raw)

@@ -1,7 +1,8 @@
 """The package's import structure, read from the source with `ast`: no
 module imports another module's private name, the graph of imports
-between the package's modules has no cycle, and every name a module
-imports is read in it.  Imports inside functions count too."""
+between the package's modules has no cycle, every name a module imports
+is read in it, and the exact layer `quintic` imports no float conversion.
+Imports inside functions count too."""
 
 import ast
 from pathlib import Path
@@ -90,6 +91,22 @@ def unused_imports(package):
     return out
 
 
+def float_imports(path):
+    """The float conversions a module imports: `math`, and
+    `qpoly.to_float`."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.extend(alias.name for alias in node.names
+                       if alias.name.split(".")[0] == "math")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module == "math":
+            out.append("math")
+    out.extend(f"qpoly.{name}" for target, names in imports(path)
+               if target == "qpoly" for name in names if name == "to_float")
+    return out
+
+
 def test_reads_the_package():
     edges = graph(PACKAGE)
     assert {"qpoly", "lyapunov", "quintic", "structure", "orbits", "cli"} <= set(edges)
@@ -107,6 +124,17 @@ def test_import_graph_is_acyclic():
 
 def test_every_import_is_read():
     assert unused_imports(PACKAGE) == []
+
+
+def test_quintic_imports_no_floats():
+    assert float_imports(PACKAGE / "quintic.py") == []
+
+
+def test_float_check_catches_math_and_to_float(tmp_path):
+    path = tmp_path / "quintic.py"
+    path.write_text("import math\nfrom math import atan\n"
+                    "def f():\n    from .qpoly import Poly, to_float\n")
+    assert float_imports(path) == ["math", "math", "qpoly.to_float"]
 
 
 def test_check_catches_an_unused_import(tmp_path):

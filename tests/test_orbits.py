@@ -403,12 +403,12 @@ class TestCenterType:
         assert (verdict.tag, verdict.evidence) == ("B2", "eg-rule")
 
     def test_coefficient_beyond_float_range(self):
-        # case (iii) rotates in floats; case (ii) reads exact signs
+        # both cases read exact coefficients: u = 10^400 (x^2 + y^2) here
         big = 10 ** 400
         f, g, h = quintic.case_iii_fgh(1, 0, big, 0)
         params = numeric(a=1, c=-1, d=big, f=f, g=g, h=h)
-        with pytest.raises(ValueError, match="beyond the float range"):
-            center_type(params, quintic.theorem_case(params))
+        verdict = center_type(params, quintic.theorem_case(params))
+        assert (verdict.tag, verdict.evidence) == ("B2", "eg-rule")
 
     @pytest.mark.parametrize("e,g,tag", [
         (Fraction(1, 10 ** 200), Fraction(-1, 10 ** 200), "B4"),
@@ -427,8 +427,16 @@ class TestCenterType:
         (1e-200, -1e-200, "B4"), (-1e-200, -1e-200, "B2"), (0.0, 1.0, "B2"),
         (-0.0, 1.0, "B2"), (3.0, -2.0, "B4")])
     def test_eg_rule_on_floats(self, e, g, tag):
-        # the case (iii) rule reads the rotated rot.e1, rot.g1
-        assert orbits._eg_verdict(e, g).tag == tag
+        """Float coefficients enter as their exact binary values, in case
+        (ii) and in case (iii), here with u = (e x^2 + g y^2) / 2 rotated by
+        45 degrees: d = (e + g) / 4 and e3 = (e - g) / 2 at a = 1, b = 0."""
+        e, g = Fraction(e), Fraction(g)
+        params = numeric(b=1, e=e, g=g)
+        assert center_type(params, quintic.theorem_case(params)).tag == tag
+        d, e3 = (e + g) / 4, (e - g) / 2
+        f, g3, h = quintic.case_iii_fgh(1, 0, d, e3)
+        params = numeric(a=1, c=-1, d=d, e=e3, f=f, g=g3, h=h)
+        assert center_type(params, quintic.theorem_case(params)).tag == tag
 
     def test_rules_agree_where_both_apply(self):
         # the quartic-only subfamily satisfies (i) and, when b = 0, the

@@ -4,15 +4,16 @@ from fractions import Fraction
 import pytest
 
 from isoquintic.qpoly import Poly, as_poly, parse_expr
-from isoquintic import lyapunov, quintic, structure
+from isoquintic import lyapunov, orbits, quintic, structure
 from isoquintic.quintic import (
-    QuinticParams, QuinticError, NoSymbolicPartner, CaseTag,
-    build_system, family_forms, radial_factor, reduced_conditions,
+    QuinticParams, QuinticError, CaseTag,
+    build_system, family_forms, reduced_conditions,
     case_iii_fgh, theorem_case, classify, case_substitution,
     vanishes_under_case, commuting_partner, first_integral,
     rotate_to_canonical,
 )
 from isoquintic.lyapunov import LyapunovError, pl_constants
+from conftest import radial_factor, rotated_params
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -368,12 +369,24 @@ class TestCommutingPartner:
         assert structure.commutes(sysm, other)
         assert other.p == X + X * (3 * X ** 2 - 2 * X * Y)
 
-    def test_case_iii_quartic_has_none(self):
+    def test_case_iii_quartic(self):
+        # P = (x^2 - y^2)(1 + x^2 + y^2): shift = 0, so C2 = u + u^2
         f, g, h = case_iii_fgh(1, 0, 1, 0)
         params = numeric(a=1, c=-1, d=1, f=f, g=g, h=h)
-        with pytest.raises(NoSymbolicPartner):
-            commuting_partner(params, theorem_case(params))
+        other = commuting_partner(params, theorem_case(params))
+        assert structure.commutes(build_system(params), other)
+        u = X ** 2 + Y ** 2
+        assert other.p == X * (u + u ** 2)
 
+    def test_case_ii_without_quartic(self):
+        """e = g = 0 with b != 0: u = 0, so Q = 1 + b x^2, not the zero
+        C2 = shift + b u + u^2."""
+        params = numeric(b=1)
+        sysm = build_system(params)
+        other = commuting_partner(params, theorem_case(params))
+        assert (other.p, other.q) == (X + X ** 3, Y + X ** 2 * Y)
+        mu = structure.integrating_factor_from_pair(sysm, other)
+        assert mu.den == (X ** 2 + Y ** 2) * (1 + X ** 2)
 
     @pytest.mark.parametrize("kw", [dict(d=1, e=2, f=-3, g=1),
                                     dict(a=2, b=3, c=-2)])
@@ -464,14 +477,23 @@ class TestFirstIntegral:
         assert spec.kind == "darboux-exp"
         assert spec.payload.exponential[0][1] == -b
 
-    def test_case_iii_quartic_numeric_only(self):
+    def test_case_iii_quartic_darboux(self):
+        # u = x^2 + y^2 and shift = 0: C3 = exp((1 - 2 x y)/(x^2 + y^2))
         f, g, h = case_iii_fgh(1, 0, 1, 0)
         params = numeric(a=1, c=-1, d=1, f=f, g=g, h=h)
         spec = first_integral(params, theorem_case(params))
-        assert spec.kind == "numeric-only"
-        assert spec.payload.residual < 1e-9
-        with pytest.raises(QuinticError):
-            spec.eval_float(0.1, 0.1)
+        assert spec.kind == "darboux-exp"
+        (c3, weight), = spec.payload.exponential
+        assert c3.exponent.num == 1 - 2 * X * Y
+        assert c3.cofactor == -2 * (X ** 2 - Y ** 2)
+        assert weight == 1
+
+    def test_case_ii_without_quartic(self):
+        params = numeric(b=1)
+        spec = first_integral(params, theorem_case(params))
+        assert spec.kind == "rational"
+        assert (spec.payload.num, spec.payload.den) == (X ** 2 + Y ** 2,
+                                                        1 + X ** 2)
 
     @pytest.mark.parametrize("kw", [
         dict(a=1, c=-1),
@@ -484,6 +506,7 @@ class TestFirstIntegral:
         dict(b=Fraction(1, 3), e=1, g=-1),
         dict(b=4, e=2, g=2),
         dict(b=-2, e=3, g=3),
+        dict(b=1),
     ])
     def test_constant_along_orbits(self, kw):
         params = numeric(**kw)
@@ -496,28 +519,112 @@ class TestFirstIntegral:
 
 
 class TestRotation:
-    def test_pure_quadratic(self):
-        rot = rotate_to_canonical(numeric(a=1, c=-1))
-        assert abs(rot.phi - math.pi / 4) < 1e-15
-        assert abs(rot.b1 - 2.0) < 1e-12
-        assert rot.residual < 1e-12
+    """`rotate_to_canonical`: the exact form P = ell (beta + u)."""
 
-    def test_requires_nonzero_a(self):
+    def test_pure_quadratic(self):
+        form = rotate_to_canonical(numeric(a=1, c=-1))
+        assert (form.ell, form.beta) == (X ** 2 - Y ** 2, 1)
+        assert form.u.is_zero and form.shift.is_zero
+        assert form.r == -2 * X * Y
+
+    def test_case_ii(self):
+        form = rotate_to_canonical(QuinticParams(0, "b", 0, 0, "e", 0, "g", 0))
+        e, g = Poly.var("e"), Poly.var("g")
+        assert (form.ell, form.beta) == (X * Y, Poly.var("b"))
+        assert form.u == e * X ** 2 + g * Y ** 2
+        assert form.shift == e - g
+
+    @pytest.mark.parametrize("kw", [
+        dict(a=1, c=1), dict(b=1, c=1), dict(b=1, d=1), dict(b=1, f=1),
+        dict(a=1, c=-1, d=1),
+    ], ids=["c=a", "a=0,c!=0", "ell=xy,d!=0", "ell=xy,f!=0", "P2-no-divisor"])
+    def test_requires_the_form(self, kw):
         with pytest.raises(QuinticError):
-            rotate_to_canonical(numeric(b=1))
+            rotate_to_canonical(numeric(**kw))
 
     def test_coefficient_beyond_float_range(self):
-        f, g, h = case_iii_fgh(1, 0, 10 ** 400, 0)
-        params = QuinticParams.numeric(1, 0, -1, 10 ** 400, 0, f, g, h)
-        with pytest.raises(ValueError,
-                           match=r"coefficient 1E\+400 is beyond the float range"):
-            rotate_to_canonical(params)
+        # no float is formed: u = 10^400 (x^2 + y^2) exactly
+        big = 10 ** 400
+        f, g, h = case_iii_fgh(1, 0, big, 0)
+        params = QuinticParams.numeric(1, 0, -1, big, 0, f, g, h)
+        form = rotate_to_canonical(params)
+        assert form.u == big * (X ** 2 + Y ** 2)
+        assert form.shift.is_zero
 
     def test_random_case_iii_residuals(self, rng):
+        """P - ell (beta + u) is exactly zero, and the shift is
+        (b d - a e) / (2 a^3)."""
         for _ in range(30):
             a = Fraction(rng.choice([v for v in range(-4, 5) if v]))
             b, d, e = (Fraction(rng.randint(-4, 4)) for _ in range(3))
             f, g, h = case_iii_fgh(a, b, d, e)
             params = QuinticParams(a, b, -a, d, e, f, g, h)
-            rot = rotate_to_canonical(params)
-            assert rot.residual < 1e-9
+            form = rotate_to_canonical(params)
+            assert (radial_factor(params)
+                    - form.ell * (form.beta + form.u)).is_zero
+            assert form.shift == (b * d - a * e) / (2 * a ** 3)
+
+
+def float_b_type(params):
+    """The B-type read from the float rotation: B4 when the rotated e1 and
+    g1 have opposite signs, a product within rounding of zero counting as
+    zero.  Returns the tag and e1 g1."""
+    rot = rotated_params(params)
+    e1, g1 = float(rot.e), float(rot.g)
+    scale = max(abs(float(getattr(rot, n))) for n in "defgh")
+    return ("B4" if e1 * g1 < -1e-12 * scale ** 2 else "B2"), e1 * g1
+
+
+def start_radius(form):
+    """A radius r0 such that from (r0, r0/4) the integral from 0 to u of
+    dt / C2 meets no root of C2 = shift + u + u^2 (C2 = 0 is invariant, so
+    no orbit crosses it later)."""
+    r0 = 0.2
+    shift = float(form.shift.constant_value())
+    if 1 - 4 * shift >= 0 and shift != 0:
+        root = min(abs(-1 + s * math.sqrt(1 - 4 * shift)) / 2 for s in (1, -1))
+        while abs(form.u.eval_float({"x": r0, "y": r0 / 4})) >= root / 2:
+            r0 /= 2
+    return r0
+
+
+class TestCaseIIISeeded:
+    def test_certified_commuting_and_b_type(self, rng):
+        """200 seeded case (iii) points, every tenth with u = 0 (d = e = 0)
+        and every tenth with shift = 0 (b d = a e): each integral certifies
+        exactly and drifts at most 1e-6 along an orbit, the partner
+        commutes, and the exact B-type matches the float rotation."""
+        kinds, disagree = set(), []
+        for i in range(200):
+            a = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+            b, d, e = (Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(3))
+            if i % 10 == 0:
+                d = e = Fraction(0)
+            elif i % 10 == 1:
+                e = b * d / a
+            params = QuinticParams(a, b, -a, d, e, *case_iii_fgh(a, b, d, e))
+            case = theorem_case(params)
+            assert case.tag is CaseTag.CASE_III
+            form = rotate_to_canonical(params)
+            kinds.add((form.u.is_zero, form.shift.is_zero))
+
+            spec = first_integral(params, case)
+            assert spec.kind == ("rational" if form.u.is_zero else "darboux-exp")
+            sysm = build_system(params)
+            r0 = start_radius(form)
+            base = spec.eval_float(r0, r0 / 4)
+            for x, y in orbit_sample_pairs(sysm, r0, r0 / 4):
+                assert abs(spec.eval_float(x, y) - base) <= 1e-6 * abs(base)
+
+            bracket = structure.lie_bracket(
+                sysm, commuting_partner(params, case))
+            assert all(c.is_zero for c in bracket)
+
+            want, e1g1 = float_b_type(params)
+            got = orbits.center_type(params, case).tag
+            if got != want:
+                disagree.append(f"{params}: exact {got}, float {want}, "
+                                f"e1 g1 = {e1g1:.3g}")
+        assert kinds == {(True, True), (False, True), (False, False)}
+        assert not disagree, "\n".join(disagree)

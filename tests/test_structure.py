@@ -19,7 +19,7 @@ from isoquintic.structure import (
     reversibility_residual, reversible_modulo_constraint,
     _pseudo_rem_quadratic, angular_speed_residual, c3_exponent,
 )
-from conftest import polys, random_poly, scaled_case_iii_system
+from conftest import polys, radial_factor, random_poly, scaled_case_iii_system
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -56,7 +56,7 @@ class TestCofactor:
         params = quintic.QuinticParams.symbolic()
         sysm = quintic.build_system(params)
         K = cofactor_of(sysm, X ** 2 + Y ** 2)
-        assert K == 2 * quintic.radial_factor(params)
+        assert K == 2 * radial_factor(params)
 
     def test_euler_cofactor(self):
         # x Q_x + y Q_y on a homogeneous Q is deg(Q) * Q

@@ -13,11 +13,10 @@ of the linear rotation field.  L only couples neighbouring coefficients, so
 two short recurrences solve it exactly.
 
 `stage_constants` is that loop, as a generator of integer numerators over
-positive denominators; it runs only as far as it is read.  `pl_constants`
-reads the first m and reports them with Fraction coefficients, and
-`quintic.classify` reads up to the first nonzero one.  They, and
-`first_nonzero`, take that constant's index and sign from
-`first_nonzero_numerator`.
+positive denominators; it runs only as far as it is read.  `pl_constants`,
+its one reader, reports the first m with Fraction coefficients.  It,
+`first_nonzero` and `quintic.classify` (which reads R, not D) take the first
+nonzero index and sign from `first_nonzero_numerator`.
 """
 
 from __future__ import annotations

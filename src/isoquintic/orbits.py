@@ -341,15 +341,17 @@ def center_type(params, case):
     """B-type of a center: for cases (ii) and (iii), B4 exactly when the
     quadratic form u of P = ell (beta + u) is indefinite, read exactly from
     its coefficients (case (ii): e and g of opposite signs); maximizer
-    counting on the explicit boundary for case (i)."""
+    counting on the explicit boundary for case (i), after an exact division
+    by the largest |d|, |e|, |g|, |h|, which no positive scaling changes."""
     v = params.fractions()
     if case.tag is not quintic.CaseTag.CASE_I:
         u = quintic.rotate_to_canonical(params).u
         uxx, uxy, uyy = u.forms().get(2, [0, 0, 0])
         return CenterTypeVerdict("B4" if uxy * uxy > 4 * uxx * uyy else "B2",
                                  "eg-rule")
+    scale = max(abs(v[n]) for n in "degh") or 1
     try:
-        boundary = boundary_curve(v["d"], v["e"], v["g"], v["h"])
+        boundary = boundary_curve(*(v[n] / scale for n in "degh"))
     except InapplicableBoundaryError as exc:
         return CenterTypeVerdict("Unknown", f"inapplicable: {exc}")
     return CenterTypeVerdict(boundary.btype,

@@ -4,20 +4,18 @@ The family is dx/dt = y + x*P, dy/dt = -x + y*P with
 P = a x^2 + b x y + c y^2 + d x^4 + e x^3 y + f x^2 y^2 + g x y^3 + h y^4.
 
 `family_forms` states the family once, as the binary forms of p and q;
-`build_system` is their Poly system.  `classify` runs the Lyapunov stages on
-the forms of a numeric point directly and stops at the first nonzero D_k.
+`build_system` is their Poly system.  `classify` decides a numeric point
+from R = `reduced_conditions` alone, and solves no Lyapunov stage.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .qpoly import Poly, RationalFunction, as_poly, divide_exact, form_poly
-from .lyapunov import (PlanarSystem, check_count, first_nonzero_numerator,
-                       stage_constants)
+from .lyapunov import PlanarSystem, check_count, first_nonzero_numerator
 
 PARAM_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -110,44 +108,18 @@ def build_system(params):
                           for forms in family_forms(params)))
 
 
+def _conditions(a, b, c, d, e, f, g, h):
+    """R_1, ..., R_4 in turn, on Polys or Fractions alike."""
+    yield a + c
+    yield 3 * d + f + 3 * h
+    yield 3 * c * e - b * f + 3 * c * g - 6 * b * h
+    yield 2 * c ** 2 * f - 3 * b * c * g + 3 * b ** 2 * h
+
+
 def reduced_conditions(params):
-    """The four residual polynomials equivalent to D1 = ... = D4 = 0."""
+    """R_1..R_4 as Polys: R = 0 exactly when D1 = ... = D4 = 0."""
     p = params.polys()
-    a, b, c, d, e, f, g, h = (p[n] for n in PARAM_NAMES)
-    return [
-        a + c,
-        3 * d + f + 3 * h,
-        3 * c * e - b * f + 3 * c * g - 6 * b * h,
-        2 * c ** 2 * f - 3 * b * c * g + 3 * b ** 2 * h,
-    ]
-
-
-def case_iii_fgh(a, b, d, e):
-    """The (f, g, h) forced by case (iii), as exact rationals; needs a != 0."""
-    a, b, d, e = (Fraction(v) for v in (a, b, d, e))
-    if a == 0:
-        raise QuinticError("case (iii) requires a != 0")
-    f = 3 * b * (a * e - b * d) / (2 * a ** 2)
-    g = (2 * a ** 2 * b * d + (2 * a ** 2 - b ** 2) * (b * d - a * e)) / (2 * a ** 3)
-    h = (-2 * a ** 2 * d + b * (b * d - a * e)) / (2 * a ** 2)
-    return f, g, h
-
-
-def theorem_case(params):
-    """Match fully numeric parameters against the three center cases.
-
-    The all-zero quartic part satisfies both (i) and (ii); the first match in
-    the order (i), (ii), (iii) is reported.
-    """
-    v = params.fractions()
-    a, b, c, d, e, f, g, h = (v[n] for n in PARAM_NAMES)
-    if a == b == c == 0 and f == -3 * (d + h):
-        return CenterCase(CaseTag.CASE_I)
-    if a == c == d == f == h == 0:
-        return CenterCase(CaseTag.CASE_II)
-    if a != 0 and c == -a and (f, g, h) == case_iii_fgh(a, b, d, e):
-        return CenterCase(CaseTag.CASE_III)
-    return None
+    return list(_conditions(*(p[n] for n in PARAM_NAMES)))
 
 
 @dataclass(frozen=True)
@@ -160,17 +132,32 @@ class Classification:
 
 
 def classify(params, m=4):
-    """A center case, or the index and sign of the first nonzero D_k among
-    D_1..D_m: the stages stop at that D_k."""
+    """Center case, or index and sign of the first nonzero D_k among
+    D_1..D_m, of fully numeric parameters, read from R alone.
+
+    Criterion 2 proves that the raw stage numerators, over positive
+    denominators, are d_1 = 192 R_1, d_2 = 8640 R_2 at c = -a, and, at
+    sigma = {c -> -a, f -> -3d - 3h}, d_3 = 38707200 R_3 and d_4 =
+    24385536000 R_4 - 36578304000 b R_3.  So the first nonzero R_k is D_k's
+    index and sign, and R = 0 is a center: case (iii) if a != 0, (i) if
+    b = 0, else (ii).  D_4 is never passed: "undetermined" needs m < 4."""
     check_count(m)
-    case = theorem_case(params)
-    if case is not None:
-        return Classification("center", case=case)
-    constants = itertools.islice(stage_constants(*family_forms(params)), m)
-    hit = first_nonzero_numerator(d for d, _, _ in constants)
+    v = params.fractions()
+    hit = first_nonzero_numerator(_conditions(*(v[n] for n in PARAM_NAMES)))
     if hit is None:
+        tag = (CaseTag.CASE_III if v["a"] else
+               CaseTag.CASE_I if v["b"] == 0 else CaseTag.CASE_II)
+        return Classification("center", case=CenterCase(tag))
+    if hit[0] > m:
         return Classification("undetermined", m=m)
     return Classification("focus", focus_index=hit[0], focus_sign=hit[1])
+
+
+def theorem_case(params):
+    """The center case of fully numeric parameters, or None (see
+    `classify`).  A point of both (i) and (ii), a = b = c = d = f = h = 0,
+    is reported as (i), the first match in the order (i), (ii), (iii)."""
+    return classify(params).case
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from isoquintic.qpoly import Poly, substitute_form
 from isoquintic.lyapunov import PlanarSystem
-from isoquintic.quintic import PARAM_NAMES, QuinticParams
+from isoquintic.quintic import PARAM_NAMES, QuinticError, QuinticParams
 
 
 @pytest.fixture
@@ -47,6 +47,19 @@ def polys(draw, vars=("x", "y", "a", "b"), max_terms=4, max_exp=3):
             term = term * Poly.var(v, draw(st.integers(0, max_exp)))
         p = p + term
     return p
+
+
+def case_iii_fgh(a, b, d, e):
+    """The (f, g, h) forced by case (iii), as exact rationals; needs a != 0.
+    With c = -a this is the one zero of R_2, R_3, R_4 in (f, g, h): the
+    generator of case (iii) test points."""
+    a, b, d, e = (Fraction(v) for v in (a, b, d, e))
+    if a == 0:
+        raise QuinticError("case (iii) requires a != 0")
+    f = 3 * b * (a * e - b * d) / (2 * a ** 2)
+    g = (2 * a ** 2 * b * d + (2 * a ** 2 - b ** 2) * (b * d - a * e)) / (2 * a ** 3)
+    h = (-2 * a ** 2 * d + b * (b * d - a * e)) / (2 * a ** 2)
+    return f, g, h
 
 
 def scaled_case_iii_system():

@@ -16,7 +16,8 @@ from isoquintic.lyapunov import (PlanarSystem, pl_constants, first_nonzero,
                                  stage_constants)
 from isoquintic import quintic, structure, orbits
 from isoquintic.quintic import QuinticParams, CaseTag
-from conftest import radial_factor, rotated_params, scaled_case_iii_system
+from conftest import (case_iii_fgh, radial_factor, rotated_params,
+                      scaled_case_iii_system)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -102,7 +103,7 @@ def satisfying_point():
         if a:
             break
     b, d, e = frac(), frac(), frac()
-    f, g, h = quintic.case_iii_fgh(a, b, d, e)
+    f, g, h = case_iii_fgh(a, b, d, e)
     return {"a": a, "b": b, "c": -a, "d": d, "e": e, "f": f, "g": g, "h": h}
 
 
@@ -278,7 +279,7 @@ def test_criterion_7_reversibility():
             if a:
                 break
         b, d, e = frac(-3, 3), frac(-3, 3), frac(-3, 3)
-        f, g, h = quintic.case_iii_fgh(a, b, d, e)
+        f, g, h = case_iii_fgh(a, b, d, e)
         sysm = quintic.build_system(QuinticParams(a, b, -a, d, e, f, g, h))
         af, bf = float(a), float(b)
         nrm = 1.0 / math.sqrt(4 * af * af + bf * bf)
@@ -313,7 +314,7 @@ def center_draw(tag):
         if not a:
             continue
         b, d, e = (frac(-3, 3) for _ in range(3))
-        f, g, h = quintic.case_iii_fgh(a, b, d, e)
+        f, g, h = case_iii_fgh(a, b, d, e)
         if max(abs(f), abs(g), abs(h)) <= 3:
             return QuinticParams(a, b, -a, d, e, f, g, h)
 
@@ -368,7 +369,7 @@ def test_criterion_9_rotation():
             if a:
                 break
         b, d, e = (frac(-3, 3) for _ in range(3))
-        f, g, h = quintic.case_iii_fgh(a, b, d, e)
+        f, g, h = case_iii_fgh(a, b, d, e)
         params = QuinticParams(a, b, -a, d, e, f, g, h)
         form = quintic.rotate_to_canonical(params)
         ok = ok and radial_factor(params) == form.ell * (form.beta + form.u)

@@ -1,8 +1,9 @@
 """The package's import structure, read from the source with `ast`: no
 module imports another module's private name, the graph of imports
 between the package's modules has no cycle, every name a module imports
-is read in it, and the exact layer `quintic` imports no float conversion.
-Imports inside functions count too."""
+is read in it, the exact layer `quintic` imports no float conversion, and
+the Lyapunov stage loop is reached from `lyapunov` alone.  Imports inside
+functions count too."""
 
 import ast
 from pathlib import Path
@@ -107,6 +108,19 @@ def float_imports(path):
     return out
 
 
+def stage_loop_uses(path):
+    """How a module reaches `lyapunov.stage_constants`: by importing the
+    name, or by reading it as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            out.extend(f"import {alias.name}" for alias in node.names
+                       if alias.name == "stage_constants")
+        elif isinstance(node, ast.Attribute) and node.attr == "stage_constants":
+            out.append(f"attribute {node.attr}")
+    return out
+
+
 def test_reads_the_package():
     edges = graph(PACKAGE)
     assert {"qpoly", "lyapunov", "quintic", "structure", "orbits", "cli"} <= set(edges)
@@ -135,6 +149,20 @@ def test_float_check_catches_math_and_to_float(tmp_path):
     path.write_text("import math\nfrom math import atan\n"
                     "def f():\n    from .qpoly import Poly, to_float\n")
     assert float_imports(path) == ["math", "math", "qpoly.to_float"]
+
+
+def test_quintic_runs_no_stage_loop():
+    """classify reads R; the stage loop belongs to `pl_constants`."""
+    assert stage_loop_uses(PACKAGE / "quintic.py") == []
+
+
+def test_stage_loop_check_catches_an_import(tmp_path):
+    path = tmp_path / "quintic.py"
+    path.write_text("from .lyapunov import check_count, stage_constants\n"
+                    "def f():\n    from . import lyapunov\n"
+                    "    return lyapunov.stage_constants\n")
+    assert stage_loop_uses(path) == ["import stage_constants",
+                                     "attribute stage_constants"]
 
 
 def test_check_catches_an_unused_import(tmp_path):

@@ -14,6 +14,7 @@ from isoquintic.orbits import (
     boundary_curve, center_type,
 )
 from isoquintic.structure import DomainError
+from conftest import case_iii_fgh
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -397,7 +398,7 @@ class TestCenterType:
         assert verdict.evidence.startswith("inapplicable")
 
     def test_case_iii_via_rotation(self):
-        f, g, h = quintic.case_iii_fgh(1, 0, 1, 0)
+        f, g, h = case_iii_fgh(1, 0, 1, 0)
         params = numeric(a=1, c=-1, d=1, f=f, g=g, h=h)
         verdict = center_type(params, quintic.theorem_case(params))
         assert (verdict.tag, verdict.evidence) == ("B2", "eg-rule")
@@ -405,7 +406,7 @@ class TestCenterType:
     def test_coefficient_beyond_float_range(self):
         # both cases read exact coefficients: u = 10^400 (x^2 + y^2) here
         big = 10 ** 400
-        f, g, h = quintic.case_iii_fgh(1, 0, big, 0)
+        f, g, h = case_iii_fgh(1, 0, big, 0)
         params = numeric(a=1, c=-1, d=big, f=f, g=g, h=h)
         verdict = center_type(params, quintic.theorem_case(params))
         assert (verdict.tag, verdict.evidence) == ("B2", "eg-rule")
@@ -434,9 +435,26 @@ class TestCenterType:
         params = numeric(b=1, e=e, g=g)
         assert center_type(params, quintic.theorem_case(params)).tag == tag
         d, e3 = (e + g) / 4, (e - g) / 2
-        f, g3, h = quintic.case_iii_fgh(1, 0, d, e3)
+        f, g3, h = case_iii_fgh(1, 0, d, e3)
         params = numeric(a=1, c=-1, d=d, e=e3, f=f, g=g3, h=h)
         assert center_type(params, quintic.theorem_case(params)).tag == tag
+
+    @pytest.mark.parametrize("scale", [1, 10 ** 300, Fraction(1, 10 ** 300),
+                                       10 ** 400, Fraction(1, 10 ** 400)],
+                             ids=["1", "1e300", "1e-300", "1e400", "1e-400"])
+    @pytest.mark.parametrize("d,e,g,h,tag", [
+        (0, 1, 1, 0, "B2"), (0, 1, -1, 0, "B4"), (0, -1, 1, 0, "Unknown")])
+    def test_case_i_scale_invariant(self, d, e, g, h, tag, scale):
+        """A positive scaling of d, e, g, h is x, y -> x, y / s^(1/4) up to
+        time: the verdict, its evidence included, is that at scale 1, also
+        where the scaled coefficients leave the float range."""
+        def verdict(s):
+            params = numeric(d=s * d, e=s * e, f=-3 * s * (d + h), g=s * g,
+                             h=s * h)
+            return center_type(params, quintic.theorem_case(params))
+
+        assert verdict(scale) == verdict(1)
+        assert verdict(1).tag == tag
 
     def test_rules_agree_where_both_apply(self):
         # the quartic-only subfamily satisfies (i) and, when b = 0, the

@@ -8,12 +8,12 @@ from isoquintic import lyapunov, orbits, quintic, structure
 from isoquintic.quintic import (
     QuinticParams, QuinticError, CaseTag,
     build_system, family_forms, reduced_conditions,
-    case_iii_fgh, theorem_case, classify, case_substitution,
+    theorem_case, classify, case_substitution,
     vanishes_under_case, commuting_partner, first_integral,
     rotate_to_canonical,
 )
 from isoquintic.lyapunov import LyapunovError, pl_constants
-from conftest import radial_factor, rotated_params
+from conftest import case_iii_fgh, radial_factor, rotated_params
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -262,9 +262,79 @@ class TestClassifyAgainstFullReport:
             assert all(d.is_zero for d in report.raw)
 
 
+def explicit_case(v):
+    """The three center cases as the paper states them, matched in the
+    order (i), (ii), (iii): the oracle for the case `classify` reads off R."""
+    a, b, c, d, e, f, g, h = (v[n] for n in quintic.PARAM_NAMES)
+    if a == b == c == 0 and f == -3 * (d + h):
+        return CaseTag.CASE_I
+    if a == c == d == f == h == 0:
+        return CaseTag.CASE_II
+    if a != 0 and c == -a and (f, g, h) == case_iii_fgh(a, b, d, e):
+        return CaseTag.CASE_III
+    return None
+
+
+def stratum_point(rnd):
+    """A point of height at most 3, zeros allowed, on a random stratum:
+    a = c = 0, b = 0 and d = h = 0 are each imposed with probability 1/2,
+    then c = -a and f = -3 (d + h).  With a != 0, R_3 = 0 is imposed
+    through e, or all of case (iii) through (f, g, h), now and then."""
+    v = {n: Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+         for n in quintic.PARAM_NAMES}
+    for zeros in ("ac", "b", "dh"):
+        if rnd.random() < 0.5:
+            v.update(dict.fromkeys(zeros, Fraction(0)))
+    if rnd.random() < 0.5:
+        v["c"] = -v["a"]
+    if rnd.random() < 0.5:
+        v["f"] = -3 * (v["d"] + v["h"])
+    if v["a"] and rnd.random() < 0.2:
+        v["c"], v["f"] = -v["a"], -3 * (v["d"] + v["h"])
+        v["e"] = (v["b"] * v["d"] - v["a"] * v["g"] - v["b"] * v["h"]) / v["a"]
+    elif v["a"] and rnd.random() < 0.1:
+        v["c"] = -v["a"]
+        v["f"], v["g"], v["h"] = case_iii_fgh(v["a"], v["b"], v["d"], v["e"])
+    return v
+
+
+class TestStratumSweep:
+    """`classify` against one full `pl_constants` report on 1000 seeded
+    stratum points, where R and D_1..D_6 vanish often: the report is a
+    second derivation of every verdict, and each center also meets the
+    explicit statement of its case."""
+
+    def test_classify_matches_full_report(self, rng):
+        seen = set()
+        for _ in range(1000):
+            v = stratum_point(rng)
+            params = QuinticParams(**v)
+            report = pl_constants(build_system(params), lyapunov.CAP)
+            k = report.first_nonzero_index
+            for m in range(1, lyapunov.CAP + 1):
+                got = classify(params, m)
+                if k is None:
+                    assert got.kind == "center", v
+                    assert got.case.tag is explicit_case(v), v
+                elif k <= m:
+                    assert got == quintic.Classification(
+                        "focus", focus_index=k, focus_sign=report.sign), v
+                else:
+                    assert got == quintic.Classification(
+                        "undetermined", m=m), v
+            if k is None:
+                assert all(d.is_zero for d in report.raw), v
+                seen.add(got.case.tag)
+            else:
+                assert explicit_case(v) is None, v
+                seen.add((k, report.sign))
+        assert seen == ({(k, s) for k in range(1, 5)
+                         for s in ("positive", "negative")} | set(CaseTag))
+
+
 class TestClassifyWork:
-    """classify solves only the stages up to the first nonzero constant, and
-    forms no Poly product on numeric parameters."""
+    """classify and theorem_case read R alone: on numeric parameters they
+    solve no Lyapunov stage and form no Poly product."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -284,25 +354,31 @@ class TestClassifyWork:
         monkeypatch.setattr(Poly, "__rmul__", counted_mul)
         return counts
 
+    @staticmethod
+    def run(counts, params, m):
+        """classify(params, m) and theorem_case(params), counted from 0."""
+        counts.update(stages=0, mul=0)
+        got = classify(params, m), theorem_case(params)
+        assert counts == {"stages": 0, "mul": 0}
+        return got
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_focus(self, rng, counts, k):
         params = focus_point(rng, k, 10 ** 6, 10 ** 6)
-        counts.update(stages=0, mul=0)
-        assert classify(params, 6).focus_index == k
-        assert counts == {"stages": 2 * k, "mul": 0}
+        verdict, case = self.run(counts, params, 6)
+        assert (verdict.focus_index, case) == (k, None)
 
     @pytest.mark.parametrize("tag", list(CaseTag))
     def test_center(self, rng, counts, tag):
         params = center_point(rng, tag)
-        assert classify(params).kind == "center"
-        assert counts == {"stages": 0, "mul": 0}
+        verdict, case = self.run(counts, params, 4)
+        assert verdict.kind == "center" and case.tag is tag
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_undetermined(self, rng, counts, m):
         params = focus_point(rng, 4, 9, 3)
-        counts.update(stages=0, mul=0)
-        assert classify(params, m).kind == "undetermined"
-        assert counts == {"stages": 2 * m, "mul": 0}
+        verdict, case = self.run(counts, params, m)
+        assert (verdict.kind, case) == ("undetermined", None)
 
 
 class TestCaseSubstitution:

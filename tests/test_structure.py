@@ -19,7 +19,8 @@ from isoquintic.structure import (
     reversibility_residual, reversible_modulo_constraint,
     _pseudo_rem_quadratic, angular_speed_residual, c3_exponent,
 )
-from conftest import polys, radial_factor, random_poly, scaled_case_iii_system
+from conftest import (case_iii_fgh, polys, radial_factor, random_poly,
+                      scaled_case_iii_system)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -397,7 +398,7 @@ class TestReversibility:
         for i, (a, b) in enumerate(ab):
             d, e = draw(), draw()
             values = dict(zip("abcdefgh", (a, b, -a, d, e,
-                                           *quintic.case_iii_fgh(a, b, d, e))))
+                                           *case_iii_fgh(a, b, d, e))))
             for perturbed in (False, True):
                 if perturbed:
                     values[rng.choice("defgh")] += draw(1, 3) * rng.choice((-1, 1))

@@ -242,13 +242,6 @@ class BoundaryResult:
         return f"B{k}" if k in (2, 4) else "Unknown"
 
 
-def _case_i_quartic(d, e, g, h):
-    def Q(phi):
-        c, s = math.cos(phi), math.sin(phi)
-        return e * c ** 4 - 4 * d * c ** 3 * s + 4 * h * c * s ** 3 - g * s ** 4
-    return Q
-
-
 def _golden_max(fun, lo, hi):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -271,9 +264,9 @@ def _golden_max(fun, lo, hi):
 def boundary_curve(d, e, g, h, N=256):
     """Sampled explicit boundary rho(phi) = (c0 - Q(phi))^(-1/4) for case (i).
 
-    Q is the partner quartic e x^4 - 4 d x^3 y + 4 h x y^3 - g y^4 restricted
-    to the unit circle; c0 is its global maximum (dense scan plus golden
-    section refinement).  Raises InapplicableBoundaryError when c0 <= 0: the
+    Q is the partner quartic `quintic.case_i_quartic` restricted to the unit
+    circle; c0 is its global maximum (dense scan plus golden section
+    refinement).  Raises InapplicableBoundaryError when c0 <= 0: the
     formula does not describe the boundary there.  The cut-offs on Q are
     relative to the largest |coefficient|, so the verdict is scale-invariant.
     """
@@ -286,7 +279,12 @@ def boundary_curve(d, e, g, h, N=256):
         # zero: c0 = 0, and every scan point would be a peak to refine
         raise InapplicableBoundaryError(
             "boundary formula inapplicable (c0 = 0 <= 0)")
-    Q = _case_i_quartic(d, e, g, h)
+    q0, q1, _, q3, q4 = quintic.case_i_quartic(d, e, g, h)
+
+    def Q(phi):
+        c, s = math.cos(phi), math.sin(phi)
+        return q0 * c ** 4 + q1 * c ** 3 * s + q3 * c * s ** 3 + q4 * s ** 4
+
     dense = 4096  # angles in the coarse scan
     step = 2.0 * math.pi / dense
     values = [Q(i * step) for i in range(dense)]
@@ -343,15 +341,16 @@ def center_type(params, case):
     its coefficients (case (ii): e and g of opposite signs); maximizer
     counting on the explicit boundary for case (i), after an exact division
     by the largest |d|, |e|, |g|, |h|, which no positive scaling changes."""
-    v = params.fractions()
+    params.require_numeric()
     if case.tag is not quintic.CaseTag.CASE_I:
         u = quintic.rotate_to_canonical(params).u
         uxx, uxy, uyy = u.forms().get(2, [0, 0, 0])
         return CenterTypeVerdict("B4" if uxy * uxy > 4 * uxx * uyy else "B2",
                                  "eg-rule")
-    scale = max(abs(v[n]) for n in "degh") or 1
+    quartic = (params.d, params.e, params.g, params.h)
+    scale = max(map(abs, quartic)) or 1
     try:
-        boundary = boundary_curve(*(v[n] / scale for n in "degh"))
+        boundary = boundary_curve(*(v / scale for v in quartic))
     except InapplicableBoundaryError as exc:
         return CenterTypeVerdict("Unknown", f"inapplicable: {exc}")
     return CenterTypeVerdict(boundary.btype,

@@ -385,13 +385,10 @@ class Poly:
         """
         if not self.terms:
             return self
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-        return self * Fraction(den_lcm, num_gcd)
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        num = math.gcd(*(c.numerator * (den // c.denominator)
+                         for c in self.terms.values()))
+        return self * Fraction(den, num)
 
     # -- printing -----------------------------------------------------
 

@@ -3,9 +3,13 @@
 The family is dx/dt = y + x*P, dy/dt = -x + y*P with
 P = a x^2 + b x y + c y^2 + d x^4 + e x^3 y + f x^2 y^2 + g x y^3 + h y^4.
 
-`family_forms` states the family once, as the binary forms of p and q;
-`build_system` is their Poly system.  `classify` decides a numeric point
-from R = `reduced_conditions` alone, and solves no Lyapunov stage.
+`QuinticParams` checks a..h once, on construction: each is a Fraction or a
+Poly in parameters other than x and y.  `family_forms` states the family
+once, as the binary forms of p and q; `build_system` is their Poly system.
+`classify` decides a numeric point from R = `reduced_conditions` alone, and
+solves no Lyapunov stage.  Each center case has one partner factor Q
+(`_partner_factor`): its commuting partner is (x Q, y Q), and Q is the
+denominator of its rational first integral, or C2 of its Darboux integral.
 """
 
 from __future__ import annotations
@@ -27,9 +31,19 @@ class QuinticError(Exception):
     pass
 
 
+def _coefficient(value):
+    """A parameter as a Fraction, or a Poly in symbols other than x and y."""
+    value = as_poly(value)
+    names = value.variables()
+    if names & {"x", "y"}:
+        raise QuinticError(f"parameter {value} uses the variables x, y")
+    return value if names else value.constant_value()
+
+
 @dataclass(frozen=True)
 class QuinticParams:
-    """Coefficients a..h; each an exact rational or a symbol name."""
+    """Coefficients a..h, given as numbers, symbol names or Polys, and each
+    stored as a Fraction or a Poly free of x and y (else QuinticError)."""
 
     a: object
     b: object
@@ -40,6 +54,12 @@ class QuinticParams:
     g: object
     h: object
 
+    def __post_init__(self):
+        for n in PARAM_NAMES:
+            v = getattr(self, n)
+            if not isinstance(v, Fraction):
+                object.__setattr__(self, n, _coefficient(v))
+
     @classmethod
     def symbolic(cls):
         return cls(*PARAM_NAMES)
@@ -48,25 +68,13 @@ class QuinticParams:
     def numeric(cls, *values):
         return cls(*(Fraction(v) for v in values))
 
-    def polys(self):
-        return {n: as_poly(getattr(self, n)) for n in PARAM_NAMES}
-
     @property
     def is_numeric(self):
-        for n in PARAM_NAMES:
-            v = getattr(self, n)
-            if isinstance(v, str) or (isinstance(v, Poly) and v.variables()):
-                return False
-        return True
+        return not any(isinstance(getattr(self, n), Poly) for n in PARAM_NAMES)
 
-    def fractions(self):
+    def require_numeric(self):
         if not self.is_numeric:
             raise QuinticError("parameters are not fully numeric")
-        out = {}
-        for n in PARAM_NAMES:
-            v = getattr(self, n)
-            out[n] = v.constant_value() if isinstance(v, Poly) else Fraction(v)
-        return out
 
 
 class CaseTag(Enum):
@@ -80,25 +88,12 @@ class CenterCase:
     tag: CaseTag
 
 
-def _coefficient(value):
-    """A parameter as a form coefficient: a number, or a Poly in symbols
-    other than x and y."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    value = as_poly(value)
-    names = value.variables()
-    if names & {"x", "y"}:
-        raise QuinticError(f"parameter {value} uses the variables x, y")
-    return value if names else value.constant_value()
-
-
 def family_forms(params):
     """p and q of the family as binary forms, by degree (see `Poly.forms`):
     x P and y P shift the coefficients of P's quadratic and quartic forms.
     These lists fix the term order of `build_system`, so the order in which
     orbits.compile_rhs sums the right-hand side."""
-    a, b, c, d, e, f, g, h = (_coefficient(getattr(params, n))
-                              for n in PARAM_NAMES)
+    a, b, c, d, e, f, g, h = (getattr(params, n) for n in PARAM_NAMES)
     return ({1: [0, 1], 3: [a, b, c, 0], 5: [d, e, f, g, h, 0]},
             {1: [-1, 0], 3: [0, a, b, c], 5: [0, d, e, f, g, h]})
 
@@ -108,18 +103,17 @@ def build_system(params):
                           for forms in family_forms(params)))
 
 
-def _conditions(a, b, c, d, e, f, g, h):
-    """R_1, ..., R_4 in turn, on Polys or Fractions alike."""
-    yield a + c
-    yield 3 * d + f + 3 * h
-    yield 3 * c * e - b * f + 3 * c * g - 6 * b * h
-    yield 2 * c ** 2 * f - 3 * b * c * g + 3 * b ** 2 * h
+def _conditions(p):
+    """R_1, ..., R_4 in turn, on Poly or Fraction parameters alike."""
+    yield p.a + p.c
+    yield 3 * p.d + p.f + 3 * p.h
+    yield 3 * p.c * p.e - p.b * p.f + 3 * p.c * p.g - 6 * p.b * p.h
+    yield 2 * p.c ** 2 * p.f - 3 * p.b * p.c * p.g + 3 * p.b ** 2 * p.h
 
 
 def reduced_conditions(params):
     """R_1..R_4 as Polys: R = 0 exactly when D1 = ... = D4 = 0."""
-    p = params.polys()
-    return list(_conditions(*(p[n] for n in PARAM_NAMES)))
+    return [as_poly(r) for r in _conditions(params)]
 
 
 @dataclass(frozen=True)
@@ -142,11 +136,11 @@ def classify(params, m=4):
     index and sign, and R = 0 is a center: case (iii) if a != 0, (i) if
     b = 0, else (ii).  D_4 is never passed: "undetermined" needs m < 4."""
     check_count(m)
-    v = params.fractions()
-    hit = first_nonzero_numerator(_conditions(*(v[n] for n in PARAM_NAMES)))
+    params.require_numeric()
+    hit = first_nonzero_numerator(_conditions(params))
     if hit is None:
-        tag = (CaseTag.CASE_III if v["a"] else
-               CaseTag.CASE_I if v["b"] == 0 else CaseTag.CASE_II)
+        tag = (CaseTag.CASE_III if params.a else
+               CaseTag.CASE_II if params.b else CaseTag.CASE_I)
         return Classification("center", case=CenterCase(tag))
     if hit[0] > m:
         return Classification("undetermined", m=m)
@@ -202,7 +196,7 @@ class CanonicalForm:
     2 ell shift for a shift free of x and y, and r = b x^2 - 2 a x y, so
     that y r_x - x r_y = 2 beta ell."""
     ell: Poly
-    beta: Poly
+    beta: Fraction | Poly
     u: Poly
     shift: Poly
     r: Poly
@@ -217,39 +211,47 @@ def rotate_to_canonical(params):
     (b d - a e) / (2 a^3), and u is indefinite exactly when the rotated e1
     and g1 have opposite signs.  Raises QuinticError when P has no such form.
     """
-    p = params.polys()
-    if not (p["a"] + p["c"]).is_zero:
+    a, b, c = params.a, params.b, params.c
+    if a + c:
         raise QuinticError("the form P = ell (beta + u) needs c = -a")
-    if p["a"].is_zero:
-        ell, beta = X * Y, p["b"]
+    if a:
+        ell, beta = form_poly([a, b, c]), Fraction(1)
     else:
-        ell, beta = form_poly([p[n] for n in "abc"]), Poly.const(1)
-    u = divide_exact(form_poly([p[n] for n in "defgh"]), ell)
+        ell, beta = X * Y, b
+    u = divide_exact(form_poly([params.d, params.e, params.f, params.g,
+                                params.h]), ell)
     if u is None:
         raise QuinticError(f"the quartic part of P is no multiple of {ell}")
     shift = divide_exact(Y * u.diff("x") - X * u.diff("y"), 2 * ell)
     if shift is None:
         raise QuinticError("y u_x - x u_y is no multiple of 2 ell")
-    return CanonicalForm(ell, beta, u, shift, p["b"] * X ** 2 - 2 * p["a"] * X * Y)
+    return CanonicalForm(ell, beta, u, shift, b * X ** 2 - 2 * a * X * Y)
 
 
-def _case_i_factor(p):
-    """R with radial partner (x (1 + R), y (1 + R)) and first integral
-    (x^2 + y^2)^2 / (1 + R) in case (i)."""
-    return (p["e"] * X ** 4 - 4 * p["d"] * X ** 3 * Y
-            + 4 * p["h"] * X * Y ** 3 - p["g"] * Y ** 4)
+def case_i_quartic(d, e, g, h):
+    """The coefficient list of R = e x^4 - 4 d x^3 y + 4 h x y^3 - g y^4,
+    exact or float as d, e, g, h are."""
+    return [e, -4 * d, 0, 4 * h, -g]
+
+
+def _partner_factor(params, case):
+    """Q of a center case, and the form P = ell (beta + u) it came from or
+    None: Q = 1 + R in case (i) and in case (ii) with b = 0, Q = 1 + r when
+    u = 0, and Q = C2 = shift + beta u + u^2 otherwise."""
+    if case.tag is CaseTag.CASE_I or (case.tag is CaseTag.CASE_II
+                                      and not params.b):
+        return 1 + form_poly(case_i_quartic(params.d, params.e, params.g,
+                                            params.h)), None
+    form = rotate_to_canonical(params)
+    if not form.u:
+        return 1 + form.r, form
+    return form.shift + form.beta * form.u + form.u ** 2, form
 
 
 def commuting_partner(params, case):
     """A transversal polynomial system (x Q, y Q) commuting with the center
-    system: Q = 1 + R in case (i); in cases (ii) and (iii) Q = C2 = shift +
-    beta u + u^2 of the form P = ell (beta + u), or 1 + r when u = 0."""
-    if case.tag is CaseTag.CASE_I:
-        Q = 1 + _case_i_factor(params.polys())
-    else:
-        form = rotate_to_canonical(params)
-        u = form.u
-        Q = 1 + form.r if u.is_zero else form.shift + form.beta * u + u ** 2
+    system, Q of `_partner_factor`."""
+    Q, _ = _partner_factor(params, case)
     return PlanarSystem(X * Q, Y * Q)
 
 
@@ -265,31 +267,27 @@ class FirstIntegralSpec:
 
 
 def first_integral(params, case):
-    """A certified first integral for the given center case.
-
-    Case (i), and case (ii) with b = 0, get (x^2 + y^2)^2 / (1 + R).  Cases
-    (ii) and (iii) are written P = ell (beta + u) by `rotate_to_canonical`:
-    with u = 0 the integral is (x^2 + y^2) / (1 + r), otherwise the Darboux
-    integral of `structure.form_candidate`, whose certified candidate is
-    the payload.
+    """A certified first integral for the given center case, on Q of
+    `_partner_factor`: (x^2 + y^2)^2 / Q with Q = 1 + R, (x^2 + y^2) / Q
+    with Q = 1 + r when u = 0, and otherwise the Darboux integral of
+    `structure.form_candidate`, whose C2 is Q and whose certified candidate
+    is the payload.
     """
     from . import structure
 
     sysm = build_system(params)
-    p = params.polys()
-    if case.tag is CaseTag.CASE_I or (case.tag is CaseTag.CASE_II
-                                      and p["b"].is_zero):
-        num, den = (X ** 2 + Y ** 2) ** 2, 1 + _case_i_factor(p)
+    den, form = _partner_factor(params, case)
+    if form is None:
+        num = (X ** 2 + Y ** 2) ** 2
+    elif not form.u:
+        num = X ** 2 + Y ** 2
     else:
-        form = rotate_to_canonical(params)
-        if not form.u.is_zero:
-            cand = structure.form_candidate(form.ell, form.u, form.shift,
-                                            form.beta, form.r)
-            verdict = structure.verify_darboux_integral(sysm, cand)
-            if not verdict.certified:
-                raise QuinticError(f"certificate failed: {verdict.residual}")
-            return FirstIntegralSpec("darboux-exp", cand)
-        num, den = X ** 2 + Y ** 2, 1 + form.r
+        cand = structure.form_candidate(form.ell, form.u, form.shift,
+                                        form.beta, form.r)
+        verdict = structure.verify_darboux_integral(sysm, cand)
+        if not verdict.certified:
+            raise QuinticError(f"certificate failed: {verdict.residual}")
+        return FirstIntegralSpec("darboux-exp", cand)
     res = structure.rational_integral_residual(sysm, num, den)
     if not res.is_zero:
         raise QuinticError(f"integral certificate failed: residual {res}")

@@ -184,12 +184,15 @@ def form_candidate(ell, u, shift, beta, r):
     shift != 0, u obeys du/dt = 2 ell C2, so C3 = exp(integral_0^u dt / C2)
     has cofactor 2 ell and weight -beta.  With shift = 0, u = kappa C1 for a
     nonzero number kappa, and C3 = exp((1 + r) / C1) has cofactor
-    -2 kappa ell and weight beta / kappa.
+    -2 kappa ell and weight beta / kappa; beta = 0 is a ValueError there, as
+    H = 1 / kappa^2 is constant.
     """
     c1 = X ** 2 + Y ** 2
     if u.is_zero:
         raise ValueError("the Darboux form needs u != 0")
     if shift.is_zero:
+        if not beta:
+            raise ValueError("with shift = 0, the Darboux form needs beta != 0")
         kappa = divide_exact(u, c1)
         if kappa is None or kappa.variables():
             raise ValueError("with shift = 0, u must be a number times x^2 + y^2")

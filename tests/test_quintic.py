@@ -88,6 +88,42 @@ class TestBuildOnForms:
             build_system(QuinticParams(value, 0, 0, 0, 0, 0, 0, 0))
 
 
+class TestParams:
+    """`QuinticParams` checks a..h once, on construction."""
+
+    def test_fields_are_fractions_or_parameter_polys(self, rng):
+        for _ in range(200):
+            params = seeded_params(rng)
+            for n in quintic.PARAM_NAMES:
+                v = getattr(params, n)
+                assert type(v) is Fraction or (
+                    isinstance(v, Poly) and v.variables()
+                    and not v.variables() & {"x", "y"})
+            assert params.is_numeric == all(
+                type(getattr(params, n)) is Fraction for n in quintic.PARAM_NAMES)
+
+    def test_fraction_kept(self):
+        half = Fraction(1, 2)
+        assert QuinticParams(half, 0, 0, 0, 0, 0, 0, 0).a is half
+
+    @pytest.mark.parametrize("value", ["x", "y", Poly.var("a") * Y + 1])
+    @pytest.mark.parametrize("name", quintic.PARAM_NAMES)
+    def test_state_variable_rejected_on_construction(self, name, value):
+        """So `reduced_conditions`, `commuting_partner` and
+        `rotate_to_canonical` never read x or y as a parameter."""
+        kw = dict.fromkeys(quintic.PARAM_NAMES, 0)
+        kw[name] = value
+        with pytest.raises(QuinticError, match="uses the variables x, y"):
+            QuinticParams(**kw)
+
+    def test_symbolic_not_classified(self):
+        with pytest.raises(QuinticError, match="not fully numeric"):
+            classify(QuinticParams.symbolic())
+        with pytest.raises(QuinticError, match="not fully numeric"):
+            orbits.center_type(QuinticParams(0, 0, 0, "d", 0, 0, 0, 0),
+                               quintic.CenterCase(CaseTag.CASE_I))
+
+
 class TestReducedConditions:
     def test_symbolic_forms(self):
         rels = reduced_conditions(QuinticParams.symbolic())
@@ -464,12 +500,18 @@ class TestCommutingPartner:
         mu = structure.integrating_factor_from_pair(sysm, other)
         assert mu.den == (X ** 2 + Y ** 2) * (1 + X ** 2)
 
-    @pytest.mark.parametrize("kw", [dict(d=1, e=2, f=-3, g=1),
-                                    dict(a=2, b=3, c=-2)])
-    def test_partner_factor_is_integral_denominator(self, kw):
+    @pytest.mark.parametrize("kw, tag", [
+        pytest.param(dict(d=1, e=2, f=-3, g=1), CaseTag.CASE_I, id="kw0"),
+        pytest.param(dict(a=2, b=3, c=-2), CaseTag.CASE_III, id="kw1"),
+        # b = 0 is case (i) too, so Q = 1 + R under either label
+        pytest.param(dict(e=2, g=-1), CaseTag.CASE_II, id="case-ii-b0"),
+        pytest.param(dict(b=1), CaseTag.CASE_II, id="case-ii-u0"),
+    ])
+    def test_partner_factor_is_integral_denominator(self, kw, tag):
         params = numeric(**kw)
-        case = theorem_case(params)
+        case = quintic.CenterCase(tag)
         other = commuting_partner(params, case)
+        assert structure.commutes(build_system(params), other)
         den = first_integral(params, case).payload.den
         assert (other.p, other.q) == (X * den, Y * den)
 

@@ -232,6 +232,11 @@ class TestDarboux:
         with pytest.raises(ValueError):
             darboux_candidate_equal(0)
 
+    def test_equal_variant_rejects_zero_b(self):
+        """With shift = 0 and b = 0, H = C1^2 C2^-1 is the constant 1/e^2."""
+        with pytest.raises(ValueError, match="beta != 0"):
+            darboux_candidate_equal(2, b=0)
+
     def test_wrong_weight_not_certified(self):
         sysm = case_ii_system()
         u = Poly.var("e") * X ** 2 + Poly.var("g") * Y ** 2

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: `qpoly` reads all caller text, and the checks the
+library makes end here as input errors.
 
 Exit codes: 0 = affirmative/success, 1 = a property fails or the verdict is
 negative but valid, 2 = input error.  Output is deterministic for identical
@@ -11,9 +12,9 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
-from .qpoly import MAX_DIGITS, Poly, parse_expr, ParseError, QPolyError
+from .qpoly import (Poly, ParseError, QPolyError, ascii_only, parse_expr,
+                    parse_rational)
 from .lyapunov import PlanarSystem, pl_constants, LyapunovError
 from . import quintic, structure
 
@@ -24,54 +25,21 @@ class InputError(Exception):
     pass
 
 
-def parse_rational(text):
-    text = text.strip()
-    if text.isascii():  # Fraction also reads digits such as '١'
-        try:
-            # Fraction writes 1e10000000 out in full, and every product then
-            # pays for its digits: an exponent may not exceed a literal's cap
-            if abs(int(text.lower().partition("e")[2] or 0)) > MAX_DIGITS:
-                raise InputError(f"exponent above {MAX_DIGITS} in {text!r}")
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise InputError(f"malformed rational {text!r}")
-
-
-def _ascii(convert):
-    """`convert` (int or float) on ASCII text only, as both also read digits
-    such as '٣'; named like it, so argparse says "invalid int value"."""
-    def parse(text):
-        if not text.isascii():
-            raise ValueError(text)
-        return convert(text)
-
-    parse.__name__ = convert.__name__
-    return parse
-
-
-def _family_entry(text):
-    text = text.strip()
-    if text and text[0].isalpha() and text.isalpha():
-        return text  # a symbol
-    return parse_rational(text)
-
-
 def _family_value(key, value):
-    """A family document's value: a symbol or rational string, or a finite
-    JSON number (json reads 1e400 as inf, and true is an int)."""
+    """A family document's value as text: a symbol or rational string, or a
+    finite JSON number (json reads 1e400 as inf, and true is an int)."""
     if not (isinstance(value, str) or type(value) is int
             or type(value) is float and math.isfinite(value)):
         raise InputError(
             f"family value {key!r} must be a string or a finite number")
-    return _family_entry(str(value))
+    return str(value)
 
 
 def parse_family(text):
     parts = text.split(",")
     if len(parts) != 8:
         raise InputError("--family needs eight comma-separated values a,...,h")
-    return quintic.QuinticParams(*(_family_entry(p) for p in parts))
+    return quintic.QuinticParams(*parts)
 
 
 def load_system_document(path):
@@ -114,11 +82,11 @@ def load_system_document(path):
     if bindings:
         if not isinstance(bindings, dict):
             raise InputError("bindings must be an object")
-        for name in ("x", "y"):
-            if name in bindings:
+        for name in bindings:
+            Poly.var(name)  # a symbol name, else a ValueError that names it
+            if name in ("x", "y"):
                 raise InputError(f"binding {name} names a state variable")
-        subs = {k: Poly.const(parse_rational(str(v)))
-                for k, v in bindings.items()}
+        subs = {k: parse_rational(str(v)) for k, v in bindings.items()}
         sysm = PlanarSystem(sysm.p.subs(subs), sysm.q.subs(subs))
     return sysm
 
@@ -169,12 +137,7 @@ def cmd_plconst(args):
 
 
 def cmd_classify(args):
-    if not args.family:
-        raise InputError("classify needs --family with numeric values")
-    params = parse_family(args.family)
-    if not params.is_numeric:
-        raise InputError("classify needs fully numeric parameters")
-    verdict = quintic.classify(params, m=args.m)
+    verdict = quintic.classify(parse_family(args.family), m=args.m)
     if verdict.kind == "center":
         line = f"CENTER case={verdict.case.tag.value}"
         code = 0
@@ -264,8 +227,6 @@ def cmd_orbit(args):
     from . import orbits
 
     sysm = _system_from_args(args)
-    if sysm.p.variables() - {"x", "y"} or sysm.q.variables() - {"x", "y"}:
-        raise InputError("orbit needs a fully numeric system")
     try:
         traj = orbits.integrate(sysm, args.x0, args.y0, args.t_end, args.tol)
         T, endpoint = orbits.ray_return_time(sysm, args.x0, args.y0, args.tol)
@@ -320,12 +281,12 @@ def build_parser():
 
     p = sub.add_parser("plconst", help="print Lyapunov constants")
     add_system_flags(p)
-    p.add_argument("-m", type=_ascii(int), default=4)
+    p.add_argument("-m", type=ascii_only(int), default=4)
     p.set_defaults(run=cmd_plconst)
 
     p = sub.add_parser("classify", help="center/focus verdict for the family")
     p.add_argument("--family", required=True)
-    p.add_argument("-m", type=_ascii(int), default=4)
+    p.add_argument("-m", type=ascii_only(int), default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_classify)
 
@@ -341,17 +302,17 @@ def build_parser():
 
     p = sub.add_parser("orbit", help="integrate one orbit, report closure")
     add_system_flags(p)
-    p.add_argument("--x0", type=_ascii(float), required=True)
-    p.add_argument("--y0", type=_ascii(float), required=True)
-    p.add_argument("--t-end", type=_ascii(float), default=2 * math.pi)
-    p.add_argument("--tol", type=_ascii(float), default=1e-10,
+    p.add_argument("--x0", type=ascii_only(float), required=True)
+    p.add_argument("--y0", type=ascii_only(float), required=True)
+    p.add_argument("--t-end", type=ascii_only(float), default=2 * math.pi)
+    p.add_argument("--tol", type=ascii_only(float), default=1e-10,
                    help="rtol = atol of RK45 (default: %(default)g)")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(run=cmd_orbit)
 
     p = sub.add_parser("boundary", help="case (i) period-annulus boundary")
     p.add_argument("--params", required=True, help="d,e,g,h")
-    p.add_argument("-N", dest="n", type=_ascii(int), default=256)
+    p.add_argument("-N", dest="n", type=ascii_only(int), default=256)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_boundary)
@@ -363,7 +324,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.run(args)
-    except (InputError, ParseError, QPolyError, LyapunovError,
+    except (InputError, QPolyError, LyapunovError,
             quintic.QuinticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,10 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import floordiv
 
-from .qpoly import Poly, convolve, form_poly
+from .qpoly import Poly, as_poly, convolve, form_poly
 
 CAP = 6
 
@@ -231,5 +230,5 @@ def pl_constants(sys, m):
 
 def first_nonzero(report, bindings):
     """Index (1-based) and sign of the first constant not exactly zero."""
-    point = {k: Fraction(v) for k, v in bindings.items()}
+    point = {k: as_poly(v).constant_value() for k, v in bindings.items()}
     return first_nonzero_numerator(d.eval_rational(point) for d in report.raw)

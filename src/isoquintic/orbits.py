@@ -136,11 +136,12 @@ def _solve(sys, x0, y0, t_end, tol, events=()):
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise ValueError(f"tol must be finite and at least {MIN_TOL:.3g}")
     _check_inputs(x0, y0, t_end, MAX_T_END)
+    rhs = compile_rhs(sys)  # a system with parameters fails before the import
     # the package's slowest import, so deferred to the first solve
     from scipy.integrate import solve_ivp
 
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(compile_rhs(sys), (0.0, t_end), (x0, y0),
+        sol = solve_ivp(rhs, (0.0, t_end), (x0, y0),
                         method="RK45", rtol=tol, atol=tol, max_step=MAX_STEP,
                         events=(*events, _escape_event))
     if sol.t_events[-1].size:

@@ -3,7 +3,9 @@
 Monomials are tuples of (variable, exponent) pairs sorted by a fixed
 variable order; coefficients are `fractions.Fraction`, or ints kept int by
 `* int` and `// int`.  Everything is immutable and every operation is a pure
-function, so values can be shared freely between threads.
+function, so values can be shared freely between threads.  Caller text is
+read here alone (`as_poly`, `parse_rational`, `parse_expr`, `ascii_only`),
+and `to_float` is the one exact to float conversion.
 
 The canonical term order is graded lexicographic with variable order
 x, y, a, b, c, d, e, f, g, h (any other symbol ranks after these,
@@ -128,9 +130,11 @@ def _wrap(terms):
 
 
 def as_poly(v):
-    """A symbol name as its variable, a Poly as itself, any other number exact."""
+    """A Poly as itself, a number exact, and text by one rule: stripped, a
+    run of letters is that symbol and anything else `parse_rational`."""
     if isinstance(v, str):
-        return Poly.var(v)
+        v = v.strip()
+        return Poly.var(v) if v.isalpha() else Poly.const(parse_rational(v))
     if isinstance(v, Poly):
         return v
     return Poly.const(v)
@@ -180,6 +184,8 @@ class Poly:
 
     @staticmethod
     def var(name, exp=1):
+        if not (isinstance(name, str) and name.isalpha()):  # as parse_expr reads
+            raise ValueError(f"{name!r} is not a symbol name")
         if exp < 0:
             raise ValueError("negative exponent")
         if exp == 0:
@@ -286,8 +292,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # a square past the last bit would go unread
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -335,7 +342,7 @@ class Poly:
         return self._eval(point, Fraction)
 
     def eval_float(self, point):
-        return self._eval(point, float)
+        return self._eval(point, to_float)
 
     def _eval(self, point, num):
         """The sum of the terms at `point` in the number type `num`."""
@@ -510,6 +517,32 @@ def _degree(p):
 def _is_digit(ch):
     """An ASCII digit; str.isdigit also accepts digits such as '²' or '٣'."""
     return "0" <= ch <= "9"
+
+
+def parse_rational(text):
+    """ASCII text such as '3', '-3/2', '0.25' or '1e-3' as a Fraction."""
+    text = text.strip()
+    if text.isascii():  # Fraction also reads digits such as '١'
+        try:
+            # Fraction writes 1e10000000 out in full: cap it like a literal
+            if abs(int(text.lower().partition("e")[2] or 0)) > MAX_DIGITS:
+                raise QPolyError(f"exponent above {MAX_DIGITS} in {text!r}")
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise QPolyError(f"malformed rational {text!r}")
+
+
+def ascii_only(convert):
+    """`convert` (int or float) on ASCII text only, as both also read digits
+    such as '٣'; named like it, so argparse says "invalid int value"."""
+    def parse(text):
+        if not text.isascii():
+            raise ValueError(text)
+        return convert(text)
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def parse_expr(text):

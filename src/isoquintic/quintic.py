@@ -42,8 +42,10 @@ def _coefficient(value):
 
 @dataclass(frozen=True)
 class QuinticParams:
-    """Coefficients a..h, given as numbers, symbol names or Polys, and each
-    stored as a Fraction or a Poly free of x and y (else QuinticError)."""
+    """Coefficients a..h, given as numbers, Polys or text (read by
+    `qpoly.as_poly`: "b" is a symbol, "1/2" a rational, "2a" a QPolyError),
+    and each stored as a Fraction or a Poly free of x and y (else
+    QuinticError)."""
 
     a: object
     b: object
@@ -66,7 +68,10 @@ class QuinticParams:
 
     @classmethod
     def numeric(cls, *values):
-        return cls(*(Fraction(v) for v in values))
+        """The constructor, then `require_numeric`: "1/2" is read, "a" fails."""
+        params = cls(*values)
+        params.require_numeric()
+        return params
 
     @property
     def is_numeric(self):

@@ -211,8 +211,8 @@ def form_candidate(ell, u, shift, beta, r):
 def darboux_candidate(e, g, b=1):
     """`form_candidate` of case (ii), P = x y (b + e x^2 + g y^2): H =
     C1^2 C2^-1 C3^-b, or C3 = exp((1 + b x^2)/(x^2 + y^2)) with weight b/e
-    when e = g.  Each of e, g, b is a number, a symbol name or a Poly in
-    parameters."""
+    when e = g.  Each of e, g, b is a number, a Poly in parameters, or text
+    read by `qpoly.as_poly` ("b" a symbol, "1/2" a rational)."""
     e, g, b = as_poly(e), as_poly(g), as_poly(b)
     return form_candidate(X * Y, e * X ** 2 + g * Y ** 2, e - g, b, b * X ** 2)
 

@@ -143,8 +143,8 @@ class TestClassify:
                    "-m", m) == (2, "", f"error: {error}\n")
 
     def test_symbolic_rejected(self, capsys):
-        code, _, err = run(capsys, "classify", "--family", "a,0,0,0,0,0,0,0")
-        assert code == 2 and "error:" in err
+        assert run(capsys, "classify", "--family", "a,0,0,0,0,0,0,0") == (
+            2, "", "error: parameters are not fully numeric\n")
 
     def test_malformed_family(self, capsys):
         code, _, err = run(capsys, "classify", "--family", "1,2,3")
@@ -300,9 +300,9 @@ class TestOrbit:
         assert csv1.read_bytes() == csv2.read_bytes()
 
     def test_symbolic_rejected(self, capsys):
-        code, _, err = run(capsys, "orbit", "--family", "a,0,0,0,0,0,0,0",
-                           "--x0", "0.1", "--y0", "0")
-        assert code == 2 and "error:" in err
+        assert run(capsys, "orbit", "--family", "a,0,0,0,0,0,0,0",
+                   "--x0", "0.1", "--y0", "0") == (
+            2, "", "error: system has parameters left\n")
 
     def test_escape_reported(self, capsys, tmp_path):
         path = write_doc(tmp_path, "sys.json", {"p": "y + x*(x^2 + y^2)",
@@ -481,6 +481,15 @@ class TestDocuments:
                           "bindings": {name: "2"}})
         assert run(capsys, "verify", "form1", "--system", path) == (
             2, "", f"error: binding {name} names a state variable\n")
+
+    @pytest.mark.parametrize("name", ["a ", "1", "", "a b", "a*b"])
+    def test_binding_key_not_a_symbol(self, capsys, tmp_path, name):
+        """A key that names no symbol would bind nothing."""
+        path = write_doc(tmp_path, "sys.json",
+                         {"family": "quintic-uic", "a": "a", "c": "c",
+                          "bindings": {name: "1", "c": "-1"}})
+        assert run(capsys, "plconst", "--system", path, "-m", "1") == (
+            2, "", f"error: {name!r} is not a symbol name\n")
 
     # json reads 1e400 as inf; true and false are ints to Python
     @pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN", "null",
@@ -691,6 +700,17 @@ print(json.dumps(seen))
 """
 
 
+def probe_imports(steps):
+    """IMPORT_PROBE's report on the argv lists `steps`."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestImports:
     """The exact commands never load the float layer's dependencies."""
 
@@ -701,16 +721,16 @@ class TestImports:
                  ["boundary", "--params", "0,1,-1,0"],
                  ["orbit", "--family", "0,1,0,0,1,0,-1,0",
                   "--x0", "0.3", "--y0", "0"]]
-        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=path))
-        assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout)
+        seen = probe_imports(steps)
         assert seen[:4] == [[None, []], [0, []], [0, []], [0, []]]
         assert seen[4] == [0, ["numpy"]]
         assert seen[5][0] == 0 and "scipy.integrate" in seen[5][1]
+
+    def test_symbolic_orbit_rejected_before_scipy(self):
+        """compile_rhs refuses parameters before the solver is imported."""
+        seen = probe_imports([["orbit", "--family", "a,0,0,0,0,0,0,0",
+                               "--x0", "0.1", "--y0", "0"]])
+        assert seen == [[None, []], [2, ["numpy"]]]
 
 
 EXTREMES = ["0", "-0", "1e-300", "-1e-300", "1e8", "1e9", "1e200",

@@ -1,9 +1,9 @@
 """The package's import structure, read from the source with `ast`: no
 module imports another module's private name, the graph of imports
 between the package's modules has no cycle, every name a module imports
-is read in it, the exact layer `quintic` imports no float conversion, and
-the Lyapunov stage loop is reached from `lyapunov` alone.  Imports inside
-functions count too."""
+is read in it, the exact layer `quintic` imports no float conversion, the
+Lyapunov stage loop is reached from `lyapunov` alone, and caller text is
+read by `qpoly` alone.  Imports inside functions count too."""
 
 import ast
 from pathlib import Path
@@ -92,17 +92,36 @@ def unused_imports(package):
     return out
 
 
-def float_imports(path):
-    """The float conversions a module imports: `math`, and
-    `qpoly.to_float`."""
+def absolute_imports(path):
+    """The top-level module of each absolute import in a file."""
     out = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            out.extend(alias.name for alias in node.names
-                       if alias.name.split(".")[0] == "math")
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                and node.module == "math":
-            out.append("math")
+            out.extend(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append(node.module.split(".")[0])
+    return out
+
+
+def definers(package, name):
+    """The modules that define `name`: a function, a class or an assigned
+    name, at any depth."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name == name
+                    or isinstance(node, ast.Name) and node.id == name
+                    and isinstance(node.ctx, ast.Store)):
+                out.append(path.stem)
+                break
+    return out
+
+
+def float_imports(path):
+    """The float conversions a module imports: `math`, and
+    `qpoly.to_float`."""
+    out = [m for m in absolute_imports(path) if m == "math"]
     out.extend(f"qpoly.{name}" for target, names in imports(path)
                if target == "qpoly" for name in names if name == "to_float")
     return out
@@ -149,6 +168,26 @@ def test_float_check_catches_math_and_to_float(tmp_path):
     path.write_text("import math\nfrom math import atan\n"
                     "def f():\n    from .qpoly import Poly, to_float\n")
     assert float_imports(path) == ["math", "math", "qpoly.to_float"]
+
+
+def test_one_reader_of_caller_text():
+    """`qpoly` alone turns a caller's text into a number: the CLI has no
+    `Fraction` to call, and no second `parse_rational`."""
+    assert "fractions" not in absolute_imports(PACKAGE / "cli.py")
+    assert definers(PACKAGE, "parse_rational") == ["qpoly"]
+
+
+def test_reader_check_catches_a_second_reader(tmp_path):
+    pkg = tmp_path / PACKAGE.name
+    pkg.mkdir()
+    (pkg / "qpoly.py").write_text("def parse_rational(text):\n    pass\n")
+    (pkg / "cli.py").write_text(
+        "import fractions.x\n"
+        "def f():\n    from fractions import Fraction\n"
+        "    def parse_rational(text):\n        return Fraction(text)\n")
+    (pkg / "quintic.py").write_text("parse_rational = float\n")
+    assert absolute_imports(pkg / "cli.py") == ["fractions", "fractions"]
+    assert definers(pkg, "parse_rational") == ["cli", "qpoly", "quintic"]
 
 
 def test_quintic_runs_no_stage_loop():

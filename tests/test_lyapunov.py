@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from conftest import coeffs, polys, random_poly
-from isoquintic.qpoly import Poly, as_poly, form_poly
+from isoquintic.qpoly import Poly, QPolyError, as_poly, form_poly
 from isoquintic.lyapunov import (
     PlanarSystem, LyapunovError, LyapunovReport, check_linear_center,
     pl_constants, first_nonzero, stage_constants, _circle_average,
@@ -501,6 +501,16 @@ class TestFirstNonzero:
         rep = pl_constants(family_system(), 1)
         with pytest.raises(Exception):
             first_nonzero(rep, {"a": 1})
+
+    def test_values_read_as_rational_text(self):
+        """By `qpoly.as_poly`, the reader of every caller's text."""
+        rep = pl_constants(family_system(), 2)
+        zeros = dict.fromkeys(quintic.PARAM_NAMES, "0")
+        assert first_nonzero(rep, {**zeros, "a": "1/2", "c": " -1/2 ",
+                                   "d": "0.25"}) == (2, "positive")
+        # Fraction reads U+0661 ARABIC-INDIC DIGIT ONE as 1
+        with pytest.raises(QPolyError, match="^malformed rational '\u0661'$"):
+            first_nonzero(rep, {**zeros, "a": "\u0661"})
 
 
 class TestVanishingConsistency:

@@ -191,6 +191,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=r"t_end must be in \(0, 1\]"):
             integrate_rk4(ROT, 1.0, 0.0, 1.01, 0.1)
 
+    @pytest.mark.parametrize("h", [0.0, math.nan, -0.1, math.inf])
+    def test_rk4_step_checked(self, h):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            integrate_rk4(ROT, 1.0, 0.0, 1.0, h)
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             integrate(ROT, 1.0, 0.0, 1.0, tol=0.0)
@@ -324,6 +329,14 @@ class TestBoundary:
         with pytest.raises(InapplicableBoundaryError) as exc:
             boundary_curve(0, 0, 0, 0)
         assert str(exc.value) == "boundary formula inapplicable (c0 = 0 <= 0)"
+
+    @pytest.mark.parametrize("first", [1e-9, 8e-7])
+    def test_cluster_wraps_through_two_pi(self, first):
+        """An angle within tol below 2 pi joins a cluster that starts within
+        tol of 0, even 1.6 tol from its start (which the final merge of the
+        last and first cluster would not join)."""
+        angles = [first, TWO_PI - first]
+        assert orbits._cluster_angles(angles, 1e-6) == [first]
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from isoquintic.qpoly import (
-    Poly, ParseError, UnboundVariableError, SingularMatrixError,
-    MAX_DEGREE, MAX_DIGITS, MAX_TERMS, parse_expr, divide_exact,
-    solve_linear_exact, as_poly, form_poly, substitute_form, to_float,
+    Poly, ParseError, QPolyError, UnboundVariableError, SingularMatrixError,
+    MAX_DEGREE, MAX_DIGITS, MAX_TERMS, parse_expr, parse_rational,
+    divide_exact, solve_linear_exact, as_poly, form_poly, substitute_form,
+    to_float,
 )
 from conftest import coeffs, polys, random_poly
 
@@ -42,6 +43,65 @@ class TestArith:
         assert (X + 1) ** 3 == X ** 3 + 3 * X ** 2 + 3 * X + 1
         with pytest.raises(ValueError):
             (X + 1) ** -1
+
+    @pytest.mark.parametrize("n, products", [
+        (0, 0), (1, 1), (2, 2), (6, 4), (7, 5), (8, 4)])
+    def test_pow_squares_only_what_it_reads(self, monkeypatch, n, products):
+        """One square per bit after the first and one product per set bit:
+        p ** 6 is p^2 * p^4, and p^8 is never formed."""
+        calls = []
+        mul = Poly.__mul__
+
+        def counted(p, q):
+            calls.append(q)
+            return mul(p, q)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Poly, "__mul__", counted)
+            power = (X + Y) ** n
+        assert len(calls) == products
+        expected = Poly.const(1)
+        for _ in range(n):
+            expected = expected * (X + Y)
+        assert power == expected
+
+
+class TestText:
+    """`as_poly` reads caller text by one rule: stripped, a run of letters
+    is a symbol, anything else a rational of `parse_rational`."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("b", Poly.var("b")), (" uv ", Poly.var("uv")), ("x", X),
+        ("1/2", Fraction(1, 2)), (" -3/2 ", Fraction(-3, 2)),
+        ("0.25", Fraction(1, 4)), ("1e-3", Fraction(1, 1000)),
+        (f"1e{MAX_DIGITS}", Fraction(10 ** MAX_DIGITS)),
+    ])
+    def test_symbols_and_rationals(self, text, value):
+        assert as_poly(text) == value
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "malformed rational ''"),
+        ("x y", "malformed rational 'x y'"),
+        ("2a", "malformed rational '2a'"),
+        ("a1", "malformed rational 'a1'"),
+        ("1/0", "malformed rational '1/0'"),
+        ("\u0661", "malformed rational '\u0661'"),  # Fraction reads it as 1
+        ("1e10000000", f"exponent above {MAX_DIGITS} in '1e10000000'"),
+        (f"1e-{MAX_DIGITS + 1}", f"exponent above {MAX_DIGITS} in '1e-4301'"),
+    ])
+    def test_anything_else_rejected(self, text, message):
+        with pytest.raises(QPolyError, match=f"^{re.escape(message)}$"):
+            as_poly(text)
+
+    def test_a_rational_is_no_symbol(self):
+        assert parse_rational(" 3 ") == 3
+        with pytest.raises(QPolyError, match="^malformed rational 'a'$"):
+            parse_rational("a")
+
+    @pytest.mark.parametrize("name", ["1/2", "", "x y", "a1", "-a", 2])
+    def test_var_takes_symbol_names_only(self, name):
+        with pytest.raises(ValueError, match="is not a symbol name"):
+            Poly.var(name)
 
 
 class TestDiff:
@@ -172,6 +232,11 @@ class TestToFloat:
         message = f"coefficient {text} is beyond the float range"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             to_float(value)
+
+    def test_eval_float_converts_by_to_float(self):
+        p = Poly.const(10 ** 400) * X + 1
+        with pytest.raises(ValueError, match=r"^coefficient 1E\+400 is beyond"):
+            p.eval_float({"x": 1.0})
 
     def test_beyond_decimal_emax(self, beyond_decimal_emax):
         with pytest.raises(ValueError, match=r"coefficient 1E\+1000001 is beyond"):

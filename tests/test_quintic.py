@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from isoquintic.qpoly import Poly, as_poly, parse_expr
+from isoquintic.qpoly import Poly, QPolyError, as_poly, parse_expr
 from isoquintic import lyapunov, orbits, quintic, structure
 from isoquintic.quintic import (
     QuinticParams, QuinticError, CaseTag,
@@ -115,6 +115,32 @@ class TestParams:
         kw[name] = value
         with pytest.raises(QuinticError, match="uses the variables x, y"):
             QuinticParams(**kw)
+
+    def test_text_read_by_as_poly(self):
+        """A run of letters is a symbol and anything else a rational."""
+        params = QuinticParams("1/2", " b ", "-0.25", "1e-3", 0, 0, 0, 0)
+        assert (params.a, params.b, params.c, params.d) == (
+            Fraction(1, 2), Poly.var("b"), Fraction(-1, 4), Fraction(1, 1000))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "malformed rational ''"),
+        ("x y", "malformed rational 'x y'"),
+        ("2a", "malformed rational '2a'"),
+        ("1e10000000", "exponent above 4300 in '1e10000000'"),
+    ])
+    def test_unreadable_text_rejected(self, text, message):
+        with pytest.raises(QPolyError, match=f"^{message}$"):
+            QuinticParams(0, 0, 0, 0, text, 0, 0, 0)
+
+    def test_numeric_reads_like_the_constructor(self):
+        params = QuinticParams.numeric("1/2", 0.25, 3, Fraction(1, 3), 0, 0, 0, 0)
+        assert params == QuinticParams(Fraction(1, 2), Fraction(1, 4), 3,
+                                       Fraction(1, 3), 0, 0, 0, 0)
+        # Fraction reads U+0661 ARABIC-INDIC DIGIT ONE as 1
+        with pytest.raises(QPolyError, match="malformed rational"):
+            QuinticParams.numeric("\u0661", 0, 0, 0, 0, 0, 0, 0)
+        with pytest.raises(QuinticError, match="not fully numeric"):
+            QuinticParams.numeric("a", 0, 0, 0, 0, 0, 0, 0)
 
     def test_symbolic_not_classified(self):
         with pytest.raises(QuinticError, match="not fully numeric"):
@@ -542,6 +568,14 @@ class TestFirstIntegral:
         spec = first_integral(params, theorem_case(params))
         assert spec.kind == "rational"
         assert spec.payload.den == 1 + 2 * X ** 4 - 4 * X ** 3 * Y - Y ** 4
+
+    def test_beyond_float_range_named(self):
+        """eval_float converts by qpoly.to_float, whose ValueError names the
+        coefficient, not by float(), which raises OverflowError."""
+        params = numeric(e=10 ** 400, g=1)
+        spec = first_integral(params, theorem_case(params))
+        with pytest.raises(ValueError, match=r"^coefficient 1E\+400 is beyond"):
+            spec.eval_float(0.1, 0.2)
 
     def test_case_ii_b0_rational(self):
         params = numeric(e=1, g=-1)

@@ -237,6 +237,12 @@ class TestDarboux:
         with pytest.raises(ValueError, match="beta != 0"):
             darboux_candidate_equal(2, b=0)
 
+    def test_zero_shift_needs_u_on_the_circle(self):
+        """With shift = 0, u must be kappa (x^2 + y^2) for a number kappa."""
+        with pytest.raises(ValueError,
+                           match=r"u must be a number times x\^2 \+ y\^2"):
+            structure.form_candidate(X * Y, X ** 2, Poly.zero(), 1, X ** 2)
+
     def test_wrong_weight_not_certified(self):
         sysm = case_ii_system()
         u = Poly.var("e") * X ** 2 + Poly.var("g") * Y ** 2
@@ -374,6 +380,11 @@ class TestReversibility:
             reversible_modulo_constraint(ROT, Poly.var("s") ** 3)
         with pytest.raises(ValueError):
             reversible_modulo_constraint(ROT, Poly.var("s") - 1)
+
+    def test_constraint_beyond_degree_two_rejected(self):
+        s = Poly.var("s")
+        with pytest.raises(ValueError, match="terms beyond degree 2 in the slope"):
+            reversible_modulo_constraint(ROT, s ** 3 + s ** 2)
 
     def oracle(self, sysm, constraint):
         """The verdict of reflecting the whole system with Poly.subs: both

@@ -3,9 +3,12 @@
 Monomials are tuples of (variable, exponent) pairs sorted by a fixed
 variable order; coefficients are `fractions.Fraction`, or ints kept int by
 `* int` and `// int`.  Everything is immutable and every operation is a pure
-function, so values can be shared freely between threads.  Caller text is
-read here alone (`as_poly`, `parse_rational`, `parse_expr`, `ascii_only`),
-and `to_float` is the one exact to float conversion.
+function, so values can be shared freely between threads.  The one shared
+state, `_mono_mul`'s bounded memo of monomial products, is a pure cache: a
+race between threads can only compute a product twice or move a reset by a
+few products.  Caller text is read here alone (`as_poly`, `parse_rational`,
+`parse_expr`, `ascii_only`, and text given to `Poly.const` and
+`Poly.eval_*`), and `to_float` is the one exact to float conversion.
 
 The canonical term order is graded lexicographic with variable order
 x, y, a, b, c, d, e, f, g, h (any other symbol ranks after these,
@@ -65,16 +68,31 @@ def _mono(pairs):
     return tuple(sorted(((v, e) for v, e in merged.items() if e), key=_pair_rank))
 
 
+_MEMO_SIZE = 1 << 15  # products kept by _mono_mul before it starts afresh
+_PRODUCTS = {}  # (m1, m2) -> their product, for nonempty m1 and m2
+_PAIRS = {}  # (var, exp) -> the one such pair the products above hold
+
+
 def _mono_mul(m1, m2):
-    """The product of two canonical monomials (positive exponents, sorted)."""
+    """The product of two canonical monomials (positive exponents, sorted).
+    Each pair of nonempty monomials is merged once, until the memo holds
+    `_MEMO_SIZE` products and is cleared."""
     if not m1:
         return m2
     if not m2:
         return m1
-    merged = dict(m1)
-    for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items(), key=_pair_rank))
+    key = (m1, m2)
+    m = _PRODUCTS.get(key)
+    if m is None:
+        if len(_PRODUCTS) >= _MEMO_SIZE:
+            _PRODUCTS.clear()
+            _PAIRS.clear()
+        merged = dict(m1)
+        for v, e in m2:
+            merged[v] = merged.get(v, 0) + e
+        m = _PRODUCTS[key] = tuple(_PAIRS.setdefault(p, p) for p in
+                                   sorted(merged.items(), key=_pair_rank))
+    return m
 
 
 def _mono_degree(m):
@@ -134,7 +152,7 @@ def as_poly(v):
     run of letters is that symbol and anything else `parse_rational`."""
     if isinstance(v, str):
         v = v.strip()
-        return Poly.var(v) if v.isalpha() else Poly.const(parse_rational(v))
+        return Poly.var(v) if v.isalpha() else Poly.const(v)
     if isinstance(v, Poly):
         return v
     return Poly.const(v)
@@ -180,6 +198,8 @@ class Poly:
 
     @staticmethod
     def const(q):
+        if isinstance(q, str):  # Fraction also reads digits such as '١'
+            q = parse_rational(q)
         return Poly({(): Fraction(q)})
 
     @staticmethod
@@ -345,14 +365,18 @@ class Poly:
         return self._eval(point, to_float)
 
     def _eval(self, point, num):
-        """The sum of the terms at `point` in the number type `num`."""
+        """The sum of the terms at `point` in the number type `num`; a value
+        given as text is read by `parse_rational`."""
         total = num(0)
         for m, c in self.terms.items():
             val = num(c)
             for v, e in m:
                 if v not in point:
                     raise UnboundVariableError(f"unbound variable '{v}'")
-                val *= num(point[v]) ** e
+                value = point[v]
+                if isinstance(value, str):
+                    value = parse_rational(value)
+                val *= num(value) ** e
             total += val
         return total
 

@@ -31,9 +31,14 @@ class QuinticError(Exception):
     pass
 
 
-def _coefficient(value):
-    """A parameter as a Fraction, or a Poly in symbols other than x and y."""
-    value = as_poly(value)
+def _coefficient(name, value):
+    """Parameter `name` as a Fraction, or a Poly in symbols other than x and
+    y."""
+    try:
+        value = as_poly(value)
+    except (OverflowError, ValueError):  # Fraction of an inf or a nan
+        raise QuinticError(f"parameter {name} = {value!r} is not a finite "
+                           f"number") from None
     names = value.variables()
     if names & {"x", "y"}:
         raise QuinticError(f"parameter {value} uses the variables x, y")
@@ -60,7 +65,7 @@ class QuinticParams:
         for n in PARAM_NAMES:
             v = getattr(self, n)
             if not isinstance(v, Fraction):
-                object.__setattr__(self, n, _coefficient(v))
+                object.__setattr__(self, n, _coefficient(n, v))
 
     @classmethod
     def symbolic(cls):

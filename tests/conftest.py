@@ -5,9 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from isoquintic import qpoly
 from isoquintic.qpoly import Poly, substitute_form
 from isoquintic.lyapunov import PlanarSystem
 from isoquintic.quintic import PARAM_NAMES, QuinticError, QuinticParams
+
+
+def clear_product_memo():
+    """Empty `qpoly`'s memo of monomial products, as a new process has it."""
+    qpoly._PRODUCTS.clear()
+    qpoly._PAIRS.clear()
 
 
 @pytest.fixture

@@ -3,12 +3,15 @@ import hashlib
 import itertools
 import json
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import coeffs, polys, random_poly
+from conftest import clear_product_memo, coeffs, polys, random_poly
 from isoquintic.qpoly import Poly, QPolyError, as_poly, form_poly
 from isoquintic.lyapunov import (
     PlanarSystem, LyapunovError, LyapunovReport, check_linear_center,
@@ -479,6 +482,37 @@ class TestPlConstants:
         rep = pl_constants(load_system_document(str(path)), 6)
         assert rep.first_nonzero_index is not None
         assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["document-m6"]
+
+
+class TestProductMemo:
+    """`qpoly`'s memo of monomial products is a cache: neither its state nor
+    threads racing on it change a report."""
+
+    def test_cold_and_warm_agree(self):
+        clear_product_memo()
+        cold = terms_sha([pl_constants(family_system(), 6)])
+        warm = terms_sha([pl_constants(family_system(), 6)])
+        assert cold == warm == NUMERIC_TERMS_SHA256["family-m6"]
+
+    def test_threads_agree_with_serial(self):
+        clear_product_memo()
+        serial = terms_sha([pl_constants(family_system(), 5)])
+        start = threading.Barrier(4, timeout=60)
+
+        def run():
+            start.wait()
+            clear_product_memo()
+            return terms_sha([pl_constants(family_system(), 5)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run) for _ in range(4)]
+                digests = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert digests == [serial] * 4
 
 
 class TestFirstNonzero:

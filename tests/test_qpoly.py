@@ -11,7 +11,8 @@ from isoquintic.qpoly import (
     divide_exact, solve_linear_exact, as_poly, form_poly, substitute_form,
     to_float,
 )
-from conftest import coeffs, polys, random_poly
+from isoquintic import qpoly
+from conftest import clear_product_memo, coeffs, polys, random_poly
 
 try:  # the differential oracle is an optional test dependency
     import sympy
@@ -103,6 +104,22 @@ class TestText:
         with pytest.raises(ValueError, match="is not a symbol name"):
             Poly.var(name)
 
+    def test_const_and_eval_read_text_by_the_same_rule(self):
+        a = Poly.var("a")
+        assert Poly.const(" -3/2 ") == Fraction(-3, 2)
+        assert a.eval_rational({"a": "1e-3"}) == Fraction(1, 1000)
+        assert (a * a).eval_float({"a": " 0.5 "}) == 0.25
+        # Fraction and float read U+0661 ARABIC-INDIC DIGIT ONE as 1
+        for read in (Poly.const, lambda t: a.eval_rational({"a": t}),
+                     lambda t: a.eval_float({"a": t})):
+            with pytest.raises(QPolyError, match="^malformed rational '\u0661'$"):
+                read("\u0661")
+            with pytest.raises(QPolyError, match="^malformed rational 'inf'$"):
+                read("inf")
+        # float("1e400") is inf; the exact value is checked by to_float
+        with pytest.raises(ValueError, match="^coefficient 1E\\+400 is beyond"):
+            a.eval_float({"a": "1e400"})
+
 
 class TestDiff:
     def test_basic(self):
@@ -133,6 +150,65 @@ class TestSubstitute:
 
     def test_shift(self):
         assert (X ** 2).subs({"x": X + 1}) == X ** 2 + 2 * X + 1
+
+
+KNOWN_ORDER = "xyabcdefgh"
+
+
+def variable_rank(name):
+    """x, y, a..h in that order, then any other symbol alphabetically."""
+    return (0, KNOWN_ORDER.index(name)) if name in KNOWN_ORDER else (1, name)
+
+
+def plain_product(m1, m2):
+    """The product of two canonical monomials, merged and sorted afresh."""
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items(), key=lambda pair: variable_rank(pair[0])))
+
+
+monomials = st.dictionaries(
+    st.sampled_from(list(KNOWN_ORDER) + ["alpha", "k", "uv", "z"]),
+    st.integers(1, 6), max_size=5).map(lambda d: plain_product((), d.items()))
+
+
+class TestProductMemo:
+    """`_mono_mul` merges each pair of nonempty monomials once, in a memo of
+    at most `_MEMO_SIZE` products that shares its (variable, exponent)
+    pairs."""
+
+    @seed(23)
+    @settings(max_examples=300, deadline=None)
+    @given(monomials, monomials)
+    def test_equals_the_plain_merge(self, m1, m2):
+        want = plain_product(m1, m2)
+        assert qpoly._mono_mul(m1, m2) == want
+        assert qpoly._mono_mul(m1, m2) == want  # now from the memo
+        if not m1 or not m2:
+            assert qpoly._mono_mul(m1, m2) is (m2 if not m1 else m1)
+
+    def test_bounded_and_right_after_a_reset(self):
+        clear_product_memo()
+        size = qpoly._MEMO_SIZE
+        pairs = [((("x", i),), (("y", 1), ("z", i))) for i in range(1, size + 100)]
+        for m1, m2 in pairs:
+            qpoly._mono_mul(m1, m2)
+            assert len(qpoly._PRODUCTS) <= size
+        assert len(qpoly._PRODUCTS) == 99  # cleared once, when full
+        for m1, m2 in pairs[:3] + pairs[-3:]:
+            assert qpoly._mono_mul(m1, m2) == plain_product(m1, m2)
+
+    def test_equal_pairs_are_one_object(self):
+        clear_product_memo()
+        p = qpoly._mono_mul((("x", 1),), (("a", 2),))
+        q = qpoly._mono_mul((("x", 1), ("b", 1)), (("a", 2), ("k", 3)))
+        assert p == (("x", 1), ("a", 2))
+        assert q == (("x", 1), ("a", 2), ("b", 1), ("k", 3))
+        assert p[0] is q[0] and p[1] is q[1]
+        # and so are those of the keys of a Poly product
+        (m,) = (Poly.var("a", 2) * X).terms
+        assert m == p and m[0] is p[0] and m[1] is p[1]
 
 
 class TestEval:

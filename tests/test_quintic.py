@@ -132,6 +132,16 @@ class TestParams:
         with pytest.raises(QPolyError, match=f"^{message}$"):
             QuinticParams(0, 0, 0, 0, text, 0, 0, 0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["a", "h"])
+    def test_non_finite_float_rejected(self, name, value):
+        """Fraction raises a bare OverflowError or ValueError on these."""
+        kw = dict.fromkeys(quintic.PARAM_NAMES, 0)
+        kw[name] = value
+        with pytest.raises(QuinticError, match=f"^parameter {name} = {value!r} "
+                                               f"is not a finite number$"):
+            QuinticParams(**kw)
+
     def test_numeric_reads_like_the_constructor(self):
         params = QuinticParams.numeric("1/2", 0.25, 3, Fraction(1, 3), 0, 0, 0, 0)
         assert params == QuinticParams(Fraction(1, 2), Fraction(1, 4), 3,

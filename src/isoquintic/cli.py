@@ -79,9 +79,9 @@ def load_system_document(path):
     else:
         raise InputError("document needs either p and q or a family block")
 
+    if not isinstance(bindings, dict):
+        raise InputError("bindings must be an object")
     if bindings:
-        if not isinstance(bindings, dict):
-            raise InputError("bindings must be an object")
         for name in bindings:
             Poly.var(name)  # a symbol name, else a ValueError that names it
             if name in ("x", "y"):

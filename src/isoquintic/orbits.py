@@ -3,29 +3,34 @@ closure checks, the explicit period-annulus boundary, and B-type verdicts.
 
 The symbolic layer proves identities; this module checks that the numbers
 agree.  Orbits are integrated by an adaptive embedded 4(5) pair (scipy's
-RK45) at tight tolerances; a fixed-step RK4 is kept for order tests.
+RK45) at tight tolerances.  numpy and scipy are imported by the solve and by
+`compile_rhs` only, so the case (i) boundary and every B-type verdict run on
+the standard library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from sys import float_info
+from typing import TYPE_CHECKING
 
 from .qpoly import to_float
 from .structure import angular_speed_residual
 from . import quintic
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ESCAPE_RADIUS = 1e9
 TOL = 1e-10            # default rtol = atol of the adaptive integrator
-MIN_TOL = 100 * np.finfo(float).eps  # RK45 raises any smaller rtol to this
+MIN_TOL = 100 * float_info.epsilon  # RK45 raises any smaller rtol to this
 MAX_STEP = 0.1         # largest step of the adaptive integrator
 MAX_RHS_CALLS = 50_000  # right-hand side evaluations one solve may spend
-# RK45 spends 2 calls to start and 6 per attempted step of at most MAX_STEP,
-# RK4 4 per step: a longer span cannot finish within MAX_RHS_CALLS
+# RK45 spends 2 calls to start and 6 per attempted step of at most MAX_STEP:
+# a longer span cannot finish within MAX_RHS_CALLS
 MAX_T_END = MAX_STEP * (MAX_RHS_CALLS - 2) / 6
-MAX_RK4_STEPS = MAX_RHS_CALLS // 4
+RETURN_T_MAX = 2.5 * math.pi  # span searched for the first ray return
 MAX_BOUNDARY_N = 2 ** 16  # most boundary samples one call may return
 
 
@@ -57,9 +62,6 @@ class Trajectory:
     x: np.ndarray
     y: np.ndarray
 
-    def samples(self):
-        return list(zip(self.t, self.x, self.y))
-
     def endpoint(self):
         return float(self.x[-1]), float(self.y[-1])
 
@@ -80,6 +82,8 @@ def compile_rhs(sys):
 
     pterms = collect(sys.p)
     qterms = collect(sys.q)
+    import numpy as np  # after collect: a system with parameters fails first
+
     calls = 0
 
     def field(x, y):
@@ -116,28 +120,25 @@ def _escape_event(t, state):
 _escape_event.terminal = True
 
 
-def _check_inputs(x0, y0, t_end, t_max):
-    """Reject what would make a solver run without end or on garbage."""
+def _solve(sys, x0, y0, t_end, tol, events=()):
+    """The one adaptive RK45 run: rtol = atol = tol, terminal escape guard.
+
+    Inputs that would make it run without end or on garbage are rejected
+    first.  Overflow on the way to the escape radius is left to the guard,
+    not reported as numpy warnings.
+    """
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"tol must be finite and at least {MIN_TOL:.3g}")
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise ValueError("initial point must be finite")
     if math.hypot(x0, y0) >= ESCAPE_RADIUS:
         raise ValueError(
             f"initial point must lie inside |state| = {ESCAPE_RADIUS:g}")
-    if not 0 < t_end <= t_max:  # false for nan
-        raise ValueError(f"t_end must be in (0, {t_max:g}]")
-
-
-def _solve(sys, x0, y0, t_end, tol, events=()):
-    """The one adaptive RK45 run: rtol = atol = tol, terminal escape guard.
-
-    Overflow on the way to the escape radius is left to the guard, not
-    reported as numpy warnings.
-    """
-    if not (math.isfinite(tol) and tol >= MIN_TOL):
-        raise ValueError(f"tol must be finite and at least {MIN_TOL:.3g}")
-    _check_inputs(x0, y0, t_end, MAX_T_END)
+    if not 0 < t_end <= MAX_T_END:  # false for nan
+        raise ValueError(f"t_end must be in (0, {MAX_T_END:g}]")
     rhs = compile_rhs(sys)  # a system with parameters fails before the import
-    # the package's slowest import, so deferred to the first solve
+    # the package's slowest imports, so deferred to the first solve
+    import numpy as np
     from scipy.integrate import solve_ivp
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,44 +166,16 @@ def integrate(sys, x0, y0, t_end, tol=TOL):
     return Trajectory(sol.t, sol.y[0], sol.y[1])
 
 
-def integrate_rk4(sys, x0, y0, t_end, h):
-    """Classical fixed-step RK4 with steps of at most h (the step used is
-    t_end / ceil(t_end / h)); kept for order tests."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError("step must be positive and finite")
-    _check_inputs(x0, y0, t_end, h * MAX_RK4_STEPS)
-    rhs = compile_rhs(sys)
-    n_steps = max(1, math.ceil(t_end / h))
-    h = t_end / n_steps
-    ts = [0.0]
-    xs = [x0]
-    ys = [y0]
-    state = np.array((x0, y0), dtype=float)
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = np.array(rhs(t, state))
-        k2 = np.array(rhs(t + h / 2, state + h / 2 * k1))
-        k3 = np.array(rhs(t + h / 2, state + h / 2 * k2))
-        k4 = np.array(rhs(t + h, state + h * k3))
-        state = state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        if math.hypot(*state) > ESCAPE_RADIUS:
-            raise EscapedError(t)
-        ts.append(t)
-        xs.append(float(state[0]))
-        ys.append(float(state[1]))
-    return Trajectory(np.array(ts), np.array(xs), np.array(ys))
-
-
-def ray_return_time(sys, x0, y0, tol=TOL, t_max=2.5 * math.pi):
-    """Time of first return to the ray through (x0, y0), and the endpoint.
+def ray_return_time(sys, x0, y0, tol=TOL):
+    """Time of first return, within RETURN_T_MAX, to the ray through (x0, y0),
+    and the endpoint.
 
     The system must have constant angular speed (form with x q - y p =
-    -(x^2+y^2)); the crossing is located by the solver's root finder on the
-    ray's normal coordinate, well below 1e-12 in time.
+    -(x^2+y^2)), else ValueError; the crossing is located by the solver's
+    root finder on the ray's normal coordinate, well below 1e-12 in time.
     """
     if not angular_speed_residual(sys).is_zero:
-        raise OrbitError("system is not of the constant-angular-speed form")
+        raise ValueError("system is not of the constant-angular-speed form")
     r0 = math.hypot(x0, y0)
     if r0 == 0:
         raise ValueError("initial point must not be the origin")
@@ -215,7 +188,7 @@ def ray_return_time(sys, x0, y0, tol=TOL, t_max=2.5 * math.pi):
     # filtered out below together with the opposite-ray crossings
     cross.direction = -1.0  # the positive ray is crossed with decreasing normal
 
-    sol = _solve(sys, x0, y0, t_max, tol, (cross,))
+    sol = _solve(sys, x0, y0, RETURN_T_MAX, tol, (cross,))
     hits = [t for t in sol.t_events[0] if t > 1e-3]
     if not hits:
         if sol.status == -1:
@@ -231,8 +204,8 @@ def ray_return_time(sys, x0, y0, tol=TOL, t_max=2.5 * math.pi):
 
 @dataclass
 class BoundaryResult:
-    phis: np.ndarray
-    rhos: np.ndarray          # math.inf at global maximizers
+    phis: list
+    rhos: list                # math.inf at global maximizers
     c0: float
     maximizers: list          # clustered angles of the global maximum
 
@@ -306,11 +279,11 @@ def boundary_curve(d, e, g, h, N=256):
         raise InapplicableBoundaryError(
             f"boundary formula inapplicable (c0 = {c0:.6g} <= 0)")
 
-    phis = np.array([2.0 * math.pi * i / N for i in range(N)])
-    rhos = np.empty(N)
-    for i, phi in enumerate(phis):
+    phis = [2.0 * math.pi * i / N for i in range(N)]
+    rhos = []
+    for phi in phis:
         gap = c0 - Q(phi)
-        rhos[i] = math.inf if gap < 1e-12 * scale else gap ** -0.25
+        rhos.append(math.inf if gap < 1e-12 * scale else gap ** -0.25)
     return BoundaryResult(phis, rhos, c0, maximizers)
 
 

@@ -39,6 +39,9 @@ def _coefficient(name, value):
     except (OverflowError, ValueError):  # Fraction of an inf or a nan
         raise QuinticError(f"parameter {name} = {value!r} is not a finite "
                            f"number") from None
+    except TypeError:  # Fraction of None, a complex, a list, ...
+        raise QuinticError(f"parameter {name} = {value!r} is not a number, "
+                           f"a Poly or text") from None
     names = value.variables()
     if names & {"x", "y"}:
         raise QuinticError(f"parameter {value} uses the variables x, y")

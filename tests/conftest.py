@@ -1,6 +1,11 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -9,6 +14,20 @@ from isoquintic import qpoly
 from isoquintic.qpoly import Poly, substitute_form
 from isoquintic.lyapunov import PlanarSystem
 from isoquintic.quintic import PARAM_NAMES, QuinticError, QuinticParams
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(code, *args):
+    """The JSON that `code` prints when run with `args` in a fresh
+    interpreter, with src/ on its path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def clear_product_memo():

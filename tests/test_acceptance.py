@@ -449,13 +449,16 @@ def test_criterion_11_core_properties():
             ok = ok and acc == rhs[i]
         solved += 1
 
-    # fixed-step integrator order
+    # the integrator's error is proportional to its tolerance, over one turn
+    # of the rotation; above 1e-8 MAX_STEP, not tol, bounds the error
     rot = PlanarSystem(Y, -X)
 
-    def endpoint_error(h):
-        xe, ye = orbits.integrate_rk4(rot, 1.0, 0.0, 2 * math.pi, h).endpoint()
+    def endpoint_error(tol):
+        xe, ye = orbits.integrate(rot, 1.0, 0.0, 2 * math.pi, tol).endpoint()
         return math.hypot(xe - 1.0, ye)
 
-    ratio = endpoint_error(0.05) / endpoint_error(0.025)
-    ok = ok and 12.0 < ratio < 20.0
+    errors = [endpoint_error(tol) for tol in (1e-9, 1e-10, 1e-11)]
+    ok = ok and all(8.0 < big / small < 12.5
+                    for big, small in zip(errors, errors[1:]))
+    ok = ok and errors[0] < 5e-9
     report(11, "core property suites", ok)

@@ -3,11 +3,8 @@ import io
 import itertools
 import json
 import math
-import os
 import re
 import shlex
-import subprocess
-import sys
 import time
 import warnings
 from pathlib import Path
@@ -18,6 +15,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from isoquintic import orbits
 from isoquintic.cli import build_parser, main
 from isoquintic.qpoly import MAX_DIGITS, parse_expr
+from conftest import run_fresh
 
 
 def run(capsys, *argv):
@@ -304,6 +302,13 @@ class TestOrbit:
                    "--x0", "0.1", "--y0", "0") == (
             2, "", "error: system has parameters left\n")
 
+    def test_nonuniform_angular_speed_rejected(self, capsys, tmp_path):
+        """The orbit itself integrates; the ray return needs the form."""
+        path = write_doc(tmp_path, "sys.json", {"p": "y+x^2", "q": "-x"})
+        assert run(capsys, "orbit", "--system", path, "--x0", "0.1",
+                   "--y0", "0") == (
+            2, "", "error: system is not of the constant-angular-speed form\n")
+
     def test_escape_reported(self, capsys, tmp_path):
         path = write_doc(tmp_path, "sys.json", {"p": "y + x*(x^2 + y^2)",
                                                 "q": "-x + y*(x^2 + y^2)"})
@@ -469,10 +474,12 @@ class TestDocuments:
             2, "", "error: unknown keys ['z']\n")
 
     def test_bindings_not_an_object(self, capsys, tmp_path):
-        path = write_doc(tmp_path, "sys.json",
-                         {"p": "y + a*x^2", "q": "-x", "bindings": ["a", 1]})
-        assert run(capsys, "plconst", "--system", path, "-m", "1") == (
-            2, "", "error: bindings must be an object\n")
+        # falsy values too: the type is checked whenever the key is present
+        for bindings in (["a", 1], 0, "", False, [], None):
+            path = write_doc(tmp_path, "sys.json",
+                             {"p": "y + a*x^2", "q": "-x", "bindings": bindings})
+            assert run(capsys, "plconst", "--system", path, "-m", "1") == (
+                2, "", "error: bindings must be an object\n"), bindings
 
     @pytest.mark.parametrize("name", ["x", "y"])
     def test_binding_names_state_variable(self, capsys, tmp_path, name):
@@ -639,7 +646,6 @@ class TestCostlyInputs:
         assert "Traceback" not in err
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -702,13 +708,7 @@ print(json.dumps(seen))
 
 def probe_imports(steps):
     """IMPORT_PROBE's report on the argv lists `steps`."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(steps)],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return run_fresh(IMPORT_PROBE, json.dumps(steps))
 
 
 class TestImports:
@@ -722,15 +722,15 @@ class TestImports:
                  ["orbit", "--family", "0,1,0,0,1,0,-1,0",
                   "--x0", "0.3", "--y0", "0"]]
         seen = probe_imports(steps)
-        assert seen[:4] == [[None, []], [0, []], [0, []], [0, []]]
-        assert seen[4] == [0, ["numpy"]]
+        assert seen[:5] == [[None, []], [0, []], [0, []], [0, []], [0, []]]
         assert seen[5][0] == 0 and "scipy.integrate" in seen[5][1]
 
     def test_symbolic_orbit_rejected_before_scipy(self):
-        """compile_rhs refuses parameters before the solver is imported."""
+        """compile_rhs refuses parameters before numpy or the solver is
+        imported."""
         seen = probe_imports([["orbit", "--family", "a,0,0,0,0,0,0,0",
                                "--x0", "0.1", "--y0", "0"]])
-        assert seen == [[None, []], [2, ["numpy"]]]
+        assert seen == [[None, []], [2, []]]
 
 
 EXTREMES = ["0", "-0", "1e-300", "-1e-300", "1e8", "1e9", "1e200",

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,17 @@ class TestParams:
         kw[name] = value
         with pytest.raises(QuinticError, match=f"^parameter {name} = {value!r} "
                                                f"is not a finite number$"):
+            QuinticParams(**kw)
+
+    @pytest.mark.parametrize("value", [None, 1j, [1]], ids=["None", "1j", "list"])
+    @pytest.mark.parametrize("name", ["a", "h"])
+    def test_non_number_rejected(self, name, value):
+        """Fraction raises a bare TypeError on these, naming no field."""
+        kw = dict.fromkeys(quintic.PARAM_NAMES, 0)
+        kw[name] = value
+        with pytest.raises(QuinticError, match="^" + re.escape(
+                f"parameter {name} = {value!r} is not a number, a Poly or text")
+                + "$"):
             QuinticParams(**kw)
 
     def test_numeric_reads_like_the_constructor(self):

@@ -227,6 +227,10 @@ def cmd_orbit(args):
     from . import orbits
 
     sysm = _system_from_args(args)
+    # the ray return needs this form; checked before integrating, so that an
+    # orbit that escapes first is still an input error, not a verdict
+    if not structure.angular_speed_residual(sysm).is_zero:
+        raise InputError("system is not of the constant-angular-speed form")
     try:
         traj = orbits.integrate(sysm, args.x0, args.y0, args.t_end, args.tol)
         T, endpoint = orbits.ray_return_time(sysm, args.x0, args.y0, args.tol)

@@ -6,10 +6,11 @@ P = a x^2 + b x y + c y^2 + d x^4 + e x^3 y + f x^2 y^2 + g x y^3 + h y^4.
 `QuinticParams` checks a..h once, on construction: each is a Fraction or a
 Poly in parameters other than x and y.  `family_forms` states the family
 once, as the binary forms of p and q; `build_system` is their Poly system.
-`classify` decides a numeric point from R = `reduced_conditions` alone, and
-solves no Lyapunov stage.  Each center case has one partner factor Q
-(`_partner_factor`): its commuting partner is (x Q, y Q), and Q is the
-denominator of its rational first integral, or C2 of its Darboux integral.
+`classify` decides a numeric point from R = `reduced_conditions` alone,
+evaluated on integers, and solves no Lyapunov stage.  Each center case has
+one partner factor Q (`_partner_factor`): its commuting partner is
+(x Q, y Q), and Q is the denominator of its rational first integral, or C2
+of its Darboux integral.
 """
 
 from __future__ import annotations
@@ -116,17 +117,21 @@ def build_system(params):
                           for forms in family_forms(params)))
 
 
-def _conditions(p):
-    """R_1, ..., R_4 in turn, on Poly or Fraction parameters alike."""
-    yield p.a + p.c
-    yield 3 * p.d + p.f + 3 * p.h
-    yield 3 * p.c * p.e - p.b * p.f + 3 * p.c * p.g - 6 * p.b * p.h
-    yield 2 * p.c ** 2 * p.f - 3 * p.b * p.c * p.g + 3 * p.b ** 2 * p.h
+def _conditions(a, b, c, d, e, f, g, h):
+    """R_1, ..., R_4 in turn, on Poly, Fraction or int parameters alike.
+
+    R_k is homogeneous in a..h of degree 1, 1, 2 and 3, so scaling all
+    eight by one s > 0 scales R_k by s^deg: its zero and its sign stay."""
+    yield a + c
+    yield 3 * d + f + 3 * h
+    yield 3 * c * e - b * f + 3 * c * g - 6 * b * h
+    yield 2 * c ** 2 * f - 3 * b * c * g + 3 * b ** 2 * h
 
 
 def reduced_conditions(params):
     """R_1..R_4 as Polys: R = 0 exactly when D1 = ... = D4 = 0."""
-    return [as_poly(r) for r in _conditions(params)]
+    return [as_poly(r) for r in _conditions(*(getattr(params, n)
+                                              for n in PARAM_NAMES))]
 
 
 @dataclass(frozen=True)
@@ -147,10 +152,19 @@ def classify(params, m=4):
     sigma = {c -> -a, f -> -3d - 3h}, d_3 = 38707200 R_3 and d_4 =
     24385536000 R_4 - 36578304000 b R_3.  So the first nonzero R_k is D_k's
     index and sign, and R = 0 is a center: case (iii) if a != 0, (i) if
-    b = 0, else (ii).  D_4 is never passed: "undetermined" needs m < 4."""
+    b = 0, else (ii).  D_4 is never passed: "undetermined" needs m < 4.
+
+    R is evaluated on integers: a..h times the product s > 0 of their
+    denominators.  R_k has degree 1, 1, 2 or 3, so this scales it by
+    s^deg, which keeps its zero and its sign, and no gcd is taken."""
     check_count(m)
     params.require_numeric()
-    hit = first_nonzero_numerator(_conditions(params))
+    values = [getattr(params, n) for n in PARAM_NAMES]
+    s = 1
+    for v in values:
+        s *= v.denominator
+    hit = first_nonzero_numerator(_conditions(
+        *(v.numerator * (s // v.denominator) for v in values)))
     if hit is None:
         tag = (CaseTag.CASE_III if params.a else
                CaseTag.CASE_II if params.b else CaseTag.CASE_I)

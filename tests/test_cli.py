@@ -309,6 +309,15 @@ class TestOrbit:
                    "--y0", "0") == (
             2, "", "error: system is not of the constant-angular-speed form\n")
 
+    @pytest.mark.parametrize("x0", ["1", "5"])
+    def test_form_checked_before_integrating(self, capsys, tmp_path, x0):
+        """From these points the orbit escapes before any ray return: the
+        form is still an input error, not the verdict "orbit escaped"."""
+        path = write_doc(tmp_path, "sys.json", {"p": "y+x^2", "q": "-x"})
+        assert run(capsys, "orbit", "--system", path, "--x0", x0,
+                   "--y0", "0") == (
+            2, "", "error: system is not of the constant-angular-speed form\n")
+
     def test_escape_reported(self, capsys, tmp_path):
         path = write_doc(tmp_path, "sys.json", {"p": "y + x*(x^2 + y^2)",
                                                 "q": "-x + y*(x^2 + y^2)"})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -295,8 +296,8 @@ def focus_point(rnd, k, height, den):
             return params
 
 
-def center_point(rnd, tag):
-    v = random_point(rnd, 9, 3)
+def center_point(rnd, tag, height=9, den=3):
+    v = random_point(rnd, height, den)
     if tag is CaseTag.CASE_I:
         v.update(a=0, b=0, c=0, f=-3 * (v["d"] + v["h"]))
     elif tag is CaseTag.CASE_II:
@@ -463,6 +464,119 @@ class TestClassifyWork:
         params = focus_point(rng, 4, 9, 3)
         verdict, case = self.run(counts, params, m)
         assert (verdict.kind, case) == ("undetermined", None)
+
+
+FLIP = {"positive": "negative", "negative": "positive"}
+
+
+def symmetry_images(rnd, params):
+    """(name, image, does a focus sign flip) for three maps that take the
+    family to itself: a..h times a seeded lambda > 0, which scales R_k by
+    lambda^deg; (x, y) -> lambda (x, y) with lambda = 2/3, which scales
+    (a, b, c) by lambda^2 and d..h by lambda^4; and the reflection
+    (x, y, t) -> (x, -y, -t), which gives P -> -P(x, -y), so negates
+    a, c, d, f and h, and turns a stable focus into an unstable one."""
+    v = [getattr(params, n) for n in quintic.PARAM_NAMES]
+    lam = Fraction(rnd.randint(1, 10 ** 6), rnd.randint(1, 10 ** 6))
+    yield "homogeneity", QuinticParams(*(lam * x for x in v)), False
+    sq = Fraction(2, 3) ** 2
+    yield "scaling", QuinticParams(*(sq * x for x in v[:3]),
+                                   *(sq ** 2 * x for x in v[3:])), False
+    yield "reflection", QuinticParams(*(
+        -x if n in "acdfh" else x
+        for n, x in zip(quintic.PARAM_NAMES, v))), True
+
+
+HEIGHTS = [(9, 3), (10 ** 6, 10 ** 6), (10 ** 30, 10 ** 30)]
+
+
+class TestClassifySymmetries:
+    """Under each map of `symmetry_images`, at every m, the kind, case and
+    index of `classify` stay, and so does the focus sign unless the map
+    flips it."""
+
+    @staticmethod
+    def check(rnd, params):
+        for m in range(1, lyapunov.CAP + 1):
+            base = classify(params, m)
+            for name, image, flips in symmetry_images(rnd, params):
+                want = base
+                if flips and base.kind == "focus":
+                    want = dataclasses.replace(
+                        base, focus_sign=FLIP[base.focus_sign])
+                assert classify(image, m) == want, (name, m, params)
+
+    @pytest.mark.parametrize("height, den", HEIGHTS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_focus(self, rng, k, height, den):
+        for _ in range(4):
+            params = focus_point(rng, k, height, den)
+            assert classify(params).focus_index == k
+            self.check(rng, params)
+
+    @pytest.mark.parametrize("height, den", HEIGHTS)
+    @pytest.mark.parametrize("tag", list(CaseTag))
+    def test_center(self, rng, tag, height, den):
+        for _ in range(3):
+            params = center_point(rng, tag, height, den)
+            assert classify(params).case.tag is tag
+            self.check(rng, params)
+
+
+def mixed_point(rnd):
+    """A seeded point whose entries have denominators of mixed size, from 1
+    to 10^30, mostly coprime, and are zero one time in four; c = -a,
+    f = -3 (d + h) and then R_3 = 0 or all of case (iii) are imposed now
+    and then, so that every R_k comes first."""
+    def entry():
+        if rnd.random() < 0.25:
+            return Fraction(0)
+        digits = rnd.choice((1, 6, 30))
+        return Fraction(rnd.randint(-10 ** digits, 10 ** digits),
+                        rnd.randint(1, 10 ** rnd.choice((0, 1, 6, 30))))
+
+    v = {n: entry() for n in quintic.PARAM_NAMES}
+    if rnd.random() < 0.6:
+        v["c"] = -v["a"]
+        if rnd.random() < 0.6:
+            v["f"] = -3 * (v["d"] + v["h"])
+            if v["a"] and rnd.random() < 0.5:
+                v["e"] = (v["b"] * v["d"] - v["a"] * v["g"]
+                          - v["b"] * v["h"]) / v["a"]
+    if v["a"] and rnd.random() < 0.1:
+        v["c"] = -v["a"]
+        v["f"], v["g"], v["h"] = case_iii_fgh(v["a"], v["b"], v["d"], v["e"])
+    return v
+
+
+class TestClassifyOnIntegers:
+    """`classify` clears a..h to integers before it evaluates R; the
+    reference is the first nonzero of R evaluated in Fractions, by
+    `reduced_conditions`, and a center's case is the paper's statement of
+    it, `explicit_case`."""
+
+    def test_matches_fraction_conditions(self, rng):
+        seen = set()
+        for _ in range(2000):
+            v = mixed_point(rng)
+            params = QuinticParams(**v)
+            values = [r.constant_value() for r in reduced_conditions(params)]
+            hit = next(((k, "positive" if r > 0 else "negative")
+                        for k, r in enumerate(values, start=1) if r), None)
+            m = rng.randint(1, lyapunov.CAP)
+            got = classify(params, m)
+            if hit is None:
+                assert got.kind == "center", v
+                assert got.case.tag is explicit_case(v), v
+                seen.add(got.case.tag)
+            elif hit[0] <= m:
+                assert got == quintic.Classification(
+                    "focus", focus_index=hit[0], focus_sign=hit[1]), v
+                seen.add(hit)
+            else:
+                assert got == quintic.Classification("undetermined", m=m), v
+        assert seen == ({(k, s) for k in range(1, 5) for s in FLIP}
+                        | set(CaseTag))
 
 
 class TestCaseSubstitution:

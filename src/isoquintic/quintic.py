@@ -84,7 +84,10 @@ class QuinticParams:
 
     @property
     def is_numeric(self):
-        return not any(isinstance(getattr(self, n), Poly) for n in PARAM_NAMES)
+        for n in PARAM_NAMES:
+            if isinstance(getattr(self, n), Poly):
+                return False
+        return True
 
     def require_numeric(self):
         if not self.is_numeric:
@@ -159,12 +162,12 @@ def classify(params, m=4):
     s^deg, which keeps its zero and its sign, and no gcd is taken."""
     check_count(m)
     params.require_numeric()
-    values = [getattr(params, n) for n in PARAM_NAMES]
+    ratios = [getattr(params, n).as_integer_ratio() for n in PARAM_NAMES]
     s = 1
-    for v in values:
-        s *= v.denominator
+    for _, den in ratios:
+        s *= den
     hit = first_nonzero_numerator(_conditions(
-        *(v.numerator * (s // v.denominator) for v in values)))
+        *[num * (s // den) for num, den in ratios]))
     if hit is None:
         tag = (CaseTag.CASE_III if params.a else
                CaseTag.CASE_II if params.b else CaseTag.CASE_I)

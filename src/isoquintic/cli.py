@@ -51,6 +51,8 @@ def load_system_document(path):
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to read")
     if not isinstance(doc, dict):
         raise InputError(f"{path}: document must be a JSON object")
 
@@ -216,10 +218,13 @@ def cmd_verify(args):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt17(v) for v in row) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(fmt17(v) for v in row) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
 
 
 def cmd_orbit(args):

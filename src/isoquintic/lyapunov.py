@@ -13,17 +13,18 @@ of the linear rotation field.  L only couples neighbouring coefficients, so
 two short recurrences solve it exactly.
 
 `stage_constants` is that loop, as a generator of integer numerators over
-positive denominators; it runs only as far as it is read.  `pl_constants`,
-its one reader, reports the first m with Fraction coefficients.  It,
-`first_nonzero` and `quintic.classify` (which reads R, not D) take the first
-nonzero index and sign from `first_nonzero_numerator`.
+positive denominators, with the f_k solved so far; it runs only as far as it
+is read.  `pl_constants`, its one reader, reports the first m constants
+alone, with Fraction coefficients.  It, `first_nonzero` and
+`quintic.classify` (which reads R, not D) take the first nonzero index and
+sign from `first_nonzero_numerator`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import floordiv
 
 from .qpoly import Poly, as_poly, convolve, form_poly
@@ -70,11 +71,10 @@ def check_count(m):
         raise LyapunovError(f"requested {m} constants exceeds the cap {CAP}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LyapunovReport:
     constants: list  # canonical (integer-primitive, sign preserved)
     raw: list        # as produced by the stage solves
-    f_components: dict = field(repr=False, default_factory=dict)
     first_nonzero_index: int | None = None
     sign: str | None = None
 
@@ -214,18 +214,15 @@ def pl_constants(sys, m):
     check_count(m)
     p, q = check_linear_center(sys)
     numerators, raw = [], []
-    for d, e, f in itertools.islice(stage_constants(p, q), m):
+    for d, e, _ in itertools.islice(stage_constants(p, q), m):
         numerators.append(d)
         raw.append(form_poly([d], e))  # D = d / e, a form of degree 0
-
-    parts = {k: form_poly(c, den) for k, (c, den) in f.items()}
-    report = LyapunovReport([d.canonical() for d in raw], raw, parts)
+    index = sign = None
     if not any(isinstance(d, Poly) and d.variables() for d in numerators):
-        hit = first_nonzero_numerator(
-            d.constant_value() if isinstance(d, Poly) else d for d in numerators)
-        if hit is not None:
-            report.first_nonzero_index, report.sign = hit
-    return report
+        index, sign = first_nonzero_numerator(
+            d.constant_value() if isinstance(d, Poly) else d
+            for d in numerators) or (None, None)
+    return LyapunovReport([d.canonical() for d in raw], raw, index, sign)
 
 
 def first_nonzero(report, bindings):

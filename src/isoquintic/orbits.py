@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from sys import float_info
 from typing import TYPE_CHECKING
 
@@ -240,20 +241,24 @@ def boundary_curve(d, e, g, h, N=256):
 
     Q is the partner quartic `quintic.case_i_quartic` restricted to the unit
     circle; c0 is its global maximum (dense scan plus golden section
-    refinement).  Raises InapplicableBoundaryError when c0 <= 0: the
-    formula does not describe the boundary there.  The cut-offs on Q are
-    relative to the largest |coefficient|, so the verdict is scale-invariant.
+    refinement).  The scan runs on the quartic divided exactly by its
+    largest |coefficient| s, so the verdict is scale-invariant; c0 and rho
+    are scaled back by s and s^(-1/4).  Raises InapplicableBoundaryError
+    when c0 <= 0: the formula does not describe the boundary there; and
+    ValueError when a coefficient or c0 is outside the normal float range.
     """
     if not 64 <= N <= MAX_BOUNDARY_N:
         raise ValueError(f"N must be in [64, {MAX_BOUNDARY_N}]")
-    d, e, g, h = (to_float(v) for v in (d, e, g, h))
+    for v in (d, e, g, h):
+        to_float(v)  # a ValueError that names a coefficient beyond the range
     scale = max(abs(d), abs(e), abs(g), abs(h))
-    if scale == 0.0:
+    if scale == 0:
         # Q has no c^2 s^2 term, so it is constant on the circle only when
         # zero: c0 = 0, and every scan point would be a peak to refine
         raise InapplicableBoundaryError(
             "boundary formula inapplicable (c0 = 0 <= 0)")
-    q0, q1, _, q3, q4 = quintic.case_i_quartic(d, e, g, h)
+    q0, q1, _, q3, q4 = quintic.case_i_quartic(
+        *(to_float(v / scale) for v in (d, e, g, h)))
 
     def Q(phi):
         c, s = math.cos(phi), math.sin(phi)
@@ -270,20 +275,28 @@ def boundary_curve(d, e, g, h, N=256):
             lo = (i - 1) * step
             hi = (i + 1) * step
             peaks.append(_golden_max(Q, lo, hi))
-    c0 = max(v for _, v in peaks)
-    winners = sorted(p % (2.0 * math.pi) for p, v in peaks
-                     if v >= c0 - 1e-9 * scale)
+    top = max(v for _, v in peaks)  # c0 / s
+    winners = sorted(p % (2.0 * math.pi) for p, v in peaks if v >= top - 1e-9)
     maximizers = _cluster_angles(winners, 1e-6)
 
-    if c0 <= 1e-12 * scale:
+    try:
+        c0 = float(Fraction(top) * Fraction(scale))
+    except OverflowError:
+        c0 = math.copysign(math.inf, top)
+    if top <= 1e-12:
         raise InapplicableBoundaryError(
             f"boundary formula inapplicable (c0 = {c0:.6g} <= 0)")
+    if not float_info.min <= c0 < math.inf:
+        raise ValueError(f"boundary c0 is outside the normal float range "
+                         f"[{float_info.min:.6g}, {float_info.max:.6g}]")
+    # 1e-12 < top <= 10, so every finite rho is then a normal float too
+    unscale = top ** 0.25 / c0 ** 0.25
 
     phis = [2.0 * math.pi * i / N for i in range(N)]
     rhos = []
     for phi in phis:
-        gap = c0 - Q(phi)
-        rhos.append(math.inf if gap < 1e-12 * scale else gap ** -0.25)
+        gap = top - Q(phi)
+        rhos.append(math.inf if gap < 1e-12 else gap ** -0.25 * unscale)
     return BoundaryResult(phis, rhos, c0, maximizers)
 
 

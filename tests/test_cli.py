@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -12,9 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from isoquintic import orbits
+from isoquintic import orbits, quintic
 from isoquintic.cli import build_parser, main
-from isoquintic.qpoly import MAX_DIGITS, parse_expr
+from isoquintic.qpoly import MAX_DIGITS, parse_expr, parse_rational
 from conftest import run_fresh
 
 
@@ -318,6 +319,12 @@ class TestOrbit:
                    "--y0", "0") == (
             2, "", "error: system is not of the constant-angular-speed form\n")
 
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "orbit", "--family", "0,1,0,0,1,0,-1,0",
+                             "--x0", "0.3", "--y0", "0", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+
     def test_escape_reported(self, capsys, tmp_path):
         path = write_doc(tmp_path, "sys.json", {"p": "y + x*(x^2 + y^2)",
                                                 "q": "-x + y*(x^2 + y^2)"})
@@ -462,6 +469,40 @@ class TestBoundary:
         code, _, err = run(capsys, "boundary", "--params", "1,2")
         assert code == 2 and "error:" in err
 
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run(capsys, "boundary", "--params", "0,1,-1,0",
+                             "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+
+    @pytest.mark.parametrize("params, tag", [
+        ("1e308,0,0,0", "B2"), ("1e308,1,1,1e308", "B4"),
+        ("0,1e-320,-1e-320,0", None), ("0,1e-400,-1e-400,0", None)])
+    def test_outside_normal_float_range(self, capsys, tmp_path, params, tag):
+        """Scaled to the edge of the float range, the quartic gets the
+        B-type of `center_type` (here B2 and B4) with a normal c0 and normal
+        finite rho; where c0 is no normal float, an input error."""
+        out_csv = tmp_path / "b.csv"
+        code, out, err = run(capsys, "boundary", f"--params={params}",
+                             "--out", str(out_csv))
+        if tag is None:
+            assert (code, out, err) == (
+                2, "", "error: boundary c0 is outside the normal float range "
+                       "[2.22507e-308, 1.79769e+308]\n")
+            return
+        d, e, g, h = map(parse_rational, params.split(","))
+        point = quintic.QuinticParams(0, 0, 0, d, e, -3 * (d + h), g, h)
+        case = quintic.theorem_case(point)
+        assert orbits.center_type(point, case).tag == tag
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2] == f"type = {tag}"
+        rhos = [float(row.split(",")[1])
+                for row in out_csv.read_text().splitlines()[1:]]
+        for v in [float(lines[0].split(" = ")[1]), *rhos]:
+            assert v == math.inf or sys.float_info.min <= v < math.inf
+
     @pytest.mark.parametrize("params, value", [("1e400,1,1,1", "1E+400"),
                                                ("0,1,-1e400,0", "-1E+400")])
     def test_coefficient_beyond_float_range(self, capsys, params, value):
@@ -470,6 +511,12 @@ class TestBoundary:
 
 
 class TestDocuments:
+    def test_nested_too_deeply(self, capsys, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert run(capsys, "plconst", "--system", str(path)) == (
+            2, "", f"error: {path}: JSON nested too deeply to read\n")
+
     def test_unknown_keys_rejected(self, capsys, tmp_path):
         path = write_doc(tmp_path, "sys.json",
                          {"p": "y", "q": "-x", "extra": 1})

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -86,10 +87,22 @@ def over(x, n):
     return x * Fraction(1, n)
 
 
+def f_parts(sys, m):
+    """f_2..f_(2m+2) of `sys` as `stage_constants` solves them on the way to
+    D_1..D_m, as Polys with Fraction coefficients."""
+    *_, (_, _, f) = itertools.islice(stage_constants(*check_linear_center(sys)), m)
+    return {k: form_poly(c, den) for k, (c, den) in f.items()}
+
+
+def reported(sys, m):
+    """`pl_constants(sys, m)` and the f_k of the same stages."""
+    return pl_constants(sys, m), f_parts(sys, m)
+
+
 def fraction_stages(sys, m):
-    """The report of the stage loop run on Fraction and parameter-Poly
+    """The report and f_k of the stage loop run on Fraction and parameter-Poly
     entries divided with `over`: no cleared denominators, no scaling, no gcd.
-    An oracle for `pl_constants`, which runs the same stages on integers."""
+    An oracle for `reported`, which runs the same stages on integers."""
     p, q = check_linear_center(sys)
     f = {2: [Fraction(1, 2), 0, Fraction(1, 2)]}
     raw = []
@@ -101,13 +114,11 @@ def fraction_stages(sys, m):
         rhs[0] = rhs[0] + d
         f[k + 1] = _solve_stage(rhs, k + 1, over)
         raw.append(as_poly(d))
-    report = LyapunovReport(constants=[d.canonical() for d in raw], raw=raw,
-                            f_components={k: form_poly(c) for k, c in f.items()})
+    constants, index, sign = [d.canonical() for d in raw], None, None
     if all(not d.variables() for d in raw):
-        hit = first_nonzero(report, {})
-        if hit is not None:
-            report.first_nonzero_index, report.sign = hit
-    return report
+        index, sign = first_nonzero(LyapunovReport(constants, raw), {}) or (None, None)
+    return (LyapunovReport(constants, raw, index, sign),
+            {k: form_poly(c) for k, c in f.items()})
 
 
 def sha(p):
@@ -226,12 +237,12 @@ def numeric_points(n=40):
 
 def terms_sha(reports):
     """sha256 of the ordered terms of every raw and canonical constant and
-    f_k, with the first nonzero index and sign."""
+    f_k of (report, f_k) pairs, with the first nonzero index and sign."""
     text = []
-    for rep in reports:
+    for rep, parts in reports:
         text += [repr(list(d.terms.items())) for d in rep.raw + rep.constants]
         text += [f"{k}: {list(part.terms.items())!r}"
-                 for k, part in rep.f_components.items()]
+                 for k, part in parts.items()]
         text.append(f"{rep.first_nonzero_index} {rep.sign}")
     return hashlib.sha256("\n".join(text).encode()).hexdigest()
 
@@ -246,11 +257,12 @@ NUMERIC_DOCUMENT = {
 
 
 def report_sha(reports):
-    """sha256 of str of every raw and canonical constant and f_k."""
+    """sha256 of str of every raw and canonical constant and f_k of
+    (report, f_k) pairs."""
     text = []
-    for rep in reports:
+    for rep, parts in reports:
         text += [str(d) for d in rep.raw + rep.constants]
-        text += [f"{k}: {part}" for k, part in rep.f_components.items()]
+        text += [f"{k}: {part}" for k, part in parts.items()]
     return hashlib.sha256("\n".join(text).encode()).hexdigest()
 
 
@@ -268,16 +280,18 @@ NUMERIC_QUADRATIC = general_quadratic(dict(zip("abcdef", (
 
 @functools.cache
 def symbolic_reports():
-    """The family's report at m = 4 and the general quadratic's at m = 3."""
-    return pl_constants(family_system(), 4), pl_constants(general_quadratic(), 3)
+    """The family's report and f_k at m = 4, the general quadratic's at
+    m = 3."""
+    return reported(family_system(), 4), reported(general_quadratic(), 3)
 
 
 def evaluated(symbolic, point, m):
-    """Raw D_1..D_m and f_2..f_(2m+2) of a symbolic report at a point."""
+    """Raw D_1..D_m and f_2..f_(2m+2) of a symbolic report and its f_k at a
+    point."""
+    report, parts = symbolic
     bindings = {n: Poly.const(v) for n, v in point.items()}
-    return ([d.eval_rational(point) for d in symbolic.raw[:m]],
-            {k: f.subs(bindings) for k, f in symbolic.f_components.items()
-             if k <= 2 * m + 2})
+    return ([d.eval_rational(point) for d in report.raw[:m]],
+            {k: f.subs(bindings) for k, f in parts.items() if k <= 2 * m + 2})
 
 
 def rationals(height):
@@ -307,9 +321,10 @@ class TestNumericAgainstSymbolic:
     evaluated at the same point: two derivations, one answer."""
 
     @staticmethod
-    def check(report, raw, f):
+    def check(numeric, raw, f):
+        report, parts = numeric
         assert [d.constant_value() for d in report.raw] == raw
-        assert report.f_components == f
+        assert parts == f
         hit = next(((i, "positive" if d > 0 else "negative")
                     for i, d in enumerate(raw, 1) if d), (None, None))
         assert (report.first_nonzero_index, report.sign) == hit
@@ -318,16 +333,16 @@ class TestNumericAgainstSymbolic:
     @settings(max_examples=30, deadline=None)
     @given(family_points, st.integers(1, 4))
     def test_family(self, point, m):
-        report = pl_constants(quintic.build_system(quintic.QuinticParams(**point)), m)
-        self.check(report, *evaluated(symbolic_reports()[0], point, m))
+        numeric = reported(quintic.build_system(quintic.QuinticParams(**point)), m)
+        self.check(numeric, *evaluated(symbolic_reports()[0], point, m))
 
     @seed(32)
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from([9, 10 ** 6]).flatmap(lambda height: st.fixed_dictionaries(
         {n: rationals(height) for n in "abcdef"})))
     def test_general_quadratic(self, point):
-        report = pl_constants(general_quadratic(point), 3)
-        self.check(report, *evaluated(symbolic_reports()[1], point, 3))
+        numeric = reported(general_quadratic(point), 3)
+        self.check(numeric, *evaluated(symbolic_reports()[1], point, 3))
 
 
 def mixed_family(rnd):
@@ -340,16 +355,17 @@ def mixed_family(rnd):
 
 
 class TestIntegerLoopAgainstFractionStages:
-    """`pl_constants` against `fraction_stages`: the same ordered terms in
-    every raw and canonical constant and f_k, and Fraction coefficients
-    only."""
+    """`pl_constants` and `stage_constants` against `fraction_stages`: the
+    same ordered terms in every raw and canonical constant and f_k, and
+    Fraction coefficients only."""
 
     @staticmethod
     def check(system, m):
-        report, oracle = pl_constants(system, m), fraction_stages(system, m)
-        assert list(report.f_components) == list(oracle.f_components)
-        got = report.raw + report.constants + list(report.f_components.values())
-        want = oracle.raw + oracle.constants + list(oracle.f_components.values())
+        (report, parts), (oracle, oracle_parts) = (reported(system, m),
+                                                   fraction_stages(system, m))
+        assert list(parts) == list(oracle_parts)
+        got = report.raw + report.constants + list(parts.values())
+        want = oracle.raw + oracle.constants + list(oracle_parts.values())
         for g, w in zip(got, want, strict=True):
             assert list(g.terms.items()) == list(w.terms.items())
             assert all(type(c) is Fraction for c in g.terms.values())
@@ -416,6 +432,13 @@ class TestPlConstants:
         assert rep.raw[1].variables() == {"a"}
         assert (rep.first_nonzero_index, rep.sign) == (None, None)
 
+    def test_report_is_frozen_and_holds_the_constants_alone(self):
+        rep = pl_constants(family_system(), 2)
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "constants", "raw", "first_nonzero_index", "sign"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.sign = "positive"
+
     def test_invalid_linear_part(self):
         with pytest.raises(LyapunovError):
             pl_constants(PlanarSystem(Y + X ** 2, -X + Y), 1)
@@ -433,7 +456,7 @@ class TestPlConstants:
         sysm = family_system()
         rep = pl_constants(sysm, m)
         F = Poly.zero()
-        for part in rep.f_components.values():
+        for part in f_parts(sysm, m).values():
             F = F + part
         dF = F.diff("x") * sysm.p + F.diff("y") * sysm.q
         expected = Poly.zero()
@@ -446,42 +469,42 @@ class TestPlConstants:
         assert not low, f"residual forms {low}"
 
     def test_constants_pinned(self):
-        rep = pl_constants(family_system(), 6)
+        rep, parts = reported(family_system(), 6)
         assert [sha(d) for d in rep.constants] == FAMILY_CONSTANT_SHA256
         assert [sha(d) for d in rep.raw] == FAMILY_RAW_SHA256
-        assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["family-m6"]
+        assert terms_sha([(rep, parts)]) == NUMERIC_TERMS_SHA256["family-m6"]
         a, b, c, d, e, f = (Poly.var(n) for n in "abcdef")
         quad = PlanarSystem(Y + a * X ** 2 + b * X * Y + c * Y ** 2,
                             -X + d * X ** 2 + e * X * Y + f * Y ** 2)
-        rep = pl_constants(quad, 3)
+        rep, parts = reported(quad, 3)
         assert [sha(d) for d in rep.constants] == QUADRATIC_CONSTANT_SHA256
         assert [sha(d) for d in rep.raw] == QUADRATIC_RAW_SHA256
-        assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["symbolic-quadratic-m3"]
+        assert terms_sha([(rep, parts)]) == NUMERIC_TERMS_SHA256["symbolic-quadratic-m3"]
 
     def test_numeric_reports_pinned(self):
         # the reports of Fraction-entry stages, digested before they were
         # lists, and those of a family with some parameters left
-        reps = [pl_constants(quintic.build_system(p), 4) for p in numeric_points()]
-        assert [r.first_nonzero_index for r in reps] == [1, 2, 3, 4] * 10
+        reps = [reported(quintic.build_system(p), 4) for p in numeric_points()]
+        assert [r.first_nonzero_index for r, _ in reps] == [1, 2, 3, 4] * 10
         assert report_sha(reps) == NUMERIC_REPORTS_SHA256
         partial = quintic.QuinticParams(1, "b", -1, "d", Fraction(1, 2), "f", 0, "h")
-        rep = pl_constants(quintic.build_system(partial), 4)
+        rep = reported(quintic.build_system(partial), 4)
         assert report_sha([rep]) == PARTIAL_REPORT_SHA256
         # the ordered terms too, as `Poly.eval_float` adds them in that order
         assert terms_sha(reps) == NUMERIC_TERMS_SHA256["points-m4"]
         assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["partial-m4"]
 
     def test_numeric_terms_pinned(self, tmp_path):
-        reps = [pl_constants(quintic.build_system(p), 6) for p in numeric_points()]
+        reps = [reported(quintic.build_system(p), 6) for p in numeric_points()]
         assert terms_sha(reps) == NUMERIC_TERMS_SHA256["points-m6"]
-        rep = pl_constants(NUMERIC_QUADRATIC, 3)
+        rep, parts = reported(NUMERIC_QUADRATIC, 3)
         assert rep.first_nonzero_index == 1
-        assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["quadratic-m3"]
+        assert terms_sha([(rep, parts)]) == NUMERIC_TERMS_SHA256["quadratic-m3"]
         path = tmp_path / "sys.json"
         path.write_text(json.dumps(NUMERIC_DOCUMENT), encoding="utf-8")
-        rep = pl_constants(load_system_document(str(path)), 6)
+        rep, parts = reported(load_system_document(str(path)), 6)
         assert rep.first_nonzero_index is not None
-        assert terms_sha([rep]) == NUMERIC_TERMS_SHA256["document-m6"]
+        assert terms_sha([(rep, parts)]) == NUMERIC_TERMS_SHA256["document-m6"]
 
 
 class TestProductMemo:
@@ -490,19 +513,19 @@ class TestProductMemo:
 
     def test_cold_and_warm_agree(self):
         clear_product_memo()
-        cold = terms_sha([pl_constants(family_system(), 6)])
-        warm = terms_sha([pl_constants(family_system(), 6)])
+        cold = terms_sha([reported(family_system(), 6)])
+        warm = terms_sha([reported(family_system(), 6)])
         assert cold == warm == NUMERIC_TERMS_SHA256["family-m6"]
 
     def test_threads_agree_with_serial(self):
         clear_product_memo()
-        serial = terms_sha([pl_constants(family_system(), 5)])
+        serial = terms_sha([reported(family_system(), 5)])
         start = threading.Barrier(4, timeout=60)
 
         def run():
             start.wait()
             clear_product_memo()
-            return terms_sha([pl_constants(family_system(), 5)])
+            return terms_sha([reported(family_system(), 5)])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the threads finely

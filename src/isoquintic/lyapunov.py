@@ -43,10 +43,6 @@ class PlanarSystem:
     p: Poly
     q: Poly
 
-    def eval_float(self, x, y):
-        pt = {"x": x, "y": y}
-        return self.p.eval_float(pt), self.q.eval_float(pt)
-
 
 def check_linear_center(sys):
     """Require linear part exactly (y, -x) and no constant terms.
@@ -83,14 +79,6 @@ def _poly_numbers(entries):
     """The numbers in a list of numbers and parameter Polys."""
     return (v for c in entries
             for v in (c.terms.values() if isinstance(c, Poly) else (c,)))
-
-
-def _cleared(c, s):
-    """c * s as an int or an integer-coefficient Poly, for a multiple s of
-    the denominators in c."""
-    if isinstance(c, Poly):
-        return c * s // 1
-    return c.numerator * (s // c.denominator)
 
 
 def _solve_stage(r, k, div=floordiv):
@@ -162,9 +150,9 @@ def stage_constants(p, q):
     exactly with //, and each stage ends with one gcd over its coefficients.
     """
     entries = [c for form in (*p.values(), *q.values()) for c in form]
-    numbers = _poly_numbers if any(isinstance(c, Poly) for c in entries) else iter
-    s = math.lcm(*(c.denominator for c in numbers(entries)))
-    p, q = ({k: [_cleared(c, s) for c in form] for k, form in pq.items()}
+    s = math.lcm(*(c.denominator for c in _poly_numbers(entries)))
+    # c * s is an integer, or has integer coefficients: // 1 makes them ints
+    p, q = ({k: [c * s // 1 for c in form] for k, form in pq.items()}
             for pq in (p, q))
     f = {2: ([1, 0, 1], 2)}
 
@@ -179,7 +167,7 @@ def stage_constants(p, q):
 
     def solve(r, k, e):
         fk = _solve_stage(r, k)
-        g = math.gcd(e, *numbers(fk))
+        g = math.gcd(e, *_poly_numbers(fk))
         f[k] = [c // g for c in fk], e // g
 
     for k in itertools.count(3, 2):

@@ -1,11 +1,14 @@
 """Floating-point verification layer: orbit integration, ray-return timing,
-closure checks, the explicit period-annulus boundary, and B-type verdicts.
+closure checks, the explicit period-annulus boundary, B-type verdicts, and
+the values of certified first integrals.
 
 The symbolic layer proves identities; this module checks that the numbers
-agree.  Orbits are integrated by an adaptive embedded 4(5) pair (scipy's
-RK45) at tight tolerances.  numpy and scipy are imported by the solve and by
-`compile_rhs` only, so the case (i) boundary and every B-type verdict run on
-the standard library.
+agree.  It is the package's one float layer: beside it, only `qpoly.to_float`
+and `Poly.eval_float` turn exact values into floats.  Orbits are integrated
+by an adaptive embedded 4(5) pair (scipy's RK45) at tight tolerances.  numpy
+and scipy are imported by the solve and by `compile_rhs` only, so the case
+(i) boundary, every B-type verdict and `integral_value` run on the standard
+library.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from fractions import Fraction
 from sys import float_info
 from typing import TYPE_CHECKING
 
-from .qpoly import to_float
-from .structure import angular_speed_residual
+from .qpoly import RationalFunction, as_poly, to_float
+from .structure import RationalExponent, angular_speed_residual
 from . import quintic
 
 if TYPE_CHECKING:
@@ -54,6 +57,10 @@ class NoReturnError(OrbitError):
 
 
 class InapplicableBoundaryError(OrbitError):
+    pass
+
+
+class DomainError(OrbitError):
     pass
 
 
@@ -212,7 +219,8 @@ class BoundaryResult:
 
     @property
     def btype(self):
-        """B2 or B4 by the number of maximizers, else Unknown."""
+        """B2 or B4 by the number of maximizers, two per maximizing line
+        (Q is even), else Unknown."""
         k = len(self.maximizers)
         return f"B{k}" if k in (2, 4) else "Unknown"
 
@@ -343,3 +351,61 @@ def center_type(params, case):
     return CenterTypeVerdict(boundary.btype,
                              f"maximizers({len(boundary.maximizers)})")
 
+
+# ----------------------------------------------------------------------
+# certified first integrals in floats
+
+def _number(value):
+    """A variable-free weight or coefficient (number or Poly) as a float."""
+    return to_float(as_poly(value).constant_value())
+
+
+def integral_value(h, x, y):
+    """The first integral h of `quintic.first_integral` at (x, y), in floats:
+    num / den for a RationalFunction, and for a `structure.DarbouxCandidate`
+    prod |C_i|^lambda_i * exp(sum lambda_j G_j), each G_j a RationalExponent
+    or the `c3_exponent` of an IntegralExponent.  Coefficients convert by
+    `qpoly.to_float`; a parameter left is an UnboundVariableError, or a
+    ValueError in a weight."""
+    point = {"x": x, "y": y}
+    if isinstance(h, RationalFunction):
+        d = h.den.eval_float(point)
+        return h.num.eval_float(point) / d
+    exponent = 0.0
+    for inv, lam in h.exponential:
+        if isinstance(inv, RationalExponent):
+            g = integral_value(inv.exponent, x, y)
+        else:
+            g = c3_exponent(inv.u.eval_float(point), _number(inv.shift),
+                            _number(inv.b))
+        exponent += _number(lam) * g
+    value = math.exp(exponent)
+    for inv, lam in h.algebraic:
+        value *= abs(inv.curve.eval_float(point)) ** _number(lam)
+    return value
+
+
+def c3_exponent(u, shift, b=1.0):
+    """Definite integral of dt/(shift + b t + t^2) from 0 to u, branch-selected
+    by the sign of 4 shift - b^2, which within a relative 1e-12 counts as a
+    double root.  Raises DomainError on a pole inside the integration
+    segment, the double root -b/2 included.
+    """
+    lo, hi = min(0.0, u), max(0.0, u)
+    delta = 4.0 * shift - b * b
+    tol = 1e-12 * (b * b + 4.0 * abs(shift))
+    if delta <= tol:  # real roots, or a double one up to rounding
+        r = math.sqrt(max(-delta, 0.0))
+        for root in ((-b - r) / 2.0, (-b + r) / 2.0):
+            if lo - 1e-12 <= root <= hi + 1e-12:
+                raise DomainError(f"pole at t = {root} inside [0, {u}]")
+    if abs(delta) <= tol:
+        F = lambda t: -2.0 / (2.0 * t + b)
+    elif delta > 0.0:
+        rt = math.sqrt(delta)
+        F = lambda t: 2.0 / rt * math.atan((2.0 * t + b) / rt)
+    else:
+        rt = math.sqrt(-delta)
+        # abs: between the two poles the ratio is negative with constant sign
+        F = lambda t: math.log(abs((2.0 * t + b - rt) / (2.0 * t + b + rt))) / rt
+    return F(u) - F(0.0)

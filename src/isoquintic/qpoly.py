@@ -59,15 +59,6 @@ def _pair_rank(pair):
     return _var_rank(pair[0])
 
 
-def _mono(pairs):
-    """Build a canonical monomial from (var, exp) pairs; drops zero exponents."""
-    merged = {}
-    for v, e in pairs:
-        if e:
-            merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(((v, e) for v, e in merged.items() if e), key=_pair_rank))
-
-
 _MEMO_SIZE = 1 << 15  # products kept by _mono_mul before it starts afresh
 _PRODUCTS = {}  # (m1, m2) -> their product, for nonempty m1 and m2
 _PAIRS = {}  # (var, exp) -> the one such pair the products above hold
@@ -111,10 +102,10 @@ def _mono_divides(m1, m2):
 
 
 def _mono_div(m2, m1):
-    d = dict(m2)
+    d = dict(m2)  # in canonical order, which lowering exponents keeps
     for v, e in m1:
         d[v] -= e
-    return _mono(d.items())
+    return tuple(p for p in d.items() if p[1])
 
 
 def _add_into(out, terms):
@@ -335,8 +326,9 @@ class Poly:
             e = d.get(var, 0)
             if not e:
                 continue
-            d[var] = e - 1
-            out[_mono(d.items())] = c * e  # distinct terms have distinct derivatives
+            d[var] = e - 1  # in place: d stays in canonical order
+            # distinct terms have distinct derivatives
+            out[tuple(p for p in d.items() if p[1])] = c * e
         return Poly(out)
 
     def subs(self, bindings):
@@ -402,7 +394,7 @@ class Poly:
         for m, c in self.terms.items():
             d = dict(m)
             if d.pop(var, 0) == exp:
-                out[_mono(d.items())] = c
+                out[tuple(d.items())] = c
         return Poly(out)
 
     # -- normalization ------------------------------------------------
@@ -456,10 +448,6 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator in rational function")
         self.num = num
         self.den = den
-
-    def eval_float(self, point):
-        d = self.den.eval_float(point)
-        return self.num.eval_float(point) / d
 
     def __repr__(self):
         return f"({self.num}) / ({self.den})"

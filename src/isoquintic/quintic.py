@@ -288,12 +288,7 @@ def commuting_partner(params, case):
 @dataclass(frozen=True)
 class FirstIntegralSpec:
     kind: str  # "rational" | "darboux-exp"
-    payload: object
-
-    def eval_float(self, x, y):
-        if self.kind == "rational":
-            return self.payload.eval_float({"x": x, "y": y})
-        return self.payload.eval_float(x, y)
+    payload: object  # RationalFunction | structure.DarbouxCandidate
 
 
 def first_integral(params, case):

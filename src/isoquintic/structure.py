@@ -3,17 +3,17 @@ Darboux first integrals, reversibility, and the constant-angular-speed form.
 
 Every certificate here is a polynomial identity checked in exact rational
 arithmetic; exponential invariants are certified at the level of cleared
-identities, never by symbolic calculus on exp.
+identities, never by symbolic calculus on exp.  The module holds no float
+code: `orbits.integral_value` evaluates a certified integral in floats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .qpoly import (Poly, RationalFunction, as_poly, divide_exact, form_poly,
-                    substitute_form, to_float)
+                    substitute_form)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -28,10 +28,6 @@ class NotCommutingError(StructureError):
 
 
 class DegeneratePairError(StructureError):
-    pass
-
-
-class DomainError(StructureError):
     pass
 
 
@@ -113,33 +109,13 @@ class IntegralExponent:
     cofactor: Poly
 
 
-def _float(value):
-    """A variable-free weight or coefficient (number or Poly) as a float."""
-    return to_float(as_poly(value).constant_value())
-
-
 @dataclass(frozen=True)
 class DarbouxCandidate:
     """Invariants with weights lambda (rationals, or Polys in parameters);
-    certified when sum(lambda_i K_i) = 0."""
+    certified when sum(lambda_i K_i) = 0.  The integral is
+    prod |C_i|^lambda_i * exp(sum lambda_j G_j)."""
     algebraic: tuple
     exponential: tuple = ()
-
-    def eval_float(self, x, y):
-        """prod |C_i|^lambda_i * exp(sum lambda_j G_j) at (x, y), in floats."""
-        point = {"x": x, "y": y}
-        exponent = 0.0
-        for inv, lam in self.exponential:
-            if isinstance(inv, RationalExponent):
-                g = inv.exponent.eval_float(point)
-            else:
-                g = c3_exponent(inv.u.eval_float(point), _float(inv.shift),
-                                _float(inv.b))
-            exponent += _float(lam) * g
-        value = math.exp(exponent)
-        for inv, lam in self.algebraic:
-            value *= abs(inv.curve.eval_float(point)) ** _float(lam)
-        return value
 
 
 @dataclass(frozen=True)
@@ -309,30 +285,3 @@ def _pseudo_rem_quadratic(poly, constraint, lead):
 def angular_speed_residual(sys):
     """x q - y p + (x^2 + y^2); zero iff the angular speed is exactly -1."""
     return X * sys.q - Y * sys.p + X ** 2 + Y ** 2
-
-
-# ----------------------------------------------------------------------
-# the antiderivative of 1/(shift + b t + t^2)
-
-def c3_exponent(u, shift, b=1.0):
-    """Definite integral of dt/(shift + b t + t^2) from 0 to u, branch-selected
-    by the sign of 4 shift - b^2.  Raises DomainError on a pole inside the
-    integration segment.
-    """
-    lo, hi = min(0.0, u), max(0.0, u)
-    delta = 4.0 * shift - b * b
-    if delta <= 0.0:
-        r = math.sqrt(-delta)
-        for root in ((-b - r) / 2.0, (-b + r) / 2.0):
-            if lo - 1e-12 <= root <= hi + 1e-12:
-                raise DomainError(f"pole at t = {root} inside [0, {u}]")
-    if abs(delta) <= 1e-12 * (b * b + 4.0 * abs(shift)):
-        F = lambda t: -2.0 / (2.0 * t + b)
-    elif delta > 0.0:
-        rt = math.sqrt(delta)
-        F = lambda t: 2.0 / rt * math.atan((2.0 * t + b) / rt)
-    else:
-        rt = math.sqrt(-delta)
-        # abs: between the two poles the ratio is negative with constant sign
-        F = lambda t: math.log(abs((2.0 * t + b - rt) / (2.0 * t + b + rt))) / rt
-    return F(u) - F(0.0)

@@ -1,9 +1,10 @@
 """The package's import structure, read from the source with `ast`: no
 module imports another module's private name, the graph of imports
 between the package's modules has no cycle, every name a module imports
-is read in it, the exact layer `quintic` imports no float conversion, the
-Lyapunov stage loop is reached from `lyapunov` alone, and caller text is
-read by `qpoly` alone.  Imports inside functions count too."""
+is read in it, the exact layers `quintic` and `structure` import no float
+conversion (`orbits` evaluates what they certify), the Lyapunov stage loop
+is reached from `lyapunov` alone, and caller text is read by `qpoly` alone.
+Imports inside functions count too."""
 
 import ast
 from pathlib import Path
@@ -159,8 +160,9 @@ def test_every_import_is_read():
     assert unused_imports(PACKAGE) == []
 
 
-def test_quintic_imports_no_floats():
-    assert float_imports(PACKAGE / "quintic.py") == []
+def test_exact_modules_import_no_floats():
+    for module in ("quintic", "structure"):
+        assert float_imports(PACKAGE / f"{module}.py") == [], module
 
 
 def test_float_check_catches_math_and_to_float(tmp_path):

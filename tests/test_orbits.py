@@ -9,11 +9,10 @@ from isoquintic.qpoly import Poly
 from isoquintic.lyapunov import PlanarSystem
 from isoquintic import orbits, quintic
 from isoquintic.orbits import (
-    EscapedError, NoReturnError, StiffnessError,
-    InapplicableBoundaryError, integrate, ray_return_time,
+    DomainError, EscapedError, NoReturnError, StiffnessError,
+    InapplicableBoundaryError, integrate, integral_value, ray_return_time,
     boundary_curve, center_type,
 )
-from isoquintic.structure import DomainError
 from conftest import case_iii_fgh, run_fresh
 
 X = Poly.var("x")
@@ -34,10 +33,16 @@ def closure_defect(sys, x0, y0):
     return math.hypot(xe - x0, ye - y0)
 
 
+def integral_of(spec):
+    """The certified first integral of `spec` as a function of (x, y)."""
+    return lambda x, y: integral_value(spec.payload, x, y)
+
+
 def conservation_drift(integral, traj):
-    """Max relative drift of a first integral along a trajectory."""
+    """Max relative drift of a first integral, a function of (x, y), along a
+    trajectory."""
     try:
-        h0 = integral.eval_float(float(traj.x[0]), float(traj.y[0]))
+        h0 = integral(float(traj.x[0]), float(traj.y[0]))
     except (ZeroDivisionError, ValueError) as exc:
         raise DomainError(f"integral undefined at the initial sample: {exc}")
     if h0 == 0:
@@ -45,7 +50,7 @@ def conservation_drift(integral, traj):
     worst = 0.0
     for x, y in zip(traj.x, traj.y):
         try:
-            h = integral.eval_float(float(x), float(y))
+            h = integral(float(x), float(y))
         except (ZeroDivisionError, ValueError) as exc:
             raise DomainError(f"integral undefined at ({x}, {y}): {exc}")
         worst = max(worst, abs(h - h0) / abs(h0))
@@ -363,8 +368,10 @@ class TestBoundary:
 
 
 # Prints the B-type of a case (i) boundary, the case and B-type of a center
-# of each case, and whether numpy is loaded afterwards.
-NUMPY_FREE_PROBE = """
+# of each case, the kind and value at (0.3, 0.1) of a rational and a Darboux
+# integral (`INTEGRAL_POINTS`), and whether numpy is loaded afterwards.
+INTEGRAL_POINTS = ([0, 0, 0, 1, 0, -3, 0, 0], [0, 1, 0, 0, 1, 0, -1, 0])
+NUMPY_FREE_PROBE = f"""
 import json, sys
 from isoquintic import orbits, quintic
 tags = [orbits.boundary_curve(0, 1, -1, 0).btype]
@@ -373,7 +380,12 @@ for values in ([0, 0, 0, 0, 1, 0, -1, 0], [0, 1, 0, 0, 1, 0, -1, 0],
     params = quintic.QuinticParams.numeric(*values)
     case = quintic.theorem_case(params)
     tags.append([case.tag.value, orbits.center_type(params, case).tag])
-print(json.dumps([tags, "numpy" in sys.modules]))
+integrals = []
+for values in {INTEGRAL_POINTS}:
+    params = quintic.QuinticParams.numeric(*values)
+    spec = quintic.first_integral(params, quintic.theorem_case(params))
+    integrals.append([spec.kind, orbits.integral_value(spec.payload, 0.3, 0.1)])
+print(json.dumps([tags, integrals, "numpy" in sys.modules]))
 """
 
 
@@ -474,10 +486,17 @@ class TestCenterType:
             assert by_boundary.tag == eg_tag
 
     def test_runs_without_numpy(self):
-        """The boundary and a B-type of each case, in a fresh interpreter:
-        only the solve imports numpy."""
+        """The boundary, a B-type of each case and the value of a rational
+        and a Darboux integral, in a fresh interpreter: only the solve
+        imports numpy, and the values are those of this process."""
+        integrals = []
+        for values in INTEGRAL_POINTS:
+            params = quintic.QuinticParams.numeric(*values)
+            spec = quintic.first_integral(params, quintic.theorem_case(params))
+            integrals.append([spec.kind, integral_value(spec.payload, 0.3, 0.1)])
+        assert [kind for kind, _ in integrals] == ["rational", "darboux-exp"]
         assert run_fresh(NUMPY_FREE_PROBE) == [
-            ["B4", ["i", "B4"], ["ii", "B4"], ["iii", "B2"]], False]
+            ["B4", ["i", "B4"], ["ii", "B4"], ["iii", "B2"]], integrals, False]
 
 
 class TestConservation:
@@ -486,36 +505,28 @@ class TestConservation:
         spec = quintic.first_integral(params, quintic.theorem_case(params))
         sysm = quintic.build_system(params)
         traj = integrate(sysm, 0.3, 0.0, TWO_PI)
-        assert conservation_drift(spec, traj) < 1e-7
+        assert conservation_drift(integral_of(spec), traj) < 1e-7
 
     def test_drift_exponential_integral(self):
         params = numeric(b=1, e=1, g=-1)
         spec = quintic.first_integral(params, quintic.theorem_case(params))
         sysm = quintic.build_system(params)
         traj = integrate(sysm, 0.3, 0.0, TWO_PI)
-        assert conservation_drift(spec, traj) < 1e-6
+        assert conservation_drift(integral_of(spec), traj) < 1e-6
 
     def test_focus_orbit_is_not_conserved(self):
         params = numeric(b=1, e=1, g=-1)
         spec = quintic.first_integral(params, quintic.theorem_case(params))
         focus = quintic.build_system(numeric(a=1, b=1, e=1, g=-1))
         traj = integrate(focus, 0.2, 0.0, 2 * TWO_PI)
-        assert conservation_drift(spec, traj) > 1e-3
+        assert conservation_drift(integral_of(spec), traj) > 1e-3
 
     def test_zero_value_rejected(self):
-        class Linear:
-            def eval_float(self, x, y):
-                return x
-
         traj = integrate(ROT, 0.0, 0.5, 1.0)
         with pytest.raises(DomainError):
-            conservation_drift(Linear(), traj)
+            conservation_drift(lambda x, y: x, traj)
 
     def test_pole_rejected(self):
-        class Reciprocal:
-            def eval_float(self, x, y):
-                return 1.0 / (x - 1.0)
-
         traj = integrate(ROT, 1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            conservation_drift(Reciprocal(), traj)
+            conservation_drift(lambda x, y: 1.0 / (x - 1.0), traj)

@@ -706,12 +706,12 @@ class TestFirstIntegral:
         assert spec.payload.den == 1 + 2 * X ** 4 - 4 * X ** 3 * Y - Y ** 4
 
     def test_beyond_float_range_named(self):
-        """eval_float converts by qpoly.to_float, whose ValueError names the
-        coefficient, not by float(), which raises OverflowError."""
+        """integral_value converts by qpoly.to_float, whose ValueError names
+        the coefficient, not by float(), which raises OverflowError."""
         params = numeric(e=10 ** 400, g=1)
         spec = first_integral(params, theorem_case(params))
         with pytest.raises(ValueError, match=r"^coefficient 1E\+400 is beyond"):
-            spec.eval_float(0.1, 0.2)
+            orbits.integral_value(spec.payload, 0.1, 0.2)
 
     def test_case_ii_b0_rational(self):
         params = numeric(e=1, g=-1)
@@ -723,7 +723,7 @@ class TestFirstIntegral:
         params = numeric(b=1, e=1, g=-1)
         spec = first_integral(params, theorem_case(params))
         assert spec.kind == "darboux-exp"
-        val = spec.eval_float(0.3, 0.1)
+        val = orbits.integral_value(spec.payload, 0.3, 0.1)
         assert math.isfinite(val) and val > 0
 
     def test_case_ii_equal_eg(self):
@@ -801,9 +801,10 @@ class TestFirstIntegral:
         case = theorem_case(params)
         spec = first_integral(params, case)
         sysm = build_system(params)
-        base = spec.eval_float(0.3, 0.05)
+        base = orbits.integral_value(spec.payload, 0.3, 0.05)
         for x, y in orbit_sample_pairs(sysm, 0.3, 0.05):
-            assert abs(spec.eval_float(x, y) - base) < 1e-6 * abs(base)
+            value = orbits.integral_value(spec.payload, x, y)
+            assert abs(value - base) < 1e-6 * abs(base)
 
 
 class TestRotation:
@@ -901,9 +902,10 @@ class TestCaseIIISeeded:
             assert spec.kind == ("rational" if form.u.is_zero else "darboux-exp")
             sysm = build_system(params)
             r0 = start_radius(form)
-            base = spec.eval_float(r0, r0 / 4)
+            base = orbits.integral_value(spec.payload, r0, r0 / 4)
             for x, y in orbit_sample_pairs(sysm, r0, r0 / 4):
-                assert abs(spec.eval_float(x, y) - base) <= 1e-6 * abs(base)
+                value = orbits.integral_value(spec.payload, x, y)
+                assert abs(value - base) <= 1e-6 * abs(base)
 
             bracket = structure.lie_bracket(
                 sysm, commuting_partner(params, case))

@@ -10,14 +10,15 @@ from isoquintic.qpoly import (Poly, RationalFunction, UnboundVariableError,
                               as_poly, parse_expr)
 from isoquintic.lyapunov import PlanarSystem
 from isoquintic import quintic, structure
+from isoquintic.orbits import DomainError, c3_exponent, integral_value
 from isoquintic.structure import (
-    StructureError, NotCommutingError, DegeneratePairError, DomainError,
+    StructureError, NotCommutingError, DegeneratePairError,
     lie_bracket, commutes, cofactor_of, directional_derivative,
     integrating_factor_from_pair, rational_integral_residual,
     AlgebraicInvariant, DarbouxCandidate, verify_darboux_integral,
     darboux_candidate, darboux_candidate_equal,
     reversibility_residual, reversible_modulo_constraint,
-    _pseudo_rem_quadratic, angular_speed_residual, c3_exponent,
+    _pseudo_rem_quadratic, angular_speed_residual,
 )
 from conftest import (case_iii_fgh, polys, radial_factor, random_poly,
                       scaled_case_iii_system)
@@ -220,13 +221,13 @@ class TestDarboux:
         u = e * x * x + g * y * y
         c2 = (e - g) + b * u + u * u
         want = (x * x + y * y) ** 2 / c2 * math.exp(-b * c3_exponent(u, e - g, b))
-        assert cand.eval_float(x, y) == pytest.approx(want, rel=1e-14)
+        assert integral_value(cand, x, y) == pytest.approx(want, rel=1e-14)
 
     def test_eval_float_needs_numbers(self):
         with pytest.raises(UnboundVariableError):
-            darboux_candidate("e", "g", "b").eval_float(0.1, 0.2)
+            integral_value(darboux_candidate("e", "g", "b"), 0.1, 0.2)
         with pytest.raises(ValueError, match="not constant"):
-            darboux_candidate(1, 2, "b").eval_float(0.1, 0.2)
+            integral_value(darboux_candidate(1, 2, "b"), 0.1, 0.2)
 
     def test_equal_variant_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -463,6 +464,15 @@ class TestC3Exponent:
             c3_exponent(2.0, -2.0)
         with pytest.raises(DomainError):  # the double pole t = -2 of b = 4
             c3_exponent(-3.0, 4.0, 4.0)
+
+    def test_double_pole_within_rounding_raises(self):
+        """A shift within rounding of b^2 / 4 takes the double-root branch,
+        whose pole -b/2 lies in [-1, 0]: the integral there is about
+        -pi 10^7 at shift = 1/4 + 1e-14, not the finite -2/(2t + 1) jump."""
+        for shift in (0.25, 0.25 + 1e-14, 0.25 - 1e-14):
+            with pytest.raises(DomainError):
+                c3_exponent(-1.0, shift)
+        assert abs(c3_exponent(1.0, 0.25 + 1e-14) - 4.0 / 3.0) < 1e-12
 
     def test_branch_continuity(self):
         ref = c3_exponent(1.0, 0.25)

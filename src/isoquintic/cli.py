@@ -139,16 +139,13 @@ def cmd_plconst(args):
 
 
 def cmd_classify(args):
-    verdict = quintic.classify(parse_family(args.family), m=args.m)
+    verdict = quintic.classify(parse_family(args.family))
     if verdict.kind == "center":
         line = f"CENTER case={verdict.case.tag.value}"
         code = 0
-    elif verdict.kind == "focus":
+    else:  # a focus: at m = 4, R decides every point
         sign = "+" if verdict.focus_sign == "positive" else "-"
         line = f"FOCUS k={verdict.focus_index} sign={sign}"
-        code = 1
-    else:
-        line = f"UNDETERMINED m={verdict.m}"
         code = 1
     _emit(args, [line], {"command": "classify", "verdict": line,
                          "inputs": args.family})
@@ -295,7 +292,6 @@ def build_parser():
 
     p = sub.add_parser("classify", help="center/focus verdict for the family")
     p.add_argument("--family", required=True)
-    p.add_argument("-m", type=ascii_only(int), default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_classify)
 

@@ -201,15 +201,12 @@ def pl_constants(sys, m):
     depends on a parameter, the report also names the first nonzero one."""
     check_count(m)
     p, q = check_linear_center(sys)
-    numerators, raw = [], []
-    for d, e, _ in itertools.islice(stage_constants(p, q), m):
-        numerators.append(d)
-        raw.append(form_poly([d], e))  # D = d / e, a form of degree 0
+    raw = [form_poly([d], e)  # D = d / e, a form of degree 0
+           for d, e, _ in itertools.islice(stage_constants(p, q), m)]
     index = sign = None
-    if not any(isinstance(d, Poly) and d.variables() for d in numerators):
+    if not any(d.variables() for d in raw):
         index, sign = first_nonzero_numerator(
-            d.constant_value() if isinstance(d, Poly) else d
-            for d in numerators) or (None, None)
+            d.constant_value() for d in raw) or (None, None)
     return LyapunovReport([d.canonical() for d in raw], raw, index, sign)
 
 

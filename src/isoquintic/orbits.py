@@ -315,9 +315,6 @@ def _cluster_angles(angles, tol):
                     or (ang + tol >= 2.0 * math.pi and out[0] <= tol)):
             continue
         out.append(ang)
-    # merge a cluster wrapping through 2*pi
-    if len(out) > 1 and out[0] + 2.0 * math.pi - out[-1] <= tol:
-        out.pop()
     return out
 
 

@@ -128,18 +128,31 @@ class TestClassify:
         assert code == 1
         assert out.strip() == "FOCUS k=2 sign=-"
 
-    def test_undetermined_below_first_nonzero(self, capsys):
+    def test_focus_beyond_first_constant(self, capsys):
+        """R decides every point, so classify takes no -m and never answers
+        UNDETERMINED, also where D1 = 0."""
         # D1 = a + c = 0 and D2 = 3 d = 3
         argv = ["classify", "--family", "1,0,-1,1,0,0,0,0"]
-        assert run(capsys, *argv, "-m", "1") == (1, "UNDETERMINED m=1\n", "")
-        assert run(capsys, *argv, "-m", "2") == (1, "FOCUS k=2 sign=+\n", "")
+        assert run(capsys, *argv) == (1, "FOCUS k=2 sign=+\n", "")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-m", "1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith("error: unrecognized arguments: -m 1\n")
 
     @pytest.mark.parametrize("m, error", [
         ("0", "m must be >= 1"), ("7", "requested 7 constants exceeds the cap 6")])
     @pytest.mark.parametrize("family", ["0,1,0,0,2,0,3,0", "1,0,0,0,0,0,0,0"])
     def test_m_checked_on_centers_and_foci(self, capsys, family, m, error):
-        assert run(capsys, "classify", "--family", family,
+        """plconst checks m on a center and a focus alike; classify has no
+        -m to check."""
+        assert run(capsys, "plconst", "--family", family,
                    "-m", m) == (2, "", f"error: {error}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--family", family, "-m", m])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: -m {m}\n")
 
     def test_symbolic_rejected(self, capsys):
         assert run(capsys, "classify", "--family", "a,0,0,0,0,0,0,0") == (
@@ -398,7 +411,7 @@ class TestOrbit:
 class TestNumericFlags:
     """Numeric flags read ASCII text only, and otherwise as int and float do."""
 
-    ARGV = {"-m": ["classify", "--family", "0,0,0,1,0,0,0,0"],
+    ARGV = {"-m": ["plconst", "--family", "0,0,0,1,0,0,0,0"],
             "-N": ["boundary", "--params", "0,1,-1,0"],
             "--x0": ["orbit", "--family", "0,1,0,0,1,0,-1,0", "--y0", "0"],
             "--y0": ["orbit", "--family", "0,1,0,0,1,0,-1,0", "--x0", "0.3"],
@@ -435,9 +448,9 @@ class TestNumericFlags:
         args = build_parser().parse_args(["boundary", "--params", "0,1,-1,0",
                                           "-N", " +1_024 "])
         assert args.n == 1024
+        assert build_parser().parse_args(["plconst", "-m", " +3 "]).m == 3
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["classify", "--family", "0,0,0,1,0,0,0,0",
-                                       "-m", "3.0"])
+            build_parser().parse_args(["plconst", "-m", "3.0"])
 
 
 class TestBoundary:
@@ -478,11 +491,13 @@ class TestBoundary:
 
     @pytest.mark.parametrize("params, tag", [
         ("1e308,0,0,0", "B2"), ("1e308,1,1,1e308", "B4"),
-        ("0,1e-320,-1e-320,0", None), ("0,1e-400,-1e-400,0", None)])
+        ("0,1e-320,-1e-320,0", None), ("0,1e-400,-1e-400,0", None),
+        ("1.7e308,1.7e308,-1.7e308,1.7e308", None)])
     def test_outside_normal_float_range(self, capsys, tmp_path, params, tag):
         """Scaled to the edge of the float range, the quartic gets the
         B-type of `center_type` (here B2 and B4) with a normal c0 and normal
-        finite rho; where c0 is no normal float, an input error."""
+        finite rho; where c0 is no normal float (subnormal, zero, or above
+        the largest float, as in the last case), an input error."""
         out_csv = tmp_path / "b.csv"
         code, out, err = run(capsys, "boundary", f"--params={params}",
                              "--out", str(out_csv))

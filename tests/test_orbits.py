@@ -4,15 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
+from scipy.integrate import quad
 
-from isoquintic.qpoly import Poly
+from isoquintic.qpoly import Poly, UnboundVariableError
 from isoquintic.lyapunov import PlanarSystem
 from isoquintic import orbits, quintic
 from isoquintic.orbits import (
     DomainError, EscapedError, NoReturnError, StiffnessError,
     InapplicableBoundaryError, integrate, integral_value, ray_return_time,
-    boundary_curve, center_type,
+    boundary_curve, center_type, c3_exponent,
 )
+from isoquintic.structure import darboux_candidate
 from conftest import case_iii_fgh, run_fresh
 
 X = Poly.var("x")
@@ -315,8 +317,7 @@ class TestBoundary:
     @pytest.mark.parametrize("first", [1e-9, 8e-7])
     def test_cluster_wraps_through_two_pi(self, first):
         """An angle within tol below 2 pi joins a cluster that starts within
-        tol of 0, even 1.6 tol from its start (which the final merge of the
-        last and first cluster would not join)."""
+        tol of 0, even 1.6 tol from its start (first = 8e-7)."""
         angles = [first, TWO_PI - first]
         assert orbits._cluster_angles(angles, 1e-6) == [first]
 
@@ -497,6 +498,75 @@ class TestCenterType:
         assert [kind for kind, _ in integrals] == ["rational", "darboux-exp"]
         assert run_fresh(NUMPY_FREE_PROBE) == [
             ["B4", ["i", "B4"], ["ii", "B4"], ["iii", "B2"]], integrals, False]
+
+
+class TestIntegralValue:
+    def test_darboux_is_the_product(self):
+        """H = C1^2 C2^-1 C3^-b, written out by hand at one point."""
+        b, e, g, x, y = 2.0, 1.0, -2.0, 0.3, 0.2
+        cand = darboux_candidate(Fraction(1), Fraction(-2), 2)
+        u = e * x * x + g * y * y
+        c2 = (e - g) + b * u + u * u
+        want = (x * x + y * y) ** 2 / c2 * math.exp(-b * c3_exponent(u, e - g, b))
+        assert integral_value(cand, x, y) == pytest.approx(want, rel=1e-14)
+
+    def test_darboux_needs_numbers(self):
+        with pytest.raises(UnboundVariableError):
+            integral_value(darboux_candidate("e", "g", "b"), 0.1, 0.2)
+        with pytest.raises(ValueError, match="not constant"):
+            integral_value(darboux_candidate(1, 2, "b"), 0.1, 0.2)
+
+
+class TestC3Exponent:
+    def test_zero_upper_limit(self):
+        assert c3_exponent(0.0, 0.7) == 0.0
+
+    def test_boundary_branch_closed_form(self):
+        # e - g = 1/4 integrates 1/(t + 1/2)^2; b = 4, e - g = 4 1/(t + 2)^2
+        assert abs(c3_exponent(1.0, 0.25) - 4.0 / 3.0) < 1e-14
+        assert abs(c3_exponent(1.0, 4.0, 4.0) - (0.5 - 1.0 / 3.0)) < 1e-14
+
+    def test_pole_raises(self):
+        with pytest.raises(DomainError):
+            c3_exponent(2.0, -2.0)
+        with pytest.raises(DomainError):  # the double pole t = -2 of b = 4
+            c3_exponent(-3.0, 4.0, 4.0)
+
+    def test_double_pole_within_rounding_raises(self):
+        """A shift within rounding of b^2 / 4 takes the double-root branch,
+        whose pole -b/2 lies in [-1, 0]: the integral there is about
+        -pi 10^7 at shift = 1/4 + 1e-14, not the finite -2/(2t + 1) jump."""
+        for shift in (0.25, 0.25 + 1e-14, 0.25 - 1e-14):
+            with pytest.raises(DomainError):
+                c3_exponent(-1.0, shift)
+        assert abs(c3_exponent(1.0, 0.25 + 1e-14) - 4.0 / 3.0) < 1e-12
+
+    def test_branch_continuity(self):
+        ref = c3_exponent(1.0, 0.25)
+        for eps in (1e-8, -1e-8):
+            assert abs(c3_exponent(1.0, 0.25 + eps) - ref) < 1e-6
+
+    # the log branch beside both poles (b = 4, shift 3 and b = -2.5,
+    # shift 1) and between them (b = 4, shift -3); b = 1/3 takes atan
+    QUADRATURE = [(2.0, 1.0, 1.0), (0.5, -1.0, 1.0), (-0.3, 0.5, 1.0),
+                  (1.5, 3.0, 1.0), (0.7, 3.0, 4.0), (-0.5, -3.0, 4.0),
+                  (0.4, 1.0, -2.5), (1.2, 0.5, 1 / 3)]
+
+    @pytest.mark.parametrize(
+        "u,shift,b", QUADRATURE,
+        ids=[f"{u}-{s}" + ("" if b == 1 else f"-b{b:.3g}")
+             for u, s, b in QUADRATURE])
+    def test_against_quadrature(self, u, shift, b):
+        val, err = quad(lambda t: 1.0 / (shift + b * t + t * t),
+                        0.0, u, epsabs=1e-12, epsrel=1e-12)
+        assert abs(c3_exponent(u, shift, b) - val) < 1e-9
+
+    def test_matches_equal_variant_derivative(self):
+        # numeric sanity: d/du of the integral is the integrand
+        h = 1e-6
+        shift = 2.0
+        num = (c3_exponent(1.0 + h, shift) - c3_exponent(1.0 - h, shift)) / (2 * h)
+        assert abs(num - 1.0 / (shift + 1.0 + 1.0)) < 1e-8
 
 
 class TestConservation:

@@ -9,7 +9,7 @@ from isoquintic.qpoly import (
     Poly, ParseError, QPolyError, UnboundVariableError, SingularMatrixError,
     MAX_DEGREE, MAX_DIGITS, MAX_TERMS, parse_expr, parse_rational,
     divide_exact, solve_linear_exact, as_poly, form_poly, substitute_form,
-    to_float,
+    to_float, RationalFunction,
 )
 from isoquintic import qpoly
 from conftest import clear_product_memo, coeffs, polys, random_poly
@@ -435,6 +435,27 @@ class TestDivision:
         if q.is_zero:
             return
         assert divide_exact(p * q, q) == p
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Poly({(): 0.5}), TypeError, "cannot use float as a coefficient"),
+        (lambda: Poly.var("x", -1), ValueError, "negative exponent"),
+        (lambda: Poly().leading_term(), ValueError,
+         "zero polynomial has no leading term"),
+        (lambda: RationalFunction(X, 0), ZeroDivisionError,
+         "zero denominator in rational function"),
+        (lambda: divide_exact(X, Poly()), ZeroDivisionError,
+         "division by the zero polynomial"),
+        (lambda: parse_expr("(x + 1"), ParseError, "expected ')' (at position 6)"),
+        (lambda: parse_expr("1/0"), ParseError, "zero denominator (at position 3)"),
+    ], ids=["float-coefficient", "negative-exponent", "zero-leading-term",
+            "zero-denominator-function", "divide-by-zero", "unclosed-paren",
+            "zero-denominator-literal"])
+    def test_raises(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 @st.composite

@@ -1,16 +1,12 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from scipy.integrate import quad
 
-from isoquintic.qpoly import (Poly, RationalFunction, UnboundVariableError,
-                              as_poly, parse_expr)
+from isoquintic.qpoly import Poly, RationalFunction, as_poly, parse_expr
 from isoquintic.lyapunov import PlanarSystem
 from isoquintic import quintic, structure
-from isoquintic.orbits import DomainError, c3_exponent, integral_value
 from isoquintic.structure import (
     StructureError, NotCommutingError, DegeneratePairError,
     lie_bracket, commutes, cofactor_of, directional_derivative,
@@ -213,21 +209,6 @@ class TestDarboux:
         sysm = case_ii_system(Fraction(3), Fraction(3), b)
         assert verify_darboux_integral(sysm, cand).certified
         assert cand.exponential[0][1] == as_poly(b) * Fraction(1, 3)
-
-    def test_eval_float_is_the_product(self):
-        """H = C1^2 C2^-1 C3^-b, written out by hand at one point."""
-        b, e, g, x, y = 2.0, 1.0, -2.0, 0.3, 0.2
-        cand = darboux_candidate(Fraction(1), Fraction(-2), 2)
-        u = e * x * x + g * y * y
-        c2 = (e - g) + b * u + u * u
-        want = (x * x + y * y) ** 2 / c2 * math.exp(-b * c3_exponent(u, e - g, b))
-        assert integral_value(cand, x, y) == pytest.approx(want, rel=1e-14)
-
-    def test_eval_float_needs_numbers(self):
-        with pytest.raises(UnboundVariableError):
-            integral_value(darboux_candidate("e", "g", "b"), 0.1, 0.2)
-        with pytest.raises(ValueError, match="not constant"):
-            integral_value(darboux_candidate(1, 2, "b"), 0.1, 0.2)
 
     def test_equal_variant_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -448,55 +429,3 @@ class TestAngularSpeed:
     def test_perturbed(self):
         assert angular_speed_residual(
             PlanarSystem(Y + X ** 2, -X)) == -X ** 2 * Y
-
-
-class TestC3Exponent:
-    def test_zero_upper_limit(self):
-        assert c3_exponent(0.0, 0.7) == 0.0
-
-    def test_boundary_branch_closed_form(self):
-        # e - g = 1/4 integrates 1/(t + 1/2)^2; b = 4, e - g = 4 1/(t + 2)^2
-        assert abs(c3_exponent(1.0, 0.25) - 4.0 / 3.0) < 1e-14
-        assert abs(c3_exponent(1.0, 4.0, 4.0) - (0.5 - 1.0 / 3.0)) < 1e-14
-
-    def test_pole_raises(self):
-        with pytest.raises(DomainError):
-            c3_exponent(2.0, -2.0)
-        with pytest.raises(DomainError):  # the double pole t = -2 of b = 4
-            c3_exponent(-3.0, 4.0, 4.0)
-
-    def test_double_pole_within_rounding_raises(self):
-        """A shift within rounding of b^2 / 4 takes the double-root branch,
-        whose pole -b/2 lies in [-1, 0]: the integral there is about
-        -pi 10^7 at shift = 1/4 + 1e-14, not the finite -2/(2t + 1) jump."""
-        for shift in (0.25, 0.25 + 1e-14, 0.25 - 1e-14):
-            with pytest.raises(DomainError):
-                c3_exponent(-1.0, shift)
-        assert abs(c3_exponent(1.0, 0.25 + 1e-14) - 4.0 / 3.0) < 1e-12
-
-    def test_branch_continuity(self):
-        ref = c3_exponent(1.0, 0.25)
-        for eps in (1e-8, -1e-8):
-            assert abs(c3_exponent(1.0, 0.25 + eps) - ref) < 1e-6
-
-    # the log branch beside both poles (b = 4, shift 3 and b = -2.5,
-    # shift 1) and between them (b = 4, shift -3); b = 1/3 takes atan
-    QUADRATURE = [(2.0, 1.0, 1.0), (0.5, -1.0, 1.0), (-0.3, 0.5, 1.0),
-                  (1.5, 3.0, 1.0), (0.7, 3.0, 4.0), (-0.5, -3.0, 4.0),
-                  (0.4, 1.0, -2.5), (1.2, 0.5, 1 / 3)]
-
-    @pytest.mark.parametrize(
-        "u,shift,b", QUADRATURE,
-        ids=[f"{u}-{s}" + ("" if b == 1 else f"-b{b:.3g}")
-             for u, s, b in QUADRATURE])
-    def test_against_quadrature(self, u, shift, b):
-        val, err = quad(lambda t: 1.0 / (shift + b * t + t * t),
-                        0.0, u, epsabs=1e-12, epsrel=1e-12)
-        assert abs(c3_exponent(u, shift, b) - val) < 1e-9
-
-    def test_matches_equal_variant_derivative(self):
-        # numeric sanity: d/du of the integral is the integrand
-        h = 1e-6
-        shift = 2.0
-        num = (c3_exponent(1.0 + h, shift) - c3_exponent(1.0 - h, shift)) / (2 * h)
-        assert abs(num - 1.0 / (shift + 1.0 + 1.0)) < 1e-8

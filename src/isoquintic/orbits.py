@@ -5,10 +5,12 @@ the values of certified first integrals.
 The symbolic layer proves identities; this module checks that the numbers
 agree.  It is the package's one float layer: beside it, only `qpoly.to_float`
 and `Poly.eval_float` turn exact values into floats.  Orbits are integrated
-by an adaptive embedded 4(5) pair (scipy's RK45) at tight tolerances.  numpy
-and scipy are imported by the solve and by `compile_rhs` only, so the case
-(i) boundary, every B-type verdict and `integral_value` run on the standard
-library.
+by an adaptive embedded 4(5) pair (scipy's RK45) at tight tolerances, in one
+step loop that stops at the escape radius and, for a ray return, at the first
+return: the systems turn at unit speed, so every orbit meets its ray again at
+t = 2 pi.  numpy and scipy are imported by the solve and by `compile_rhs`
+only, so the case (i) boundary, every B-type verdict and `integral_value` run
+on the standard library.
 """
 
 from __future__ import annotations
@@ -17,14 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from sys import float_info
-from typing import TYPE_CHECKING
 
 from .qpoly import RationalFunction, as_poly, to_float
 from .structure import RationalExponent, angular_speed_residual
 from . import quintic
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ESCAPE_RADIUS = 1e9
 TOL = 1e-10            # default rtol = atol of the adaptive integrator
@@ -66,12 +64,12 @@ class DomainError(OrbitError):
 
 @dataclass
 class Trajectory:
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    t: list  # floats, one per accepted step, from t = 0
+    x: list
+    y: list
 
     def endpoint(self):
-        return float(self.x[-1]), float(self.y[-1])
+        return self.x[-1], self.y[-1]
 
 
 def compile_rhs(sys):
@@ -95,8 +93,9 @@ def compile_rhs(sys):
     calls = 0
 
     def field(x, y):
-        return (math.fsum(c * x ** i * y ** j for c, i, j in pterms),
-                math.fsum(c * x ** i * y ** j for c, i, j in qterms))
+        # fsum over a list: faster than over a generator, the same sum
+        return (math.fsum([c * x ** i * y ** j for c, i, j in pterms]),
+                math.fsum([c * x ** i * y ** j for c, i, j in qterms]))
 
     def rhs(t, state):
         nonlocal calls
@@ -121,15 +120,20 @@ def compile_rhs(sys):
     return rhs
 
 
-def _escape_event(t, state):
-    return math.hypot(state[0], state[1]) - ESCAPE_RADIUS
+def _solve(sys, x0, y0, t_end, tol, normal=None):
+    """The one adaptive RK45 run: rtol = atol = tol, stopped at |state| =
+    ESCAPE_RADIUS (EscapedError) and where the solver stalls, typically in a
+    blow-up below the escape radius (StiffnessError).
 
-
-_escape_event.terminal = True
-
-
-def _solve(sys, x0, y0, t_end, tol, events=()):
-    """The one adaptive RK45 run: rtol = atol = tol, terminal escape guard.
+    Without `normal`, returns the accepted steps as a Trajectory.  With
+    `normal`, the coordinate normal to a ray, stops at the first return to
+    the ray, where it falls through zero, and returns (T, (x, y));
+    NoReturnError if there is none by t_end.  Crossings up to t = 1e-3 do not
+    count: the orbit starts on the ray, and from far out it can blow up
+    before it has turned by more than the rounding of that coordinate; it
+    turns at unit speed, so a return comes at t = 2 pi.  Events are located
+    as scipy's solve_ivp locates them: brentq at 4 eps on the step's dense
+    output, so the return and escape times are the floats solve_ivp gives.
 
     Inputs that would make it run without end or on garbage are rejected
     first.  Overflow on the way to the escape radius is left to the guard,
@@ -147,31 +151,60 @@ def _solve(sys, x0, y0, t_end, tol, events=()):
     rhs = compile_rhs(sys)  # a system with parameters fails before the import
     # the package's slowest imports, so deferred to the first solve
     import numpy as np
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import RK45
+    from scipy.optimize import brentq
+
+    def locate(event):
+        """The zero of event(state) in the last step, and the state there."""
+        dense = solver.dense_output()
+        eps4 = 4 * float_info.epsilon
+        root = brentq(lambda s: event(dense(s)), t_old, t,
+                      xtol=eps4, rtol=eps4)
+        return root, tuple(dense(root).tolist())
+
+    def escape(state):
+        return math.hypot(*state) - ESCAPE_RADIUS
 
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, t_end), (x0, y0),
-                        method="RK45", rtol=tol, atol=tol, max_step=MAX_STEP,
-                        events=(*events, _escape_event))
-    if sol.t_events[-1].size:
-        raise EscapedError(float(sol.t_events[-1][0]))
-    return sol
-
-
-def _stall_error(sol):
-    """A run that stopped before t_end (status -1), typically a blow-up
-    below the escape radius."""
-    x, y = sol.y[0][-1], sol.y[1][-1]
-    return StiffnessError(f"solver stalled at t = {sol.t[-1]:.6g} "
-                          f"(|state| = {math.hypot(x, y):.3g}): {sol.message}")
+        solver = RK45(rhs, 0.0, (x0, y0), float(t_end),
+                      rtol=tol, atol=tol, max_step=MAX_STEP)
+        t = solver.t
+        x, y = solver.y.tolist()
+        ts, xs, ys = [t], [x], [y]
+        if normal:
+            g = normal((x, y))
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise StiffnessError(
+                    f"solver stalled at t = {t:.6g} "
+                    f"(|state| = {math.hypot(x, y):.3g}): {message}")
+            t_old, t = t, float(solver.t)
+            x, y = solver.y.tolist()
+            hit = None
+            if normal:
+                g_old, g = g, normal((x, y))
+                if g_old >= 0 >= g:
+                    hit = locate(normal)
+                    if hit[0] <= 1e-3:
+                        hit = None
+            if math.hypot(x, y) >= ESCAPE_RADIUS:
+                t_escape, _ = locate(escape)
+                if hit is None or t_escape < hit[0]:
+                    raise EscapedError(t_escape)
+            if hit is not None:
+                return hit
+            ts.append(t)
+            xs.append(x)
+            ys.append(y)
+    if normal:
+        raise NoReturnError("no ray return located")
+    return Trajectory(ts, xs, ys)
 
 
 def integrate(sys, x0, y0, t_end, tol=TOL):
     """Integrate to t_end; trips the divergence guard at |state| = 1e9."""
-    sol = _solve(sys, x0, y0, t_end, tol)
-    if sol.status == -1:
-        raise _stall_error(sol)
-    return Trajectory(sol.t, sol.y[0], sol.y[1])
+    return _solve(sys, x0, y0, t_end, tol)
 
 
 def ray_return_time(sys, x0, y0, tol=TOL):
@@ -179,8 +212,9 @@ def ray_return_time(sys, x0, y0, tol=TOL):
     and the endpoint.
 
     The system must have constant angular speed (form with x q - y p =
-    -(x^2+y^2)), else ValueError; the crossing is located by the solver's
-    root finder on the ray's normal coordinate, well below 1e-12 in time.
+    -(x^2+y^2)), else ValueError.  The integration stops at the return,
+    located by brentq on the ray's normal coordinate, well below 1e-12 in
+    time, so a blow-up, escape or spent call budget after it does not hide it.
     """
     if not angular_speed_residual(sys).is_zero:
         raise ValueError("system is not of the constant-angular-speed form")
@@ -189,22 +223,10 @@ def ray_return_time(sys, x0, y0, tol=TOL):
         raise ValueError("initial point must not be the origin")
     ux, uy = x0 / r0, y0 / r0
 
-    def cross(t, state):
+    def normal(state):
         return -uy * state[0] + ux * state[1]
 
-    # non-terminal: the solver reports a spurious crossing at t = 0, which is
-    # filtered out below together with the opposite-ray crossings
-    cross.direction = -1.0  # the positive ray is crossed with decreasing normal
-
-    sol = _solve(sys, x0, y0, RETURN_T_MAX, tol, (cross,))
-    hits = [t for t in sol.t_events[0] if t > 1e-3]
-    if not hits:
-        if sol.status == -1:
-            raise _stall_error(sol)
-        raise NoReturnError("no ray return located")
-    T = float(hits[0])
-    xs, ys = sol.y_events[0][len(sol.t_events[0]) - len(hits)]
-    return T, (float(xs), float(ys))
+    return _solve(sys, x0, y0, RETURN_T_MAX, tol, normal)
 
 
 # ----------------------------------------------------------------------

@@ -376,6 +376,15 @@ class TestOrbit:
                               f"spent at t = ")
         assert "(|state| = " in err and err.count("\n") == 1
 
+    def test_return_before_budget_is_kept(self, capsys):
+        # --t-end=0.1 keeps `integrate` cheap; the ray return stops at
+        # t = 2 pi, where running on to 2.5 pi would spend the call budget
+        # at t = 6.60318
+        assert run(capsys, "orbit", "--family=0,1,0,0,1,0,-1,0", "--x0=120",
+                   "--y0=0", "--t-end=0.1", "--tol=2.3e-14")[:2] == (
+            0, "ray return time = 6.2831853071796004\n"
+               "closure defect = 5.8849544672057164e-05\n")
+
     @pytest.mark.parametrize("family, x0, message", [
         # finite terms whose sum passes the float range
         ("1e308,1e308,0,0,0,0,0,0", "1", "intermediate overflow in fsum"),

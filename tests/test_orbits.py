@@ -1,10 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from isoquintic.qpoly import Poly, UnboundVariableError
 from isoquintic.lyapunov import PlanarSystem
@@ -57,6 +58,24 @@ def conservation_drift(integral, traj):
             raise DomainError(f"integral undefined at ({x}, {y}): {exc}")
         worst = max(worst, abs(h - h0) / abs(h0))
     return worst
+
+
+def count_rhs_calls(monkeypatch):
+    """A list to which every right-hand side call of later solves appends."""
+    compile_rhs = orbits.compile_rhs
+    calls = []
+
+    def counting(sys):
+        rhs = compile_rhs(sys)
+
+        def counted(t, state):
+            calls.append(t)
+            return rhs(t, state)
+
+        return counted
+
+    monkeypatch.setattr(orbits, "compile_rhs", counting)
+    return calls
 
 
 class TestIntegrate:
@@ -162,19 +181,7 @@ class TestIntegrate:
 
     def test_rk45_call_count_bounds_t_end(self, monkeypatch):
         # MAX_T_END assumes RK45 spends at least 2 + 6 calls per MAX_STEP
-        compile_rhs = orbits.compile_rhs
-        calls = []
-
-        def counting(sys):
-            rhs = compile_rhs(sys)
-
-            def counted(t, state):
-                calls.append(t)
-                return rhs(t, state)
-
-            return counted
-
-        monkeypatch.setattr(orbits, "compile_rhs", counting)
+        calls = count_rhs_calls(monkeypatch)
         integrate(ROT, 1.0, 0.0, 10.0)
         assert len(calls) >= 2 + 6 * math.ceil(10.0 / orbits.MAX_STEP)
 
@@ -241,6 +248,15 @@ class TestRayReturn:
         T, _ = ray_return_time(sysm, math.sqrt(1 / 14), 0.0)
         assert abs(T - TWO_PI) < 1e-9
 
+    def test_stops_at_the_return(self, monkeypatch):
+        # the return comes at 2 pi, the search span ends at 2.5 pi
+        calls = count_rhs_calls(monkeypatch)
+        sysm = quintic.build_system(numeric(b=1, e=1, g=-1))
+        ray_return_time(sysm, 0.3, 0.0)
+        returned = len(calls)
+        integrate(sysm, 0.3, 0.0, orbits.RETURN_T_MAX)
+        assert returned < len(calls) - returned
+
     @pytest.mark.parametrize("kw", [{"tol": math.nan}, {"tol": -1.0}])
     def test_rejects_unbounded_inputs(self, kw):
         with pytest.raises(ValueError):
@@ -251,6 +267,143 @@ class TestRayReturn:
         focus = quintic.build_system(numeric(a=1))
         assert closure_defect(center, 0.3, 0.0) < 1e-8
         assert closure_defect(focus, 0.1, 0.0) > 1e-3
+
+
+def reference_solve(sys, x0, y0, t_end, tol, events=()):
+    """scipy's solve_ivp with RK45, rtol = atol = tol, MAX_STEP and a
+    terminal escape event: the call the step loop of `orbits` reproduces."""
+    def escape(t, state):
+        return math.hypot(state[0], state[1]) - orbits.ESCAPE_RADIUS
+
+    escape.terminal = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(orbits.compile_rhs(sys), (0.0, t_end), (x0, y0),
+                         method="RK45", rtol=tol, atol=tol,
+                         max_step=orbits.MAX_STEP, events=(*events, escape))
+
+
+def stall_message(sol):
+    x, y = sol.y[0][-1], sol.y[1][-1]
+    return (f"StiffnessError: solver stalled at t = {sol.t[-1]:.6g} "
+            f"(|state| = {math.hypot(x, y):.3g}): {sol.message}")
+
+
+def reference_ray_return(sys, x0, y0, tol):
+    """The first return as solve_ivp finds it, with a non-terminal crossing
+    event and its spurious hits up to t = 1e-3 dropped; a return before an
+    escape is kept.  A call budget spent after the return is not modelled."""
+    r0 = math.hypot(x0, y0)
+    ux, uy = x0 / r0, y0 / r0
+
+    def cross(t, state):
+        return -uy * state[0] + ux * state[1]
+
+    cross.direction = -1.0
+    try:
+        sol = reference_solve(sys, x0, y0, orbits.RETURN_T_MAX, tol, (cross,))
+    except (StiffnessError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}", False
+    spurious = any(0 < t <= 1e-3 for t in sol.t_events[0])
+    hits = [i for i, t in enumerate(sol.t_events[0]) if t > 1e-3]
+    if hits:
+        xs, ys = sol.y_events[0][hits[0]]
+        return repr((float(sol.t_events[0][hits[0]]),
+                     (float(xs), float(ys)))), spurious
+    if sol.t_events[1].size:
+        return f"EscapedError: {EscapedError(float(sol.t_events[1][0]))}", spurious
+    if sol.status == -1:
+        return stall_message(sol), spurious
+    return "NoReturnError: no ray return located", spurious
+
+
+def reference_integrate(sys, x0, y0, t_end, tol):
+    try:
+        sol = reference_solve(sys, x0, y0, t_end, tol)
+    except (StiffnessError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if sol.t_events[0].size:
+        return f"EscapedError: {EscapedError(float(sol.t_events[0][0]))}"
+    if sol.status == -1:
+        return stall_message(sol)
+    return repr((sol.t.tolist(), sol.y[0].tolist(), sol.y[1].tolist()))
+
+
+def outcome(run):
+    try:
+        result = run()
+    except (orbits.OrbitError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(result, orbits.Trajectory):
+        result = (result.t, result.x, result.y)
+    return repr(result)
+
+
+class TestSolveIvpParity:
+    """The step loop gives solve_ivp's floats and messages, bit for bit.  A
+    scipy upgrade that changes RK45 or brentq's event location fails here."""
+
+    @staticmethod
+    def draws():
+        rnd = random.Random(20261020)
+        q = lambda lo=-4, hi=4: Fraction(rnd.randint(lo, hi), 4)
+        for r0 in (0.1, 0.25, 0.4):
+            d, e, g, h = q(), q(), q(), q()
+            yield numeric(d=d, e=e, f=-3 * (d + h), g=g, h=h), r0, 0.0
+            yield numeric(b=q(), e=q(), g=q()), r0, 0.0
+            a, b, d, e = q(1, 4), q(), q(), q()
+            f, g, h = case_iii_fgh(a, b, d, e)
+            yield numeric(a=a, b=b, c=-a, d=d, e=e, f=f, g=g, h=h), r0, 0.0
+        for _ in range(3):  # foci, on oblique rays
+            phi = rnd.uniform(0, TWO_PI)
+            r0 = rnd.choice((0.1, 0.25))
+            params = numeric(**{n: q() for n in quintic.PARAM_NAMES})
+            yield params, r0 * math.cos(phi), r0 * math.sin(phi)
+        for _ in range(2):  # blow-ups before t = 2 pi, as in the benchmark
+            yield numeric(a=q(3, 4), b=q(-1, 1), c=q(3, 4), d=q(2, 4),
+                          e=q(-1, 1), f=q(0, 4), g=q(-1, 1), h=q(2, 4)), 0.4, 0.0
+        # blow-ups from far out on oblique rays, which cross the ray in
+        # rounding noise before they have turned: spurious hits below 1e-3
+        for x0, y0 in ((7187.6487107513885, 14355.423443952617),
+                       (-13103.010434717424, -25181.089514334704),
+                       (-11124.566935347859, -7036.685629540917)):
+            yield numeric(a=1, b=Fraction(1, 4), c=Fraction(3, 4),
+                          e=Fraction(1, 4), g=Fraction(3, 4),
+                          h=Fraction(1, 4)), x0, y0
+        # an escape: from near the escape radius it comes before a stall
+        yield numeric(b=Fraction(1, 4), c=1, d=Fraction(1, 4), e=Fraction(3, 4),
+                      f=1, g=Fraction(3, 4), h=Fraction(3, 4)), \
+            -454711966.11308384, -128884555.02755252
+        # overflow in the right-hand side
+        yield numeric(a=Fraction(10) ** 300, h=-Fraction(10) ** 300), 1e5, 1e5
+
+    def test_ray_return_time(self):
+        rnd = random.Random(28)
+        got, want, spurious = [], [], 0
+        for params, x0, y0 in self.draws():
+            sysm = quintic.build_system(params)
+            tol = 10.0 ** -rnd.randint(6, 12)
+            ref, noisy = reference_ray_return(sysm, x0, y0, tol)
+            want.append(ref)
+            spurious += noisy
+            got.append(outcome(lambda: ray_return_time(sysm, x0, y0, tol)))
+        assert got == want
+        kinds = {w.split(":")[0] if ":" in w else "returned" for w in want}
+        assert kinds == {"returned", "EscapedError", "StiffnessError",
+                         "ValueError"}
+        assert spurious
+
+    def test_integrate(self):
+        rnd = random.Random(29)
+        got, want = [], []
+        for params, x0, y0 in self.draws():
+            sysm = quintic.build_system(params)
+            tol = 10.0 ** -rnd.randint(6, 12)
+            t_end = rnd.choice((0.5, 1.0))
+            want.append(reference_integrate(sysm, x0, y0, t_end, tol))
+            got.append(outcome(lambda: integrate(sysm, x0, y0, t_end, tol)))
+        assert got == want
+        assert sum(w.startswith("([0.0") for w in want) >= 10
+        assert any(w.startswith("EscapedError") for w in want)
 
 
 def maximizer_count(q):

@@ -5,12 +5,14 @@ the values of certified first integrals.
 The symbolic layer proves identities; this module checks that the numbers
 agree.  It is the package's one float layer: beside it, only `qpoly.to_float`
 and `Poly.eval_float` turn exact values into floats.  Orbits are integrated
-by an adaptive embedded 4(5) pair (scipy's RK45) at tight tolerances, in one
-step loop that stops at the escape radius and, for a ray return, at the first
+by the adaptive Dormand-Prince 5(4) pair at tight tolerances, in one step
+loop that stops at the escape radius and, for a ray return, at the first
 return: the systems turn at unit speed, so every orbit meets its ray again at
-t = 2 pi.  numpy and scipy are imported by the solve and by `compile_rhs`
-only, so the case (i) boundary, every B-type verdict and `integral_value` run
-on the standard library.
+t = 2 pi.  The stepper repeats scipy's RK45 arithmetic on numpy arrays, and
+`brentq`, which locates those events, scipy's brentq.c on floats, so both
+give scipy's floats without importing it.  numpy is imported by the solve
+and by `compile_rhs` only, so the case (i) boundary, every B-type verdict and
+`integral_value` run on the standard library.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from . import quintic
 
 ESCAPE_RADIUS = 1e9
 TOL = 1e-10            # default rtol = atol of the adaptive integrator
-MIN_TOL = 100 * float_info.epsilon  # RK45 raises any smaller rtol to this
+MIN_TOL = 100 * float_info.epsilon  # the smallest rtol scipy's RK45 keeps
 MAX_STEP = 0.1         # largest step of the adaptive integrator
 MAX_RHS_CALLS = 50_000  # right-hand side evaluations one solve may spend
 # RK45 spends 2 calls to start and 6 per attempted step of at most MAX_STEP:
 # a longer span cannot finish within MAX_RHS_CALLS
 MAX_T_END = MAX_STEP * (MAX_RHS_CALLS - 2) / 6
+EPS4 = 4 * float_info.epsilon  # brentq's xtol and rtol
 RETURN_T_MAX = 2.5 * math.pi  # span searched for the first ray return
 MAX_BOUNDARY_N = 2 ** 16  # most boundary samples one call may return
 
@@ -120,10 +123,180 @@ def compile_rhs(sys):
     return rhs
 
 
+# The Dormand-Prince 5(4) pair with Shampine's 4th-order continuous
+# extension, as scipy's RK45 tabulates it (Dormand & Prince, J. Comput.
+# Appl. Math. 6 (1980); Shampine, Math. Comp. 46 (1986)).
+_C = [0, 1/5, 3/10, 4/5, 8/9, 1]
+_A = [[0, 0, 0, 0, 0],
+      [1/5, 0, 0, 0, 0],
+      [3/40, 9/40, 0, 0, 0],
+      [44/45, -56/15, 32/9, 0, 0],
+      [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+      [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]]
+_B = [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]
+_E = [-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
+_P = [[1, -8048581381/2820520608, 8663915743/2820520608,
+       -12715105075/11282082432],
+      [0, 0, 0, 0],
+      [0, 131558114200/32700410799, -68118460800/10900136933,
+       87487479700/32700410799],
+      [0, -1754552775/470086768, 14199869525/1410260304,
+       -10690763975/1880347072],
+      [0, 127303824393/49829197408, -318862633887/49829197408,
+       701980252875 / 199316789632],
+      [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+      [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]]
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10  # step size control
+
+
+def _rk45_steps(rhs, x0, y0, t_end, tol):
+    """Accepted steps (t_old, t, y_old, y, K) of the Dormand-Prince pair
+    from t = 0 to t_end, at rtol = atol = tol and steps up to MAX_STEP;
+    StiffnessError when the step falls below ten ulps of t.
+
+    The step control, the initial step (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4) and every array operation are those of scipy's RK45, on
+    the same shapes: numpy's dot and norm round differently from a sum of
+    Python floats, so the same calls give the same floats.  K holds the
+    seven stages of the last step and is overwritten by the next.
+    """
+    import numpy as np
+
+    def rms(v):  # np.linalg.norm(v) / v.size ** 0.5, without the checks
+        return np.sqrt(v.dot(v)) / 2 ** 0.5
+
+    A, B, E = np.array(_A), np.array(_B), np.array(_E)
+    t, y = 0.0, np.array((x0, y0), dtype=float)
+    K = np.empty((7, 2))
+    K[0] = rhs(t, y)
+    # views on K, which every step fills in place
+    stages = [(s, _C[s], K[:s].T, A[s, :s]) for s in range(1, 6)]
+    K_B, K_E = K[:-1].T, K.T
+
+    # initial step, selected from the first two slopes
+    f0 = K[0]
+    scale = tol + np.abs(y) * tol
+    d0, d1 = rms(y / scale), rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = np.array(rhs(t + h0, y + h0 * f0), dtype=float)
+    d2 = rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_end, MAX_STEP)
+
+    while True:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = min(max(h_abs, min_step), MAX_STEP)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(
+                    f"solver stalled at t = {t:.6g} "
+                    f"(|state| = {math.hypot(*y):.3g}): Required step size "
+                    "is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            for s, c, K_s, a in stages:
+                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
+            y_new = y + h * np.dot(K_B, B)
+            K[6] = rhs(t + h, y_new)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            error_norm = rms(np.dot(K_E, E) * h / scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
+            rejected = True
+        factor = (MAX_FACTOR if error_norm == 0
+                  else min(MAX_FACTOR, SAFETY * error_norm ** -0.2))
+        h_abs *= min(1, factor) if rejected else factor
+        t_old, t, y_old, y = t, t_new, y, y_new
+        yield t_old, t, y_old, y, K
+        if t >= t_end:
+            return
+        K[0] = K[6]
+
+
+def _interpolant(t_old, t, y_old, K):
+    """The continuous extension over the step from t_old to t, as scipy's
+    RkDenseOutput evaluates it: exactly y_old at t_old."""
+    import numpy as np
+
+    Q = K.T.dot(np.array(_P))
+    h = t - t_old
+
+    def dense(s):
+        p = np.cumprod(np.tile((s - t_old) / h, 4))
+        return h * np.dot(Q, p) + y_old
+
+    return dense
+
+
+def brentq(f, a, b):
+    """A zero of f in [a, b] by Brent's method, as scipy's brentq.c finds it
+    at xtol = rtol = 4 eps in at most 100 iterations: the same floats.
+    ValueError when f(a) and f(b) have the same sign or f is nan."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    negative = lambda v: math.copysign(1.0, v) < 0  # C's signbit
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (EPS4 + EPS4 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # inf or nan in C: bisect
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def _solve(sys, x0, y0, t_end, tol, normal=None):
-    """The one adaptive RK45 run: rtol = atol = tol, stopped at |state| =
-    ESCAPE_RADIUS (EscapedError) and where the solver stalls, typically in a
-    blow-up below the escape radius (StiffnessError).
+    """The one adaptive run of the Dormand-Prince pair: rtol = atol = tol,
+    stopped at |state| = ESCAPE_RADIUS (EscapedError) and where the step
+    size stalls, typically in a blow-up below the escape radius
+    (StiffnessError).
 
     Without `normal`, returns the accepted steps as a Trajectory.  With
     `normal`, the coordinate normal to a ray, stops at the first return to
@@ -132,8 +305,11 @@ def _solve(sys, x0, y0, t_end, tol, normal=None):
     count: the orbit starts on the ray, and from far out it can blow up
     before it has turned by more than the rounding of that coordinate; it
     turns at unit speed, so a return comes at t = 2 pi.  Events are located
-    as scipy's solve_ivp locates them: brentq at 4 eps on the step's dense
-    output, so the return and escape times are the floats solve_ivp gives.
+    by `brentq` on the step's continuous extension, so the return and escape
+    times are the floats scipy's solve_ivp gives.  The extension ends within
+    rounding of the step end: where the event changes sign at the step end
+    but not on the extension, the step end is the event (solve_ivp raises a
+    ValueError there).
 
     Inputs that would make it run without end or on garbage are rejected
     first.  Overflow on the way to the escape radius is left to the guard,
@@ -149,38 +325,30 @@ def _solve(sys, x0, y0, t_end, tol, normal=None):
     if not 0 < t_end <= MAX_T_END:  # false for nan
         raise ValueError(f"t_end must be in (0, {MAX_T_END:g}]")
     rhs = compile_rhs(sys)  # a system with parameters fails before the import
-    # the package's slowest imports, so deferred to the first solve
-    import numpy as np
-    from scipy.integrate import RK45
-    from scipy.optimize import brentq
+    import numpy as np  # deferred to the first solve
 
     def locate(event):
         """The zero of event(state) in the last step, and the state there."""
-        dense = solver.dense_output()
-        eps4 = 4 * float_info.epsilon
-        root = brentq(lambda s: event(dense(s)), t_old, t,
-                      xtol=eps4, rtol=eps4)
+        dense = _interpolant(t_old, t, y_old, K)
+        at = lambda s: event(dense(s))
+        start, end = at(t_old), at(t)
+        if start and end and (start < 0) == (end < 0):
+            return t, (x, y)  # the extension's sign change lies past t
+        root = brentq(at, t_old, t)
         return root, tuple(dense(root).tolist())
 
     def escape(state):
         return math.hypot(*state) - ESCAPE_RADIUS
 
+    x, y = float(x0), float(y0)
+    ts, xs, ys = [0.0], [x], [y]
+    if normal:
+        g = normal((x, y))
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = RK45(rhs, 0.0, (x0, y0), float(t_end),
-                      rtol=tol, atol=tol, max_step=MAX_STEP)
-        t = solver.t
-        x, y = solver.y.tolist()
-        ts, xs, ys = [t], [x], [y]
-        if normal:
-            g = normal((x, y))
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise StiffnessError(
-                    f"solver stalled at t = {t:.6g} "
-                    f"(|state| = {math.hypot(x, y):.3g}): {message}")
-            t_old, t = t, float(solver.t)
-            x, y = solver.y.tolist()
+        steps = _rk45_steps(rhs, x, y, float(t_end), tol)
+        for t_old, t, y_old, state, K in steps:
+            t = float(t)
+            x, y = state.tolist()
             hit = None
             if normal:
                 g_old, g = g, normal((x, y))

@@ -3,8 +3,8 @@ module imports another module's private name, the graph of imports
 between the package's modules has no cycle, every name a module imports
 is read in it, the exact layers `quintic` and `structure` import no float
 conversion (`orbits` evaluates what they certify), the Lyapunov stage loop
-is reached from `lyapunov` alone, and caller text is read by `qpoly` alone.
-Imports inside functions count too."""
+is reached from `lyapunov` alone, caller text is read by `qpoly` alone, and
+no module imports scipy.  Imports inside functions count too."""
 
 import ast
 from pathlib import Path
@@ -163,6 +163,13 @@ def test_every_import_is_read():
 def test_exact_modules_import_no_floats():
     for module in ("quintic", "structure"):
         assert float_imports(PACKAGE / f"{module}.py") == [], module
+
+
+def test_no_module_imports_scipy():
+    """scipy is a test extra: `orbits` steps and locates its events on
+    numpy alone."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "scipy" not in absolute_imports(path), path.stem
 
 
 def test_float_check_catches_math_and_to_float(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq as scipy_brentq
 
 from isoquintic.qpoly import Poly, UnboundVariableError
 from isoquintic.lyapunov import PlanarSystem
@@ -339,8 +340,21 @@ def outcome(run):
 
 
 class TestSolveIvpParity:
-    """The step loop gives solve_ivp's floats and messages, bit for bit.  A
-    scipy upgrade that changes RK45 or brentq's event location fails here."""
+    """The in-package stepper and `brentq` give scipy's solve_ivp floats and
+    messages, bit for bit, RK45 steps and event times alike, where solve_ivp
+    finds its events.  A change to the stepper, to numpy's dot or to scipy's
+    RK45 or brentq fails here."""
+
+    # solve_ivp's event locator raises here: the step ends show a ray
+    # crossing within rounding of zero that the step's continuous extension
+    # misses.  The step loop takes the step end as the crossing, one before
+    # t = 1e-3 that does not count, and the orbit goes on to stall.
+    SIGN_ERROR = "ValueError: f(a) and f(b) must have different signs"
+    STEP_END_CROSSINGS = {
+        (-13103.010434717424, -25181.089514334704):
+            "StiffnessError: solver stalled at t = 9.20503e-19 "
+            "(|state| = 8.61e+07): Required step size is less than spacing "
+            "between numbers."}
 
     @staticmethod
     def draws():
@@ -378,18 +392,21 @@ class TestSolveIvpParity:
 
     def test_ray_return_time(self):
         rnd = random.Random(28)
-        got, want, spurious = [], [], 0
+        got, want, spurious, fixed = [], [], 0, []
         for params, x0, y0 in self.draws():
             sysm = quintic.build_system(params)
             tol = 10.0 ** -rnd.randint(6, 12)
             ref, noisy = reference_ray_return(sysm, x0, y0, tol)
+            if ref == self.SIGN_ERROR:
+                ref = self.STEP_END_CROSSINGS[x0, y0]
+                fixed.append((x0, y0))
             want.append(ref)
             spurious += noisy
             got.append(outcome(lambda: ray_return_time(sysm, x0, y0, tol)))
         assert got == want
+        assert fixed == list(self.STEP_END_CROSSINGS)
         kinds = {w.split(":")[0] if ":" in w else "returned" for w in want}
-        assert kinds == {"returned", "EscapedError", "StiffnessError",
-                         "ValueError"}
+        assert kinds == {"returned", "EscapedError", "StiffnessError"}
         assert spurious
 
     def test_integrate(self):
@@ -404,6 +421,47 @@ class TestSolveIvpParity:
         assert got == want
         assert sum(w.startswith("([0.0") for w in want) >= 10
         assert any(w.startswith("EscapedError") for w in want)
+
+
+class TestBrentq:
+    """`orbits.brentq` gives scipy's brentq floats and errors at xtol = rtol
+    = 4 eps, bit for bit."""
+
+    @staticmethod
+    def functions(rnd):
+        """(f, a, b): smooth and steep sign changes at a random point, steps,
+        zeros at either end, same signs and nan values."""
+        for _ in range(300):
+            a = rnd.uniform(-10, 10)
+            b = a + rnd.choice((1, -1)) * 10 ** rnd.uniform(-12, 1)
+            r = rnd.uniform(min(a, b), max(a, b))
+            k = 10 ** rnd.uniform(-3, 9)
+            yield lambda x: (x - r) * (1 + k * x * x), a, b
+            yield lambda x: (x - r) ** 3 + (x - r) / k, a, b
+            yield lambda x: math.tanh(k * (x - r)), a, b
+            yield lambda x: math.exp(min(k * (x - r), 700.0)) - 1, a, b
+            yield lambda x: 1.0 if x > r else -k, a, b
+            yield lambda x: (x - a) * k, a, b
+            yield lambda x: (x - b) * k, a, b
+            yield lambda x: k + (x - r) ** 2, a, b
+            yield lambda x: math.nan if x > r else -1.0, a, b
+
+    def test_bit_identical_to_scipy(self):
+        def run(solve, f, a, b):
+            try:
+                return repr(solve(f, a, b))
+            except (ValueError, RuntimeError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        eps4 = 4 * np.finfo(float).eps
+        got, want = [], []
+        for f, a, b in self.functions(random.Random(29)):
+            got.append(run(orbits.brentq, f, a, b))
+            want.append(run(lambda *fab: scipy_brentq(*fab, xtol=eps4,
+                                                      rtol=eps4), f, a, b))
+        assert got == want
+        assert sum(w.startswith("ValueError: f(a) and f(b)") for w in want) >= 300
+        assert any(w.startswith("ValueError: The function value") for w in want)
 
 
 def maximizer_count(q):

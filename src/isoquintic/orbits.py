@@ -8,11 +8,14 @@ and `Poly.eval_float` turn exact values into floats.  Orbits are integrated
 by the adaptive Dormand-Prince 5(4) pair at tight tolerances, in one step
 loop that stops at the escape radius and, for a ray return, at the first
 return: the systems turn at unit speed, so every orbit meets its ray again at
-t = 2 pi.  The stepper repeats scipy's RK45 arithmetic on numpy arrays, and
-`brentq`, which locates those events, scipy's brentq.c on floats, so both
-give scipy's floats without importing it.  numpy is imported by the solve
-and by `compile_rhs` only, so the case (i) boundary, every B-type verdict and
-`integral_value` run on the standard library.
+t = 2 pi.  The stepper repeats scipy's RK45 arithmetic on Python floats,
+but for the eight reductions of a step, which numpy's dot rounds on scipy's
+shapes: the five stage dots, the dots of the solution and of the error
+estimate, and the RMS norm's.  `brentq`, which locates those events, repeats
+scipy's brentq.c on floats, so both give scipy's floats without importing
+it.  numpy is imported by the solve and by `compile_rhs` only, so the case
+(i) boundary, every B-type verdict and `integral_value` run on the standard
+library.
 """
 
 from __future__ import annotations
@@ -150,41 +153,52 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10  # step size control
 
 
 def _rk45_steps(rhs, x0, y0, t_end, tol):
-    """Accepted steps (t_old, t, y_old, y, K) of the Dormand-Prince pair
-    from t = 0 to t_end, at rtol = atol = tol and steps up to MAX_STEP;
-    StiffnessError when the step falls below ten ulps of t.
+    """Accepted steps (t_old, t, state_old, state, K) of the Dormand-Prince
+    pair from t = 0 to t_end, at rtol = atol = tol and steps up to MAX_STEP,
+    each time a float and each state an (x, y) tuple of floats;
+    StiffnessError when the step falls below ten ulps of t, or is nan.
 
-    The step control, the initial step (Hairer, Norsett & Wanner, Solving
-    ODEs I, II.4) and every array operation are those of scipy's RK45, on
-    the same shapes: numpy's dot and norm round differently from a sum of
-    Python floats, so the same calls give the same floats.  K holds the
-    seven stages of the last step and is overwritten by the next.
+    The step control and the initial step (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4) are those of scipy's RK45.  numpy's work in a step is the
+    eight reductions whose rounding is scipy's: the five stage dots, the two
+    dots of the solution and of the error estimate, and the dot of the RMS
+    norm, on scipy's shapes, since numpy's dot rounds differently from a sum
+    of Python floats.  Every other operation is elementwise, and Python
+    floats round it as numpy does; only numpy's x / 0 and its nan-propagating
+    maximum are spelt out.  K holds the seven stages of the last step and is
+    overwritten by the next.
     """
     import numpy as np
 
-    def rms(v):  # np.linalg.norm(v) / v.size ** 0.5, without the checks
-        return np.sqrt(v.dot(v)) / 2 ** 0.5
+    def rms(vx, vy):  # np.linalg.norm((vx, vy)) / 2 ** 0.5, without the checks
+        v = np.array((vx, vy))
+        return math.sqrt(v.dot(v)) / 2 ** 0.5
+
+    def divide(a, b):  # a / b for a >= 0, with numpy's inf or nan where b = 0
+        return a / b if b else math.inf if a > 0 else math.nan
+
+    def maximum(a, b):  # np.maximum: nan when either is
+        return a if a >= b or a != a else b
 
     A, B, E = np.array(_A), np.array(_B), np.array(_E)
-    t, y = 0.0, np.array((x0, y0), dtype=float)
+    t, x, y = 0.0, x0, y0
     K = np.empty((7, 2))
-    K[0] = rhs(t, y)
+    fx, fy = K[0] = rhs(t, (x, y))
     # views on K, which every step fills in place
     stages = [(s, _C[s], K[:s].T, A[s, :s]) for s in range(1, 6)]
     K_B, K_E = K[:-1].T, K.T
 
     # initial step, selected from the first two slopes
-    f0 = K[0]
-    scale = tol + np.abs(y) * tol
-    d0, d1 = rms(y / scale), rms(f0 / scale)
+    sx, sy = tol + abs(x) * tol, tol + abs(y) * tol
+    d0, d1 = rms(x / sx, y / sy), rms(fx / sx, fy / sy)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f1 = np.array(rhs(t + h0, y + h0 * f0), dtype=float)
-    d2 = rms((f1 - f0) / scale) / h0
+    gx, gy = rhs(t + h0, (x + h0 * fx, y + h0 * fy))
+    d2 = divide(rms((gx - fx) / sx, (gy - fy) / sy), h0)
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = divide(0.01, max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, t_end, MAX_STEP)
 
     while True:
@@ -192,20 +206,24 @@ def _rk45_steps(rhs, x0, y0, t_end, tol):
         h_abs = min(max(h_abs, min_step), MAX_STEP)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # nan too, where scipy runs on
                 raise StiffnessError(
                     f"solver stalled at t = {t:.6g} "
-                    f"(|state| = {math.hypot(*y):.3g}): Required step size "
+                    f"(|state| = {math.hypot(x, y):.3g}): Required step size "
                     "is less than spacing between numbers.")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
             for s, c, K_s, a in stages:
-                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(K_B, B)
-            K[6] = rhs(t + h, y_new)
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            error_norm = rms(np.dot(K_E, E) * h / scale)
+                kx, ky = np.dot(K_s, a).tolist()
+                K[s] = rhs(t + c * h, (x + kx * h, y + ky * h))
+            bx, by = np.dot(K_B, B).tolist()
+            x_new, y_new = x + h * bx, y + h * by
+            K[6] = rhs(t + h, (x_new, y_new))
+            ex, ey = np.dot(K_E, E).tolist()
+            sx = tol + maximum(abs(x), abs(x_new)) * tol
+            sy = tol + maximum(abs(y), abs(y_new)) * tol
+            error_norm = rms(ex * h / sx, ey * h / sy)
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
@@ -213,8 +231,8 @@ def _rk45_steps(rhs, x0, y0, t_end, tol):
         factor = (MAX_FACTOR if error_norm == 0
                   else min(MAX_FACTOR, SAFETY * error_norm ** -0.2))
         h_abs *= min(1, factor) if rejected else factor
-        t_old, t, y_old, y = t, t_new, y, y_new
-        yield t_old, t, y_old, y, K
+        t_old, t, y_old, x, y = t, t_new, (x, y), x_new, y_new
+        yield t_old, t, y_old, (x, y), K
         if t >= t_end:
             return
         K[0] = K[6]
@@ -346,9 +364,7 @@ def _solve(sys, x0, y0, t_end, tol, normal=None):
         g = normal((x, y))
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _rk45_steps(rhs, x, y, float(t_end), tol)
-        for t_old, t, y_old, state, K in steps:
-            t = float(t)
-            x, y = state.tolist()
+        for t_old, t, y_old, (x, y), K in steps:
             hit = None
             if normal:
                 g_old, g = g, normal((x, y))

@@ -359,6 +359,15 @@ class TestOrbit:
         assert (code, out) == (1, "")
         assert err.startswith("integration failed: solver stalled at t = ")
 
+    def test_nan_initial_step_stalls(self, capsys):
+        """The first slope is (inf, nan), so the initial step is nan: a stall
+        at t = 0, from the finite start, not a call budget spent on nan."""
+        assert run(capsys, "orbit", "--family=1e300,0,0,0,0,0,0,0",
+                   "--x0=1e5", "--y0=0") == (
+            1, "", "integration failed: solver stalled at t = 0 "
+                   "(|state| = 1e+05): Required step size is less than "
+                   "spacing between numbers.\n")
+
     def test_tol_default_is_orbits_tol(self, capsys):
         args = build_parser().parse_args(["orbit", "--x0", "0", "--y0", "0"])
         assert args.tol == orbits.TOL

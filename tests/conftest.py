@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -17,6 +18,11 @@ from isoquintic.quintic import PARAM_NAMES, QuinticError, QuinticParams
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# The orbit layer integrates with numpy; the exact layer runs without it, as
+# on the requires-python floor, where only pytest and hypothesis are installed.
+requires_numpy = pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
+                                    reason="integrating an orbit needs numpy")
 
 
 def run_fresh(code, *args):

@@ -16,8 +16,8 @@ from isoquintic.lyapunov import (PlanarSystem, pl_constants, first_nonzero,
                                  stage_constants)
 from isoquintic import quintic, structure, orbits
 from isoquintic.quintic import QuinticParams, CaseTag
-from conftest import (case_iii_fgh, radial_factor, rotated_params,
-                      scaled_case_iii_system)
+from conftest import (case_iii_fgh, radial_factor, requires_numpy,
+                      rotated_params, scaled_case_iii_system)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -260,6 +260,7 @@ def test_criterion_6_integrating_factors():
     report(6, "integrating factors", ok)
 
 
+@requires_numpy
 def test_criterion_7_reversibility():
     sys_ii = quintic.build_system(QuinticParams(0, "b", 0, 0, "e", 0, "g", 0))
     ok = all(r.is_zero for line in ((0, 1), (1, 0))
@@ -320,6 +321,7 @@ def center_draw(tag):
             return QuinticParams(a, b, -a, d, e, f, g, h)
 
 
+@requires_numpy
 def test_criterion_8_isochronicity():
     ok = True
     for tag in CaseTag:
@@ -411,6 +413,7 @@ def test_criterion_10_b_type():
     report(10, "B-type rule", ok)
 
 
+@requires_numpy
 def test_criterion_11_core_properties():
     from isoquintic.qpoly import solve_linear_exact, SingularMatrixError
     from conftest import random_poly

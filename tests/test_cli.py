@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from isoquintic import orbits, quintic
+from isoquintic.orbits import integral_value
 from isoquintic.cli import build_parser, main
 from isoquintic.qpoly import MAX_DIGITS, parse_expr, parse_rational
-from conftest import run_fresh
+from conftest import requires_numpy, run_fresh
 
 
 def run(capsys, *argv):
@@ -282,6 +283,7 @@ class TestVerify:
 
 
 class TestOrbit:
+    @requires_numpy
     def test_center_orbit(self, capsys, tmp_path):
         out_csv = tmp_path / "orbit.csv"
         code, out, _ = run(capsys, "orbit",
@@ -301,6 +303,7 @@ class TestOrbit:
         for row in rows[1:]:
             assert len(row.split(",")) == 3
 
+    @requires_numpy
     def test_deterministic(self, capsys, tmp_path):
         csv1 = tmp_path / "a.csv"
         csv2 = tmp_path / "b.csv"
@@ -332,12 +335,14 @@ class TestOrbit:
                    "--y0", "0") == (
             2, "", "error: system is not of the constant-angular-speed form\n")
 
+    @requires_numpy
     def test_out_is_a_directory(self, capsys, tmp_path):
         code, out, err = run(capsys, "orbit", "--family", "0,1,0,0,1,0,-1,0",
                              "--x0", "0.3", "--y0", "0", "--out", str(tmp_path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {tmp_path}: ")
 
+    @requires_numpy
     def test_escape_reported(self, capsys, tmp_path):
         path = write_doc(tmp_path, "sys.json", {"p": "y + x*(x^2 + y^2)",
                                                 "q": "-x + y*(x^2 + y^2)"})
@@ -346,6 +351,7 @@ class TestOrbit:
         assert code == 1
         assert "integration failed" in err
 
+    @requires_numpy
     def test_crossing_at_step_end_is_no_input_error(self, capsys):
         """From far out the orbit crosses its ray at a step end, within
         rounding of zero, where the step's continuous extension does not
@@ -359,6 +365,7 @@ class TestOrbit:
         assert (code, out) == (1, "")
         assert err.startswith("integration failed: solver stalled at t = ")
 
+    @requires_numpy
     def test_nan_initial_step_stalls(self, capsys):
         """The first slope is (inf, nan), so the initial step is nan: a stall
         at t = 0, from the finite start, not a call budget spent on nan."""
@@ -376,6 +383,7 @@ class TestOrbit:
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"--tol TOL rtol = atol of RK45 (default: {orbits.TOL:g})" in help_text
 
+    @requires_numpy
     def test_overflow_not_reported(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -386,6 +394,7 @@ class TestOrbit:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert [str(w.message) for w in caught] == []
 
+    @requires_numpy
     def test_rhs_budget_ends_costly_solve(self, capsys):
         # 397790 right-hand side calls in `integrate` alone without the budget
         start = time.perf_counter()
@@ -398,6 +407,7 @@ class TestOrbit:
                               f"spent at t = ")
         assert "(|state| = " in err and err.count("\n") == 1
 
+    @requires_numpy
     def test_return_before_budget_is_kept(self, capsys):
         # --t-end=0.1 keeps `integrate` cheap; the ray return stops at
         # t = 2 pi, where running on to 2.5 pi would spend the call budget
@@ -407,6 +417,7 @@ class TestOrbit:
             0, "ray return time = 6.2831853071796004\n"
                "closure defect = 5.8849544672057164e-05\n")
 
+    @requires_numpy
     @pytest.mark.parametrize("family, x0, message", [
         # finite terms whose sum passes the float range
         ("1e308,1e308,0,0,0,0,0,0", "1", "intermediate overflow in fsum"),
@@ -421,6 +432,22 @@ class TestOrbit:
                               "at t = 0 (|state| = ")
         assert err.endswith(f"): {message}\n") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @requires_numpy
+    @pytest.mark.parametrize("family, x0, y0, message", [
+        # the step size falls below the spacing of floats near t
+        ("1,0,1,1,0,1,0,1", "0.4", "0",
+         "solver stalled at t = 2.2049 (|state| = 1.38e+03): Required step "
+         "size is less than spacing between numbers."),
+        # the first steps overflow the state, and the field with it
+        ("1e300,0,0,0,0,0,0,0", "100", "3",
+         "right-hand side overflowed at t = 4.23646e-305 (|state| = inf): "
+         "-inf + inf in fsum"),
+    ])
+    def test_failed_integration_has_no_nan(self, capsys, family, x0, y0,
+                                           message):
+        assert run(capsys, "orbit", "--family", family, "--x0", x0,
+                   "--y0", y0) == (1, "", f"integration failed: {message}\n")
 
     def test_coefficient_beyond_float_range(self, capsys):
         assert run(capsys, "orbit", "--family", "1e400,0,0,0,0,0,0,0",
@@ -782,8 +809,10 @@ class TestReadme:
         assert [argv[0] for argv, _, _ in README_EXAMPLES] == [
             "plconst", "classify", "classify", "orbit", "boundary"]
 
-    @pytest.mark.parametrize("argv, stdout, code", README_EXAMPLES, ids=[
-        f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(README_EXAMPLES)])
+    @pytest.mark.parametrize("argv, stdout, code", [
+        pytest.param(argv, stdout, code, id=f"{argv[0]}-{i}",
+                     marks=requires_numpy if argv[0] == "orbit" else ())
+        for i, (argv, stdout, code) in enumerate(README_EXAMPLES)])
     def test_example(self, capsys, monkeypatch, tmp_path, argv, stdout, code):
         monkeypatch.chdir(tmp_path)  # where --out writes its CSV
         assert run(capsys, *argv)[:2] == (code, "".join(f"{line}\n"
@@ -809,6 +838,28 @@ print(json.dumps(seen))
 """
 
 
+# Prints the B-type of a case (i) boundary, the case and B-type of a center
+# of each case, the kind and value at (0.3, 0.1) of a rational and a Darboux
+# integral (`INTEGRAL_POINTS`), and whether numpy is loaded afterwards.
+INTEGRAL_POINTS = ([0, 0, 0, 1, 0, -3, 0, 0], [0, 1, 0, 0, 1, 0, -1, 0])
+NUMPY_FREE_PROBE = f"""
+import json, sys
+from isoquintic import orbits, quintic
+tags = [orbits.boundary_curve(0, 1, -1, 0).btype]
+for values in ([0, 0, 0, 0, 1, 0, -1, 0], [0, 1, 0, 0, 1, 0, -1, 0],
+               [1, 0, -1, 1, 0, 0, 0, -1]):
+    params = quintic.QuinticParams.numeric(*values)
+    case = quintic.theorem_case(params)
+    tags.append([case.tag.value, orbits.center_type(params, case).tag])
+integrals = []
+for values in {INTEGRAL_POINTS}:
+    params = quintic.QuinticParams.numeric(*values)
+    spec = quintic.first_integral(params, quintic.theorem_case(params))
+    integrals.append([spec.kind, orbits.integral_value(spec.payload, 0.3, 0.1)])
+print(json.dumps([tags, integrals, "numpy" in sys.modules]))
+"""
+
+
 def probe_imports(steps):
     """IMPORT_PROBE's report on the argv lists `steps`."""
     return run_fresh(IMPORT_PROBE, json.dumps(steps))
@@ -817,6 +868,7 @@ def probe_imports(steps):
 class TestImports:
     """The exact commands never load the float layer's dependencies."""
 
+    @requires_numpy
     def test_float_layer_loaded_only_where_used(self):
         steps = [["classify", "--family", "0,1,0,0,2,0,3,0"],
                  ["plconst", "--family", "a,b,c,d,e,f,g,h", "-m", "2"],
@@ -834,6 +886,19 @@ class TestImports:
         seen = probe_imports([["orbit", "--family", "a,0,0,0,0,0,0,0",
                                "--x0", "0.1", "--y0", "0"]])
         assert seen == [[None, []], [2, []]]
+
+    def test_runs_without_numpy(self):
+        """The boundary, a B-type of each case and the value of a rational
+        and a Darboux integral, in a fresh interpreter: only the solve
+        imports numpy, and the values are those of this process."""
+        integrals = []
+        for values in INTEGRAL_POINTS:
+            params = quintic.QuinticParams.numeric(*values)
+            spec = quintic.first_integral(params, quintic.theorem_case(params))
+            integrals.append([spec.kind, integral_value(spec.payload, 0.3, 0.1)])
+        assert [kind for kind, _ in integrals] == ["rational", "darboux-exp"]
+        assert run_fresh(NUMPY_FREE_PROBE) == [
+            ["B4", ["i", "B4"], ["ii", "B4"], ["iii", "B2"]], integrals, False]
 
 
 EXTREMES = ["0", "-0", "1e-300", "-1e-300", "1e8", "1e9", "1e200",
@@ -857,6 +922,7 @@ def timed_exit(argv):
 class TestHostileFlags:
     """Extreme numeric flags end in a verdict or an input error, fast."""
 
+    @requires_numpy
     @seed(20240824)
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["0,1,0,0,1,0,-1,0", "1,0,0,0,0,0,0,0",

@@ -4,12 +4,15 @@ between the package's modules has no cycle, every name a module imports
 is read in it, the exact layers `quintic` and `structure` import no float
 conversion (`orbits` evaluates what they certify), the Lyapunov stage loop
 is reached from `lyapunov` alone, caller text is read by `qpoly` alone, and
-no module imports scipy.  Imports inside functions count too."""
+no module imports scipy.  Imports inside functions count too.  Every module
+and test parses with the grammar of the `requires-python` floor."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "isoquintic"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "isoquintic"
 
 
 def imports(path):
@@ -141,6 +144,26 @@ def stage_loop_uses(path):
     return out
 
 
+def floor_version(pyproject):
+    """(major, minor) of `requires-python = ">=major.minor"`, read without
+    tomllib, which Python 3.10 lacks."""
+    text = pyproject.read_text(encoding="utf-8")
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M)
+    return int(found[1]), int(found[2])
+
+
+def newer_grammar(paths, version):
+    """The names of the files among `paths` that do not parse with the
+    grammar of Python `version`."""
+    out = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), feature_version=version)
+        except SyntaxError:
+            out.append(path.name)
+    return out
+
+
 def test_reads_the_package():
     edges = graph(PACKAGE)
     assert {"qpoly", "lyapunov", "quintic", "structure", "orbits", "cli"} <= set(edges)
@@ -236,3 +259,20 @@ def test_checks_catch_a_cycle_and_a_private_import(tmp_path):
     (pkg / "c.py").write_text(f"import {PACKAGE.name}.a\n")
     assert private_imports(pkg) == [("a", "b", "_helper")]
     assert find_cycle(pkg) == ["a", "b", "c", "a"]
+
+
+def test_sources_parse_at_the_floor():
+    """Checked under any newer interpreter, so that a construct the floor
+    cannot parse fails before it reaches a floor run."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 10
+    assert newer_grammar(paths, floor_version(ROOT / "pyproject.toml")) == []
+
+
+def test_grammar_check_catches_a_newer_construct(tmp_path):
+    (tmp_path / "pyproject.toml").write_text('requires-python = ">=3.10"\n')
+    (tmp_path / "a.py").write_text("try:\n    pass\n"
+                                   "except* ValueError:\n    pass\n")
+    (tmp_path / "b.py").write_text("match 1:\n    case _:\n        pass\n")
+    assert floor_version(tmp_path / "pyproject.toml") == (3, 10)
+    assert newer_grammar(sorted(tmp_path.glob("*.py")), (3, 10)) == ["a.py"]

@@ -2,9 +2,12 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
+
+# the stepper runs on numpy; scipy is the reference it is checked against
+np = pytest.importorskip("numpy")
+pytest.importorskip("scipy")
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
@@ -17,7 +20,7 @@ from isoquintic.orbits import (
     boundary_curve, center_type, c3_exponent,
 )
 from isoquintic.structure import darboux_candidate
-from conftest import case_iii_fgh, run_fresh
+from conftest import case_iii_fgh
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -597,28 +600,6 @@ class TestBoundary:
         assert maximizer_count(image) == maximizer_count(q)
 
 
-# Prints the B-type of a case (i) boundary, the case and B-type of a center
-# of each case, the kind and value at (0.3, 0.1) of a rational and a Darboux
-# integral (`INTEGRAL_POINTS`), and whether numpy is loaded afterwards.
-INTEGRAL_POINTS = ([0, 0, 0, 1, 0, -3, 0, 0], [0, 1, 0, 0, 1, 0, -1, 0])
-NUMPY_FREE_PROBE = f"""
-import json, sys
-from isoquintic import orbits, quintic
-tags = [orbits.boundary_curve(0, 1, -1, 0).btype]
-for values in ([0, 0, 0, 0, 1, 0, -1, 0], [0, 1, 0, 0, 1, 0, -1, 0],
-               [1, 0, -1, 1, 0, 0, 0, -1]):
-    params = quintic.QuinticParams.numeric(*values)
-    case = quintic.theorem_case(params)
-    tags.append([case.tag.value, orbits.center_type(params, case).tag])
-integrals = []
-for values in {INTEGRAL_POINTS}:
-    params = quintic.QuinticParams.numeric(*values)
-    spec = quintic.first_integral(params, quintic.theorem_case(params))
-    integrals.append([spec.kind, orbits.integral_value(spec.payload, 0.3, 0.1)])
-print(json.dumps([tags, integrals, "numpy" in sys.modules]))
-"""
-
-
 class TestCenterType:
     def test_case_ii_same_signs(self):
         params = numeric(b=1, e=1, g=2)
@@ -714,19 +695,6 @@ class TestCenterType:
                 continue
             eg_tag = "B2" if e * g >= 0 else "B4"
             assert by_boundary.tag == eg_tag
-
-    def test_runs_without_numpy(self):
-        """The boundary, a B-type of each case and the value of a rational
-        and a Darboux integral, in a fresh interpreter: only the solve
-        imports numpy, and the values are those of this process."""
-        integrals = []
-        for values in INTEGRAL_POINTS:
-            params = quintic.QuinticParams.numeric(*values)
-            spec = quintic.first_integral(params, quintic.theorem_case(params))
-            integrals.append([spec.kind, integral_value(spec.payload, 0.3, 0.1)])
-        assert [kind for kind, _ in integrals] == ["rational", "darboux-exp"]
-        assert run_fresh(NUMPY_FREE_PROBE) == [
-            ["B4", ["i", "B4"], ["ii", "B4"], ["iii", "B2"]], integrals, False]
 
 
 class TestIntegralValue:

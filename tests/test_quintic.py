@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from isoquintic.qpoly import Poly, QPolyError, as_poly, parse_expr
+from isoquintic.qpoly import (Poly, QPolyError, as_poly, parse_expr,
+                              substitute_form)
 from isoquintic import lyapunov, orbits, quintic, structure
 from isoquintic.quintic import (
     QuinticParams, QuinticError, CaseTag,
@@ -15,7 +16,8 @@ from isoquintic.quintic import (
     rotate_to_canonical,
 )
 from isoquintic.lyapunov import LyapunovError, pl_constants
-from conftest import case_iii_fgh, radial_factor, rotated_params
+from conftest import (case_iii_fgh, radial_factor, requires_numpy,
+                      rotated_params)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -470,12 +472,14 @@ FLIP = {"positive": "negative", "negative": "positive"}
 
 
 def symmetry_images(rnd, params):
-    """(name, image, does a focus sign flip) for three maps that take the
+    """(name, image, does a focus sign flip) for four maps that take the
     family to itself: a..h times a seeded lambda > 0, which scales R_k by
     lambda^deg; (x, y) -> lambda (x, y) with lambda = 2/3, which scales
-    (a, b, c) by lambda^2 and d..h by lambda^4; and the reflection
+    (a, b, c) by lambda^2 and d..h by lambda^4; the reflection
     (x, y, t) -> (x, -y, -t), which gives P -> -P(x, -y), so negates
-    a, c, d, f and h, and turns a stable focus into an unstable one."""
+    a, c, d, f and h, and turns a stable focus into an unstable one; and
+    the rotation M: x -> (3x - 4y)/5, y -> (4x + 3y)/5, which commutes with
+    the linear part (y, -x), so gives P -> P o M."""
     v = [getattr(params, n) for n in quintic.PARAM_NAMES]
     lam = Fraction(rnd.randint(1, 10 ** 6), rnd.randint(1, 10 ** 6))
     yield "homogeneity", QuinticParams(*(lam * x for x in v)), False
@@ -485,6 +489,9 @@ def symmetry_images(rnd, params):
     yield "reflection", QuinticParams(*(
         -x if n in "acdfh" else x
         for n, x in zip(quintic.PARAM_NAMES, v))), True
+    lx, ly = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
+    yield "rotation", QuinticParams(*substitute_form(v[:3], lx, ly),
+                                    *substitute_form(v[3:], lx, ly)), False
 
 
 HEIGHTS = [(9, 3), (10 ** 6, 10 ** 6), (10 ** 30, 10 ** 30)]
@@ -493,13 +500,22 @@ HEIGHTS = [(9, 3), (10 ** 6, 10 ** 6), (10 ** 30, 10 ** 30)]
 class TestClassifySymmetries:
     """Under each map of `symmetry_images`, at every m, the kind, case and
     index of `classify` stay, and so does the focus sign unless the map
-    flips it."""
+    flips it.  The rotation may move a center between cases (ii) and (iii),
+    which `classify` tells apart by a != 0, no rotation invariant; case (i),
+    a zero quadratic part, stays."""
 
     @staticmethod
     def check(rnd, params):
         for m in range(1, lyapunov.CAP + 1):
             base = classify(params, m)
             for name, image, flips in symmetry_images(rnd, params):
+                if name == "rotation" and base.kind == "center":
+                    got = classify(image, m)
+                    assert got.kind == "center", (name, m, params)
+                    assert ((got.case.tag is CaseTag.CASE_I)
+                            == (base.case.tag is CaseTag.CASE_I)), (
+                        name, m, params)
+                    continue
                 want = base
                 if flips and base.kind == "focus":
                     want = dataclasses.replace(
@@ -521,6 +537,12 @@ class TestClassifySymmetries:
             params = center_point(rng, tag, height, den)
             assert classify(params).case.tag is tag
             self.check(rng, params)
+
+    def test_mixed_points(self, rng):
+        """`mixed_point`'s draws, where every R_k comes first and each case
+        of center occurs."""
+        for _ in range(200):
+            self.check(rng, QuinticParams(**mixed_point(rng)))
 
 
 def mixed_point(rnd):
@@ -783,6 +805,7 @@ class TestFirstIntegral:
         assert (spec.payload.num, spec.payload.den) == (X ** 2 + Y ** 2,
                                                         1 + X ** 2)
 
+    @requires_numpy
     @pytest.mark.parametrize("kw", [
         dict(a=1, c=-1),
         dict(d=1, e=2, f=-3, g=1),
@@ -878,6 +901,7 @@ def start_radius(form):
 
 
 class TestCaseIIISeeded:
+    @requires_numpy
     def test_certified_commuting_and_b_type(self, rng):
         """200 seeded case (iii) points, every tenth with u = 0 (d = e = 0)
         and every tenth with shift = 0 (b d = a e): each integral certifies

@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import math
 import os
 import random
 import subprocess
@@ -121,15 +120,28 @@ def radial_factor(params):
                 for n, mono in zip(PARAM_NAMES, RADIAL_MONOMIALS)), Poly.zero())
 
 
-def rotated_params(params):
-    """A case (iii) point rotated in floats by the angle phi with
-    a tan^2(phi) + b tan(phi) - a = 0 onto the form with radial part
-    x y (b1 + e1 x^2 + g1 y^2), as exact fractions of the floats."""
-    v = [float(getattr(params, n)) for n in PARAM_NAMES]
-    a, b = v[:2]
-    tan_phi = (-b + math.sqrt(b * b + 4 * a * a)) / (2 * a)
-    phi = math.atan(tan_phi)
-    c, s = math.cos(phi), math.sin(phi)
-    rot = (substitute_form(v[:3], [c, s], [-s, c])
-           + substitute_form(v[3:], [c, s], [-s, c]))
-    return QuinticParams(*(Fraction(r) for r in rot))
+def rotate_form(form, k):
+    """The coefficient list of F o M for the binary form F with coefficient
+    list `form`, where M: x -> c x + s y, y -> -s x + c y with
+    c = (1 - k^2) / (1 + k^2) and s = 2k / (1 + k^2): exact for a rational
+    k, since (c, s) is then a rational point of the unit circle."""
+    k = Fraction(k)
+    c, s = (1 - k * k) / (1 + k * k), 2 * k / (1 + k * k)
+    return substitute_form(form, [c, s], [-s, c])
+
+
+def rotate(params, k):
+    """The image of a point of the family under the rotation M of
+    `rotate_form`.  M commutes with the linear part (y, -x), so P -> P o M,
+    one binary form at a time."""
+    v = [getattr(params, n) for n in PARAM_NAMES]
+    return QuinticParams(*rotate_form(v[:3], k), *rotate_form(v[3:], k))
+
+
+def turn(rnd):
+    """A seeded k = +-p/q for `rotate`, with 1 <= p, q <= 9 and p != q: no
+    quarter turn, so c s != 0."""
+    while True:
+        p, q = rnd.randint(1, 9), rnd.randint(1, 9)
+        if p != q:
+            return Fraction(rnd.choice((-1, 1)) * p, q)

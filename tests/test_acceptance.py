@@ -16,8 +16,8 @@ from isoquintic.lyapunov import (PlanarSystem, pl_constants, first_nonzero,
                                  stage_constants)
 from isoquintic import quintic, structure, orbits
 from isoquintic.quintic import QuinticParams, CaseTag
-from conftest import (case_iii_fgh, radial_factor, requires_numpy,
-                      rotated_params, scaled_case_iii_system)
+from conftest import (case_iii_fgh, radial_factor, requires_numpy, rotate,
+                      scaled_case_iii_system, turn)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -260,7 +260,6 @@ def test_criterion_6_integrating_factors():
     report(6, "integrating factors", ok)
 
 
-@requires_numpy
 def test_criterion_7_reversibility():
     sys_ii = quintic.build_system(QuinticParams(0, "b", 0, 0, "e", 0, "g", 0))
     ok = all(r.is_zero for line in ((0, 1), (1, 0))
@@ -272,32 +271,6 @@ def test_criterion_7_reversibility():
                                                      constraint)
     ok = ok and verdict.reversible
 
-    # numeric equivariance of the reflection matrices at random points
-    worst = 0.0
-    for _ in range(10):
-        while True:
-            a = frac(-3, 3)
-            if a:
-                break
-        b, d, e = frac(-3, 3), frac(-3, 3), frac(-3, 3)
-        f, g, h = case_iii_fgh(a, b, d, e)
-        field = orbits.compile_rhs(
-            quintic.build_system(QuinticParams(a, b, -a, d, e, f, g, h)))
-        af, bf = float(a), float(b)
-        nrm = 1.0 / math.sqrt(4 * af * af + bf * bf)
-        for sign in (1.0, -1.0):
-            s11, s12 = sign * nrm * -bf, sign * nrm * 2 * af
-            s21, s22 = sign * nrm * 2 * af, sign * nrm * bf
-            for _ in range(50):
-                x = RNG.uniform(-1, 1)
-                y = RNG.uniform(-1, 1)
-                px, py = field(0.0, (x, y))
-                rx, ry = s11 * x + s12 * y, s21 * x + s22 * y
-                qx, qy = field(0.0, (rx, ry))
-                worst = max(worst,
-                            abs(s11 * px + s12 * py + qx),
-                            abs(s21 * px + s22 * py + qy))
-    ok = ok and worst < 1e-9
     report(7, "reversibility", ok)
 
 
@@ -377,9 +350,8 @@ def test_criterion_9_rotation():
         form = quintic.rotate_to_canonical(params)
         ok = ok and radial_factor(params) == form.ell * (form.beta + form.u)
         ok = ok and form.shift == (b * d - a * e) / (2 * a ** 3)
-        rep = pl_constants(quintic.build_system(rotated_params(params)), 4)
-        ok = ok and all(abs(float(dc.constant_value())) < 1e-6
-                        for dc in rep.raw)
+        rep = pl_constants(quintic.build_system(rotate(params, turn(RNG))), 4)
+        ok = ok and all(dc.is_zero for dc in rep.raw)
         if not ok:
             break
     report(9, "rotation to canonical form", ok)

@@ -5,19 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from isoquintic.qpoly import (Poly, QPolyError, as_poly, parse_expr,
-                              substitute_form)
+from isoquintic.qpoly import (Poly, QPolyError, as_poly, divide_exact,
+                              form_poly, parse_expr)
 from isoquintic import lyapunov, orbits, quintic, structure
 from isoquintic.quintic import (
     QuinticParams, QuinticError, CaseTag,
     build_system, family_forms, reduced_conditions,
     theorem_case, classify, case_substitution,
     vanishes_under_case, commuting_partner, first_integral,
-    rotate_to_canonical,
+    rotate_to_canonical, case_i_quartic,
 )
 from isoquintic.lyapunov import LyapunovError, pl_constants
-from conftest import (case_iii_fgh, radial_factor, requires_numpy,
-                      rotated_params)
+from conftest import (case_iii_fgh, radial_factor, requires_numpy, rotate,
+                      rotate_form, turn)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -471,27 +471,34 @@ class TestClassifyWork:
 FLIP = {"positive": "negative", "negative": "positive"}
 
 
+def reflect(params):
+    """The image under (x, y, t) -> (x, -y, -t): P -> -P(x, -y), which
+    negates a, c, d, f and h, and turns a stable focus into an unstable
+    one."""
+    return QuinticParams(*(-getattr(params, n) if n in "acdfh"
+                           else getattr(params, n)
+                           for n in quintic.PARAM_NAMES))
+
+
+def scale(params, lam):
+    """The image under (x, y) -> lam (x, y): P -> P(lam x, lam y), which
+    scales (a, b, c) by lam^2 and d..h by lam^4."""
+    v = [getattr(params, n) for n in quintic.PARAM_NAMES]
+    return QuinticParams(*(lam ** 2 * x for x in v[:3]),
+                         *(lam ** 4 * x for x in v[3:]))
+
+
 def symmetry_images(rnd, params):
     """(name, image, does a focus sign flip) for four maps that take the
     family to itself: a..h times a seeded lambda > 0, which scales R_k by
-    lambda^deg; (x, y) -> lambda (x, y) with lambda = 2/3, which scales
-    (a, b, c) by lambda^2 and d..h by lambda^4; the reflection
-    (x, y, t) -> (x, -y, -t), which gives P -> -P(x, -y), so negates
-    a, c, d, f and h, and turns a stable focus into an unstable one; and
-    the rotation M: x -> (3x - 4y)/5, y -> (4x + 3y)/5, which commutes with
-    the linear part (y, -x), so gives P -> P o M."""
-    v = [getattr(params, n) for n in quintic.PARAM_NAMES]
+    lambda^deg; `scale` by 2/3; `reflect`; and the rotation
+    x -> (3x - 4y)/5, y -> (4x + 3y)/5, `rotate` at k = -1/2."""
     lam = Fraction(rnd.randint(1, 10 ** 6), rnd.randint(1, 10 ** 6))
-    yield "homogeneity", QuinticParams(*(lam * x for x in v)), False
-    sq = Fraction(2, 3) ** 2
-    yield "scaling", QuinticParams(*(sq * x for x in v[:3]),
-                                   *(sq ** 2 * x for x in v[3:])), False
-    yield "reflection", QuinticParams(*(
-        -x if n in "acdfh" else x
-        for n, x in zip(quintic.PARAM_NAMES, v))), True
-    lx, ly = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
-    yield "rotation", QuinticParams(*substitute_form(v[:3], lx, ly),
-                                    *substitute_form(v[3:], lx, ly)), False
+    yield "homogeneity", QuinticParams(*(
+        lam * getattr(params, n) for n in quintic.PARAM_NAMES)), False
+    yield "scaling", scale(params, Fraction(2, 3)), False
+    yield "reflection", reflect(params), True
+    yield "rotation", rotate(params, Fraction(-1, 2)), False
 
 
 HEIGHTS = [(9, 3), (10 ** 6, 10 ** 6), (10 ** 30, 10 ** 30)]
@@ -543,6 +550,102 @@ class TestClassifySymmetries:
         of center occurs."""
         for _ in range(200):
             self.check(rng, QuinticParams(**mixed_point(rng)))
+
+
+class TestExactSymmetries:
+    """The full constants, the certificates and the B-type of a point,
+    against those of its exact images under `rotate`, `reflect` and
+    `scale`."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_first_nonzero_constant(self, rng, k):
+        """The first nonzero D_k keeps its index under a rotation and the
+        reflection, and its sign, which the reflection flips.  D_k itself
+        is no rotation invariant past D_1."""
+        for _ in range(3):
+            params = focus_point(rng, k, 9, 3)
+            sign = pl_constants(build_system(params), 4).sign
+            for image, want in ((rotate(params, turn(rng)), sign),
+                                (reflect(params), FLIP[sign])):
+                report = pl_constants(build_system(image), 4)
+                assert (report.first_nonzero_index, report.sign) == (k, want)
+
+    def test_scaling_multiplies_each_constant(self, rng):
+        """(x, y) -> lam (x, y) multiplies every raw D_k by lam^(2k)."""
+        for _ in range(10):
+            params = QuinticParams(**random_point(rng, 9, 3))
+            lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            base = pl_constants(build_system(params), lyapunov.CAP).raw
+            image = pl_constants(build_system(scale(params, lam)),
+                                 lyapunov.CAP).raw
+            assert image == [lam ** (2 * k) * d
+                             for k, d in enumerate(base, start=1)]
+
+    @pytest.mark.parametrize("k", [Fraction(-1, 2), 8])
+    def test_symbolic_constants_on_their_strata(self, k):
+        """As polynomials in a..h: D_1 is rotation invariant, D_2 is on
+        D_1 = 0 (c = -a) but not off it, and D_3 is on D_1 = D_2 = 0
+        (sigma = {c -> -a, f -> -3d - 3h})."""
+        params = QuinticParams.symbolic()
+        base = pl_constants(build_system(params), 3).raw
+        image = pl_constants(build_system(rotate(params, k)), 3).raw
+        a, d, h = (Poly.var(n) for n in "adh")
+        sigma = {"c": -a, "f": -3 * (d + h)}
+        assert image[0] == base[0] and image[1] != base[1]
+        assert image[1].subs({"c": -a}) == base[1].subs({"c": -a})
+        assert image[2].subs(sigma) == base[2].subs(sigma)
+
+    @pytest.mark.parametrize("tag", list(CaseTag))
+    def test_centers(self, rng, tag):
+        """Each image of a center is a center whose `first_integral` and
+        `commuting_partner` certify.  The eg-rule of cases (ii) and (iii) is
+        exactly invariant, so the B-type stays.  In case (i) only the
+        maximizer count is compared, where both sides report one: a
+        rotation moves c0 (`test_case_i_quartic_under_rotation`), and with
+        it the verdict `Unknown`.  Case (i) adds criterion 10's B4 point."""
+        points = [center_point(rng, tag) for _ in range(8)]
+        if tag is CaseTag.CASE_I:
+            points.append(numeric(e=1, g=-1))
+        seen = set()
+        for params in points:
+            base = orbits.center_type(params, theorem_case(params))
+            lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            for image in (rotate(params, turn(rng)), reflect(params),
+                          scale(params, lam)):
+                case = theorem_case(image)
+                first_integral(image, case)  # raises unless it certifies
+                bracket = structure.lie_bracket(
+                    build_system(image), commuting_partner(image, case))
+                assert all(c.is_zero for c in bracket)
+                got = orbits.center_type(image, case)
+                if "Unknown" in (got.tag, base.tag):
+                    assert tag is CaseTag.CASE_I, image
+                    continue
+                assert (got.tag, got.evidence) == (base.tag, base.evidence), (
+                    image)
+                seen.add(got.tag)
+        assert seen == {"B2", "B4"}
+
+    def test_case_i_quartic_under_rotation(self, rng):
+        """R o M - R' = kappa (x^2 + y^2)^2, where R is the partner quartic
+        of a case (i) point and R' that of its image under M: R' is R o M
+        with its x^2 y^2 term normalized away.  So the maximizers on the
+        circle turn with M, and c0 moves by -kappa.  At (d, e, g, h) =
+        (0, -1/2, 1, 1) and k = 8, kappa = 17883936/17850625 takes c0 from
+        0.7572 (B2) to -0.2447, which `center_type` reports `Unknown`."""
+        d, e, g, h = (Poly.var(n) for n in "degh")
+        params = QuinticParams(0, 0, 0, d, e, -3 * (d + h), g, h)
+        for k in (8, turn(rng), turn(rng)):
+            image = rotate(params, k)
+            drift = (form_poly(rotate_form(case_i_quartic(d, e, g, h), k))
+                     - form_poly(case_i_quartic(image.d, image.e, image.g,
+                                                image.h)))
+            kappa = divide_exact(drift, (X ** 2 + Y ** 2) ** 2)
+            assert kappa is not None and not kappa.variables() & {"x", "y"}
+            if k == 8:
+                assert kappa.eval_rational(
+                    {"d": 0, "e": Fraction(-1, 2), "g": 1, "h": 1}) == (
+                        Fraction(17883936, 17850625))
 
 
 def mixed_point(rnd):
@@ -877,14 +980,39 @@ class TestRotation:
             assert form.shift == (b * d - a * e) / (2 * a ** 3)
 
 
-def float_b_type(params):
-    """The B-type read from the float rotation: B4 when the rotated e1 and
-    g1 have opposite signs, a product within rounding of zero counting as
-    zero.  Returns the tag and e1 g1."""
-    rot = rotated_params(params)
-    e1, g1 = float(rot.e), float(rot.g)
-    scale = max(abs(float(getattr(rot, n))) for n in "defgh")
-    return ("B4" if e1 * g1 < -1e-12 * scale ** 2 else "B2"), e1 * g1
+class TestCompositionCenters:
+    """Every center is a composition center: in polar form, dr/dtheta =
+    -r (r^2 P2 + r^4 P4) on the unit circle, and each case makes the right
+    side a function of r and one periodic W(theta), so every orbit closes
+    (the README's "Composition centers")."""
+
+    def test_symbolic_cases_ii_and_iii(self):
+        """With ell = A x^2 + B x y - A y^2, W = A x y - (B/4)(x^2 - y^2)
+        has y W_x - x W_y = -ell, so dW/dtheta = ell on the circle, and
+        u + 2 shift W is a multiple of x^2 + y^2, so u is affine in W
+        there: P = ell (beta + u) is dW/dtheta times a function of W."""
+        sub = case_substitution(CaseTag.CASE_III)
+        for params in (QuinticParams(0, "b", 0, 0, "e", 0, "g", 0),
+                       QuinticParams("a", "b", *(sub[n] for n in "cdefgh"))):
+            form = rotate_to_canonical(params)
+            A, B, _ = form.ell.forms()[2]
+            W = A * X * Y - Fraction(1, 4) * B * (X ** 2 - Y ** 2)
+            assert Y * W.diff("x") - X * W.diff("y") == -form.ell
+            level = divide_exact(form.u + 2 * form.shift * W, X ** 2 + Y ** 2)
+            assert level is not None and not level.variables() & {"x", "y"}
+
+    def test_symbolic_case_i(self):
+        """With P2 = 0, dr/dtheta = -r^5 P4 closes iff P4 has mean zero on
+        the circle.  A quartic form F is c (x^2 + y^2)^2 + (x^2 + y^2) H2 +
+        H4 with H2, H4 harmonic, so its mean c is the bilaplacian over 64;
+        for P4 that is R_2 / 8, and case (i) sets R_2 = 3d + f + 3h = 0."""
+        def laplacian(p):
+            return p.diff("x").diff("x") + p.diff("y").diff("y")
+
+        assert laplacian(laplacian((X ** 2 + Y ** 2) ** 2)) == 64
+        p4 = form_poly([Poly.var(n) for n in "defgh"])
+        r2 = reduced_conditions(QuinticParams.symbolic())[1]
+        assert laplacian(laplacian(p4)) == 8 * r2
 
 
 def start_radius(form):
@@ -903,20 +1031,22 @@ def start_radius(form):
 class TestCaseIIISeeded:
     @requires_numpy
     def test_certified_commuting_and_b_type(self, rng):
-        """200 seeded case (iii) points, every tenth with u = 0 (d = e = 0)
-        and every tenth with shift = 0 (b d = a e): each integral certifies
-        exactly and drifts at most 1e-6 along an orbit, the partner
-        commutes, and the exact B-type matches the float rotation."""
-        kinds, disagree = set(), []
+        """200 seeded case (iii) points, each the exact rotation of a case
+        (ii) point (0, b, 0, 0, e, 0, g, 0), b != 0, by a k with c s != 0,
+        so that a = -b c s != 0; every tenth has u = 0 (e = g = 0) and every
+        tenth shift = 0 (e = g).  Each integral certifies exactly and drifts
+        at most 1e-6 along an orbit, the partner commutes, and the B-type is
+        the case (ii) point's, which a rotation keeps: B4 iff e g < 0."""
+        kinds = set()
         for i in range(200):
-            a = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
-            b, d, e = (Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                       for _ in range(3))
+            b = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+            e, g = (Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    for _ in range(2))
             if i % 10 == 0:
-                d = e = Fraction(0)
+                e = g = Fraction(0)
             elif i % 10 == 1:
-                e = b * d / a
-            params = QuinticParams(a, b, -a, d, e, *case_iii_fgh(a, b, d, e))
+                g = e
+            params = rotate(QuinticParams(0, b, 0, 0, e, 0, g, 0), turn(rng))
             case = theorem_case(params)
             assert case.tag is CaseTag.CASE_III
             form = rotate_to_canonical(params)
@@ -934,11 +1064,6 @@ class TestCaseIIISeeded:
             bracket = structure.lie_bracket(
                 sysm, commuting_partner(params, case))
             assert all(c.is_zero for c in bracket)
-
-            want, e1g1 = float_b_type(params)
-            got = orbits.center_type(params, case).tag
-            if got != want:
-                disagree.append(f"{params}: exact {got}, float {want}, "
-                                f"e1 g1 = {e1g1:.3g}")
+            assert orbits.center_type(params, case).tag == (
+                "B4" if e * g < 0 else "B2"), params
         assert kinds == {(True, True), (False, True), (False, False)}
-        assert not disagree, "\n".join(disagree)

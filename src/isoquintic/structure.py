@@ -156,12 +156,13 @@ def form_candidate(ell, u, shift, beta, r):
     form of `quintic.rotate_to_canonical`).
 
     C1 = x^2 + y^2 and C2 = shift + beta u + u^2 have cofactors
-    2 ell (beta + u) and 2 ell (beta + 2 u) and the weights 2 and -1.  With
-    shift != 0, u obeys du/dt = 2 ell C2, so C3 = exp(integral_0^u dt / C2)
-    has cofactor 2 ell and weight -beta.  With shift = 0, u = kappa C1 for a
-    nonzero number kappa, and C3 = exp((1 + r) / C1) has cofactor
-    -2 kappa ell and weight beta / kappa; beta = 0 is a ValueError there, as
-    H = 1 / kappa^2 is constant.
+    2 ell (beta + u) and 2 ell (beta + 2 u).  With shift != 0, u obeys
+    du/dt = 2 ell C2, so C3 = exp(integral_0^u dt / C2) has cofactor 2 ell,
+    and the weights of C1, C2, C3 are 2, -1 and -beta.  With shift = 0,
+    u = kappa C1 for a nonzero kappa free of x and y (a number, or a Poly in
+    parameters), and C3 = exp((1 + r) / C1) has cofactor -2 kappa ell; the
+    weights are 2 kappa, -kappa and beta, so no weight divides by kappa.
+    beta = 0 is a ValueError there, as H = kappa^(-2 kappa) is constant.
     """
     c1 = X ** 2 + Y ** 2
     if u.is_zero:
@@ -170,31 +171,33 @@ def form_candidate(ell, u, shift, beta, r):
         if not beta:
             raise ValueError("with shift = 0, the Darboux form needs beta != 0")
         kappa = divide_exact(u, c1)
-        if kappa is None or kappa.variables():
-            raise ValueError("with shift = 0, u must be a number times x^2 + y^2")
-        kappa = kappa.constant_value()
+        if kappa is None or kappa.variables() & {"x", "y"}:
+            raise ValueError("with shift = 0, u must be a number times "
+                             "x^2 + y^2, or a Poly in parameters times it")
         c3 = RationalExponent(RationalFunction(1 + r, c1), -2 * kappa * ell)
-        weight = beta * (1 / kappa)
+        weights = 2 * kappa, -kappa, beta
     else:
-        c3, weight = IntegralExponent(u, shift, beta, 2 * ell), -beta
+        c3 = IntegralExponent(u, shift, beta, 2 * ell)
+        weights = Fraction(2), Fraction(-1), -beta
     return DarbouxCandidate(
-        algebraic=((AlgebraicInvariant(c1, 2 * ell * (beta + u)), Fraction(2)),
+        algebraic=((AlgebraicInvariant(c1, 2 * ell * (beta + u)), weights[0]),
                    (AlgebraicInvariant(shift + beta * u + u ** 2,
-                                       2 * ell * (beta + 2 * u)), Fraction(-1))),
-        exponential=((c3, weight),))
+                                       2 * ell * (beta + 2 * u)), weights[1])),
+        exponential=((c3, weights[2]),))
 
 
 def darboux_candidate(e, g, b=1):
     """`form_candidate` of case (ii), P = x y (b + e x^2 + g y^2): H =
-    C1^2 C2^-1 C3^-b, or C3 = exp((1 + b x^2)/(x^2 + y^2)) with weight b/e
-    when e = g.  Each of e, g, b is a number, a Poly in parameters, or text
-    read by `qpoly.as_poly` ("b" a symbol, "1/2" a rational)."""
+    C1^2 C2^-1 C3^-b, or H = C1^(2e) C2^-e C3^b with
+    C3 = exp((1 + b x^2)/(x^2 + y^2)) when e = g.  Each of e, g, b is a
+    number, a Poly in parameters, or text read by `qpoly.as_poly` ("b" a
+    symbol, "1/2" a rational)."""
     e, g, b = as_poly(e), as_poly(g), as_poly(b)
     return form_candidate(X * Y, e * X ** 2 + g * Y ** 2, e - g, b, b * X ** 2)
 
 
 def darboux_candidate_equal(e, b=1):
-    """P = x y (b + e (x^2 + y^2)), e a nonzero number."""
+    """P = x y (b + e (x^2 + y^2)), e nonzero and free of x and y."""
     return darboux_candidate(e, e, b)
 
 

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, one printed verdict line each.
+"""Acceptance gate: one test per criterion, one printed verdict line each,
+and `test_theorem`, the paper's center theorem for every parameter value.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines as
 they are produced; without -s they appear in the captured output.
@@ -9,9 +10,8 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
-from isoquintic.qpoly import Poly, parse_expr
+from isoquintic.qpoly import (Poly, as_poly, divide_exact, form_poly,
+                              parse_expr)
 from isoquintic.lyapunov import (PlanarSystem, pl_constants, first_nonzero,
                                  stage_constants)
 from isoquintic import quintic, structure, orbits
@@ -76,61 +76,8 @@ def test_criterion_1_d_constants():
     report(1, "D-constant reproduction", ok)
 
 
-def satisfying_point():
-    """A random rational point satisfying all four reduced relations."""
-    branch = RNG.randrange(4)
-    if branch == 0:
-        # generic: solve the last two relations for (f, h), then d
-        while True:
-            b, c, e, g = frac(), frac(), frac(), frac()
-            det = 3 * b ** 3 - 12 * b * c ** 2
-            if det:
-                break
-        f = (9 * b ** 2 * c * (e + g) - 18 * b ** 2 * c * g) / det
-        h = (3 * b ** 2 * c * g - 6 * c ** 3 * (e + g)) / det
-        d = (-f - 3 * h) / 3
-        return {"a": -c, "b": b, "c": c, "d": d, "e": e, "f": f,
-                "g": g, "h": h}
-    if branch == 1:
-        d, e, g, h = frac(), frac(), frac(), frac()
-        return {"a": 0, "b": 0, "c": 0, "d": d, "e": e,
-                "f": -3 * (d + h), "g": g, "h": h}
-    if branch == 2:
-        return {"a": 0, "b": frac(), "c": 0, "d": 0, "e": frac(),
-                "f": 0, "g": frac(), "h": 0}
-    while True:
-        a = frac()
-        if a:
-            break
-    b, d, e = frac(), frac(), frac()
-    f, g, h = case_iii_fgh(a, b, d, e)
-    return {"a": a, "b": b, "c": -a, "d": d, "e": e, "f": f, "g": g, "h": h}
-
-
 def test_criterion_2_reduced_relations():
-    rep = symbolic_report()
-    rels = quintic.reduced_conditions(QuinticParams.symbolic())
-    ok = True
-
-    # forward: imposing the relations kills every constant exactly
-    for _ in range(500):
-        pt = satisfying_point()
-        ok = ok and all(r.eval_rational(pt) == 0 for r in rels)
-        ok = ok and all(d.eval_rational(pt) == 0 for d in rep.raw)
-        if not ok:
-            break
-
-    # converse: a violated relation leaves some constant nonzero
-    count = 0
-    while ok and count < 500:
-        pt = {n: frac(-6, 6) for n in quintic.PARAM_NAMES}
-        if all(r.eval_rational(pt) == 0 for r in rels):
-            continue
-        ok = any(d.eval_rational(pt) != 0 for d in rep.raw)
-        count += 1
-
-    ok = ok and necessity_identities_hold()
-    report(2, "reduced-relation equivalence", ok)
+    report(2, "reduced-relation equivalence", necessity_identities_hold())
 
 
 def necessity_identities_hold():
@@ -174,23 +121,102 @@ def test_criterion_3_center_certificates():
     report(3, "theorem center certificates", ok)
 
 
+def case_iii(**stratum):
+    """Case (iii) as `case_substitution` writes it, in a, b, u and v, with
+    `stratum` binding u and v."""
+    sub = quintic.case_substitution(CaseTag.CASE_III)
+    return QuinticParams("a", "b", *(as_poly(sub[n]).subs(stratum)
+                                     for n in "cdefgh"))
+
+
+# The three center components, symbolic, each with the strata on which its
+# partner factor or its integral takes another form (`_partner_factor`,
+# `structure.form_candidate`): b = 0 (case (i) as well), u = 0, shift = 0.
+COMPONENTS = [
+    ("(i)", CaseTag.CASE_I,
+     QuinticParams(0, 0, 0, "d", "e", parse_expr("-3*d - 3*h"), "g", "h")),
+    ("(ii)", CaseTag.CASE_II, QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)),
+    ("(ii) b = 0", CaseTag.CASE_II, QuinticParams(0, 0, 0, 0, "e", 0, "g", 0)),
+    ("(ii) e = g", CaseTag.CASE_II,
+     QuinticParams(0, "b", 0, 0, "e", 0, "e", 0)),
+    ("(ii) e = g = 0", CaseTag.CASE_II,
+     QuinticParams(0, "b", 0, 0, 0, 0, 0, 0)),
+    ("(iii)", CaseTag.CASE_III, case_iii()),
+    ("(iii) u = v = 0", CaseTag.CASE_III, case_iii(u=0, v=0)),
+    ("(iii) u = a t, v = b t", CaseTag.CASE_III,
+     case_iii(u=Poly.var("a") * Poly.var("t"),
+              v=Poly.var("b") * Poly.var("t"))),
+]
+
+
+def partners_commute():
+    """Does every entry of COMPONENTS commute with its `commuting_partner`?"""
+    return all(structure.commutes(
+        quintic.build_system(params),
+        quintic.commuting_partner(params, quintic.CenterCase(tag)))
+        for _, tag, params in COMPONENTS)
+
+
 def test_criterion_4_commuting_partners():
-    a = Poly.var("a")
-    d = Poly.var("d")
-    h = Poly.var("h")
-    configs = [
-        (QuinticParams(0, 0, 0, "d", "e", -3 * (d + h), "g", "h"),
-         CaseTag.CASE_I),
-        (QuinticParams(0, "b", 0, 0, "e", 0, "g", 0), CaseTag.CASE_II),
-        (QuinticParams("a", "b", -a, 0, 0, 0, 0, 0), CaseTag.CASE_III),
-    ]
-    ok = True
-    for params, tag in configs:
-        sysm = quintic.build_system(params)
-        other = quintic.commuting_partner(params, quintic.CenterCase(tag))
-        b1, b2 = structure.lie_bracket(sysm, other)
-        ok = ok and b1.is_zero and b2.is_zero
-    report(4, "commuting partners", ok)
+    params = COMPONENTS[0][2]
+    other = quintic.commuting_partner(params,
+                                      quintic.CenterCase(CaseTag.CASE_I))
+    q4 = parse_expr("e*x^4 - 4*d*x^3*y + 4*h*x*y^3 - g*y^4")
+    report(4, "commuting partners",
+           partners_commute() and other.p == X * (1 + q4))
+
+
+def test_theorem():
+    """The origin of the family is a center iff R_1 = ... = R_4 = 0, iff
+    (a..h) lies on component (i), (ii) or (iii); checked exactly, for every
+    parameter value, on the symbolic COMPONENTS.
+
+    - Necessity (criterion 2): D_1..D_4 are combinations of R_1..R_4, so a
+      center has R = 0.  With c = -a, R_2..R_4 are linear in (f, g, h) with
+      determinant 18 a^3, and at a = c = 0 they force b = 0 (case (i)) or
+      d = f = h = 0 (case (ii)).
+    - The decomposition: every R_k vanishes on every component, so R = 0
+      is their union; for a != 0 the unique solution is case (iii).
+    - Sufficiency: on every entry a first integral certifies and a
+      transversal commuting system brackets to zero, and the commuting
+      system alone makes the origin a center (Sabatini, Differential
+      Equations Dynam. Systems 5, 1997).
+    - A second proof, by composition (Alwash & Lloyd 1987): in polar form
+      dr/dtheta = -r (r^2 P2 + r^4 P4) on the unit circle, and each case
+      makes the right side a function of r and one periodic W(theta), so
+      every orbit closes (the README's "Composition centers").  In cases
+      (ii) and (iii), with ell = A x^2 + B x y - A y^2, W = A x y -
+      (B/4)(x^2 - y^2) has y W_x - x W_y = -ell, so dW/dtheta = ell on the
+      circle, and u + 2 shift W is a multiple of x^2 + y^2, so u is affine
+      in W there.  In case (i), P2 = 0 and dr/dtheta = -r^5 P4 closes iff
+      P4 has mean zero on the circle: a quartic form is c (x^2 + y^2)^2 +
+      (x^2 + y^2) H2 + H4 with H2, H4 harmonic, so its mean c is its
+      bilaplacian over 64, which for P4 is R_2 / 8.
+    """
+    assert necessity_identities_hold()
+    rels = quintic.reduced_conditions(QuinticParams.symbolic())
+    assert all(quintic.vanishes_under_case(r, tag)
+               for r in rels for tag in CaseTag)
+
+    assert partners_commute()
+    for label, tag, params in COMPONENTS:
+        # raises QuinticError unless the integral certifies
+        quintic.first_integral(params, quintic.CenterCase(tag))
+        if tag is CaseTag.CASE_I:
+            continue
+        form = quintic.rotate_to_canonical(params)
+        A, B, _ = form.ell.forms()[2]
+        W = A * X * Y - Fraction(1, 4) * B * (X ** 2 - Y ** 2)
+        assert Y * W.diff("x") - X * W.diff("y") == -form.ell, label
+        level = divide_exact(form.u + 2 * form.shift * W, X ** 2 + Y ** 2)
+        assert level is not None and not level.variables() & {"x", "y"}, label
+
+    def laplacian(p):
+        return p.diff("x").diff("x") + p.diff("y").diff("y")
+
+    assert laplacian(laplacian((X ** 2 + Y ** 2) ** 2)) == 64
+    p4 = form_poly([Poly.var(n) for n in "defgh"])
+    assert laplacian(laplacian(p4)) == 8 * rels[1]
 
 
 def test_criterion_5_darboux_certificates():

@@ -568,37 +568,3 @@ class TestFirstNonzero:
         # Fraction reads U+0661 ARABIC-INDIC DIGIT ONE as 1
         with pytest.raises(QPolyError, match="^malformed rational '\u0661'$"):
             first_nonzero(rep, {**zeros, "a": "\u0661"})
-
-
-class TestVanishingConsistency:
-    def test_relations_control_constants(self, rng):
-        rep = pl_constants(family_system(), 4)
-        hits = 0
-        while hits < 100:
-            b = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-            e = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-            g = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-            det = 3 * b ** 3 - 12 * b * c ** 2
-            if det == 0:
-                continue
-            # solve the two bilinear relations for (f, h), then d
-            f = (3 * b ** 2 * 3 * c * (e + g) - 6 * b * 3 * b * c * g) / det
-            h = (b * 3 * b * c * g - 2 * c ** 2 * 3 * c * (e + g)) / det
-            d = (-f - 3 * h) / 3
-            pt = {"a": -c, "b": b, "c": c, "d": d, "e": e, "f": f,
-                  "g": g, "h": h}
-            params = quintic.QuinticParams(**pt)
-            assert all(r.eval_rational(pt) == 0
-                       for r in quintic.reduced_conditions(params))
-            assert all(dp.eval_rational(pt) == 0 for dp in rep.raw)
-            hits += 1
-
-    def test_violating_first_relation(self, rng):
-        rep = pl_constants(family_system(), 1)
-        for _ in range(100):
-            pt = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-                  for n in quintic.PARAM_NAMES}
-            if pt["a"] + pt["c"] == 0:
-                pt["a"] += 1
-            assert rep.raw[0].eval_rational(pt) != 0

@@ -189,19 +189,6 @@ class TestReducedConditions:
         rels = reduced_conditions(numeric(a=1))
         assert [r.constant_value() for r in rels] == [1, 0, 0, 0]
 
-    def test_equivalent_to_constants(self, rng):
-        """On random rational points the four relations vanish exactly when
-        the first four Lyapunov constants do."""
-        rep = pl_constants(build_system(QuinticParams.symbolic()), 4)
-        rels = reduced_conditions(QuinticParams.symbolic())
-        for _ in range(60):
-            pt = {n: Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-                  for n in quintic.PARAM_NAMES}
-            rel_zero = all(r.eval_rational(pt) == 0 for r in rels)
-            d_zero = all(d.eval_rational(pt) == 0 for d in rep.raw)
-            assert rel_zero == d_zero
-
-
 class TestCaseIII:
     def test_hand_example(self):
         assert case_iii_fgh(1, 2, 1, 1) == (Fraction(-3), Fraction(1),
@@ -705,12 +692,6 @@ class TestClassifyOnIntegers:
 
 
 class TestCaseSubstitution:
-    @pytest.mark.parametrize("tag", list(CaseTag))
-    def test_constants_vanish(self, tag):
-        rep = pl_constants(build_system(QuinticParams.symbolic()), 4)
-        for d in rep.raw:
-            assert vanishes_under_case(d, tag)
-
     def test_nonmember_survives(self):
         assert not vanishes_under_case(Poly.var("d"), CaseTag.CASE_III)
         assert not vanishes_under_case(Poly.var("d"), CaseTag.CASE_I)
@@ -745,22 +726,6 @@ class TestCaseSubstitution:
 
 
 class TestCommutingPartner:
-    def test_case_i_symbolic(self):
-        sub = case_substitution(CaseTag.CASE_I)
-        params = QuinticParams(0, 0, 0, "d", "e", sub["f"], "g", "h")
-        sysm = build_system(params)
-        other = commuting_partner(params, theorem_case_like(CaseTag.CASE_I))
-        assert structure.commutes(sysm, other)
-        # the expected transversal factor
-        q4 = parse_expr("e*x^4 - 4*d*x^3*y + 4*h*x*y^3 - g*y^4")
-        assert other.p == X * (1 + q4)
-
-    def test_case_ii_symbolic(self):
-        params = QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)
-        sysm = build_system(params)
-        other = commuting_partner(params, theorem_case_like(CaseTag.CASE_II))
-        assert structure.commutes(sysm, other)
-
     def test_case_iii_cubic(self):
         params = numeric(a=1, b=3, c=-1)
         sysm = build_system(params)
@@ -801,10 +766,6 @@ class TestCommutingPartner:
         assert structure.commutes(build_system(params), other)
         den = first_integral(params, case).payload.den
         assert (other.p, other.q) == (X * den, Y * den)
-
-
-def theorem_case_like(tag):
-    return quintic.CenterCase(tag)
 
 
 def orbit_sample_pairs(sysm, x0, y0, n=4):
@@ -852,15 +813,16 @@ class TestFirstIntegral:
         assert math.isfinite(val) and val > 0
 
     def test_case_ii_equal_eg(self):
-        # C3 = exp((1 + b x^2)/(x^2 + y^2)) with weight b/e
+        # C3 = exp((1 + b x^2)/(x^2 + y^2)); C1, C2, C3 weigh 2e, -e, b
         params = numeric(b=4, e=2, g=2)
         spec = first_integral(params, theorem_case(params))
         assert spec.kind == "darboux-exp"
+        (_, two_e), (_, minus_e) = spec.payload.algebraic
         (c3, weight), = spec.payload.exponential
         assert isinstance(c3, structure.RationalExponent)
         assert c3.exponent.num == 1 + 4 * X ** 2
         assert c3.cofactor == -4 * X * Y
-        assert weight == 2
+        assert (two_e, minus_e, weight) == (4, -2, 4)
 
     def test_case_ii_rescaled(self):
         """b = 4, e = 16, g = -16 is b = 1, e = 1, g = -1 rescaled by
@@ -877,7 +839,7 @@ class TestFirstIntegral:
 
     def test_case_ii_symbolic_b(self):
         params = QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)
-        spec = first_integral(params, theorem_case_like(CaseTag.CASE_II))
+        spec = first_integral(params, quintic.CenterCase(CaseTag.CASE_II))
         assert spec.kind == "darboux-exp"
         assert spec.payload.exponential[0][1] == -Poly.var("b")
 
@@ -978,41 +940,6 @@ class TestRotation:
             assert (radial_factor(params)
                     - form.ell * (form.beta + form.u)).is_zero
             assert form.shift == (b * d - a * e) / (2 * a ** 3)
-
-
-class TestCompositionCenters:
-    """Every center is a composition center: in polar form, dr/dtheta =
-    -r (r^2 P2 + r^4 P4) on the unit circle, and each case makes the right
-    side a function of r and one periodic W(theta), so every orbit closes
-    (the README's "Composition centers")."""
-
-    def test_symbolic_cases_ii_and_iii(self):
-        """With ell = A x^2 + B x y - A y^2, W = A x y - (B/4)(x^2 - y^2)
-        has y W_x - x W_y = -ell, so dW/dtheta = ell on the circle, and
-        u + 2 shift W is a multiple of x^2 + y^2, so u is affine in W
-        there: P = ell (beta + u) is dW/dtheta times a function of W."""
-        sub = case_substitution(CaseTag.CASE_III)
-        for params in (QuinticParams(0, "b", 0, 0, "e", 0, "g", 0),
-                       QuinticParams("a", "b", *(sub[n] for n in "cdefgh"))):
-            form = rotate_to_canonical(params)
-            A, B, _ = form.ell.forms()[2]
-            W = A * X * Y - Fraction(1, 4) * B * (X ** 2 - Y ** 2)
-            assert Y * W.diff("x") - X * W.diff("y") == -form.ell
-            level = divide_exact(form.u + 2 * form.shift * W, X ** 2 + Y ** 2)
-            assert level is not None and not level.variables() & {"x", "y"}
-
-    def test_symbolic_case_i(self):
-        """With P2 = 0, dr/dtheta = -r^5 P4 closes iff P4 has mean zero on
-        the circle.  A quartic form F is c (x^2 + y^2)^2 + (x^2 + y^2) H2 +
-        H4 with H2, H4 harmonic, so its mean c is the bilaplacian over 64;
-        for P4 that is R_2 / 8, and case (i) sets R_2 = 3d + f + 3h = 0."""
-        def laplacian(p):
-            return p.diff("x").diff("x") + p.diff("y").diff("y")
-
-        assert laplacian(laplacian((X ** 2 + Y ** 2) ** 2)) == 64
-        p4 = form_poly([Poly.var(n) for n in "defgh"])
-        r2 = reduced_conditions(QuinticParams.symbolic())[1]
-        assert laplacian(laplacian(p4)) == 8 * r2
 
 
 def start_radius(form):

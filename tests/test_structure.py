@@ -203,12 +203,17 @@ class TestDarboux:
         sysm = case_ii_system(Fraction(2), Fraction(2))
         assert verify_darboux_integral(sysm, cand).certified
 
-    @pytest.mark.parametrize("b", [4, -2, Fraction(1, 3), "b"])
-    def test_equal_variant_any_b(self, b):
-        cand = darboux_candidate_equal(Fraction(3), b)
-        sysm = case_ii_system(Fraction(3), Fraction(3), b)
-        assert verify_darboux_integral(sysm, cand).certified
-        assert cand.exponential[0][1] == as_poly(b) * Fraction(1, 3)
+    @pytest.mark.parametrize("e, b", [
+        (3, 4), (3, -2), (3, Fraction(1, 3)), (3, "b"), ("e", "b"),
+    ], ids=["4", "-2", "b2", "b", "e"])
+    def test_equal_variant_any_b(self, e, b):
+        """With e = g the weights of C1, C2, C3 are 2 e, -e and b, for e a
+        number or a symbol."""
+        cand = darboux_candidate_equal(e, b)
+        assert verify_darboux_integral(case_ii_system(e, e, b), cand).certified
+        e = as_poly(e)
+        assert [w for _, w in cand.algebraic + cand.exponential] == [
+            2 * e, -e, as_poly(b)]
 
     def test_equal_variant_rejects_zero(self):
         with pytest.raises(ValueError):

@@ -726,6 +726,22 @@ class TestCaseSubstitution:
 
 
 class TestCommutingPartner:
+    def test_case_i_symbolic(self):
+        sub = case_substitution(CaseTag.CASE_I)
+        params = QuinticParams(0, 0, 0, "d", "e", sub["f"], "g", "h")
+        sysm = build_system(params)
+        other = commuting_partner(params, quintic.CenterCase(CaseTag.CASE_I))
+        assert structure.commutes(sysm, other)
+        # the expected transversal factor
+        q4 = parse_expr("e*x^4 - 4*d*x^3*y + 4*h*x*y^3 - g*y^4")
+        assert other.p == X * (1 + q4)
+
+    def test_case_ii_symbolic(self):
+        params = QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)
+        sysm = build_system(params)
+        other = commuting_partner(params, quintic.CenterCase(CaseTag.CASE_II))
+        assert structure.commutes(sysm, other)
+
     def test_case_iii_cubic(self):
         params = numeric(a=1, b=3, c=-1)
         sysm = build_system(params)
@@ -940,6 +956,41 @@ class TestRotation:
             assert (radial_factor(params)
                     - form.ell * (form.beta + form.u)).is_zero
             assert form.shift == (b * d - a * e) / (2 * a ** 3)
+
+
+class TestCompositionCenters:
+    """Every center is a composition center: in polar form, dr/dtheta =
+    -r (r^2 P2 + r^4 P4) on the unit circle, and each case makes the right
+    side a function of r and one periodic W(theta), so every orbit closes
+    (the README's "Composition centers")."""
+
+    def test_symbolic_cases_ii_and_iii(self):
+        """With ell = A x^2 + B x y - A y^2, W = A x y - (B/4)(x^2 - y^2)
+        has y W_x - x W_y = -ell, so dW/dtheta = ell on the circle, and
+        u + 2 shift W is a multiple of x^2 + y^2, so u is affine in W
+        there: P = ell (beta + u) is dW/dtheta times a function of W."""
+        sub = case_substitution(CaseTag.CASE_III)
+        for params in (QuinticParams(0, "b", 0, 0, "e", 0, "g", 0),
+                       QuinticParams("a", "b", *(sub[n] for n in "cdefgh"))):
+            form = rotate_to_canonical(params)
+            A, B, _ = form.ell.forms()[2]
+            W = A * X * Y - Fraction(1, 4) * B * (X ** 2 - Y ** 2)
+            assert Y * W.diff("x") - X * W.diff("y") == -form.ell
+            level = divide_exact(form.u + 2 * form.shift * W, X ** 2 + Y ** 2)
+            assert level is not None and not level.variables() & {"x", "y"}
+
+    def test_symbolic_case_i(self):
+        """With P2 = 0, dr/dtheta = -r^5 P4 closes iff P4 has mean zero on
+        the circle.  A quartic form F is c (x^2 + y^2)^2 + (x^2 + y^2) H2 +
+        H4 with H2, H4 harmonic, so its mean c is the bilaplacian over 64;
+        for P4 that is R_2 / 8, and case (i) sets R_2 = 3d + f + 3h = 0."""
+        def laplacian(p):
+            return p.diff("x").diff("x") + p.diff("y").diff("y")
+
+        assert laplacian(laplacian((X ** 2 + Y ** 2) ** 2)) == 64
+        p4 = form_poly([Poly.var(n) for n in "defgh"])
+        r2 = reduced_conditions(QuinticParams.symbolic())[1]
+        assert laplacian(laplacian(p4)) == 8 * r2
 
 
 def start_radius(form):

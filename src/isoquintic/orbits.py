@@ -79,7 +79,8 @@ class Trajectory:
 
 
 def compile_rhs(sys):
-    """Compile a numeric PlanarSystem into a fast (t, state) -> derivative.
+    """Compile a numeric PlanarSystem into a fast (t, state) -> derivative,
+    state an (x, y) pair of Python floats, as `_rk45_steps` passes it.
 
     The derivative raises StiffnessError when called more than MAX_RHS_CALLS
     times, which bounds the work of one solve whatever its step sizes, and
@@ -110,8 +111,7 @@ def compile_rhs(sys):
             raise StiffnessError(
                 f"budget of {MAX_RHS_CALLS} right-hand side calls spent at "
                 f"t = {t:.6g} (|state| = {math.hypot(*state):.3g})")
-        # Python floats: iterating the array would give slower numpy scalars
-        x, y = state.tolist() if isinstance(state, np.ndarray) else state
+        x, y = state  # Python floats: numpy scalars would be slower
         try:
             try:
                 return field(x, y)

@@ -10,13 +10,19 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from isoquintic import qpoly
-from isoquintic.qpoly import Poly, substitute_form
+from isoquintic import orbits, qpoly
+from isoquintic.qpoly import Poly, divide_exact, parse_expr, substitute_form
 from isoquintic.lyapunov import PlanarSystem
-from isoquintic.quintic import PARAM_NAMES, QuinticError, QuinticParams
+from isoquintic.quintic import (PARAM_NAMES, CaseTag, CenterCase,
+                                Classification, QuinticError, QuinticParams,
+                                case_substitution, reduced_conditions,
+                                rotate_to_canonical, theorem_case)
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+X, Y = Poly.var("x"), Poly.var("y")
+ROT = PlanarSystem(Y, -X)  # the linear center
 
 # The orbit layer integrates with numpy; the exact layer runs without it, as
 # on the requires-python floor, where only pytest and hypothesis are installed.
@@ -80,6 +86,70 @@ def polys(draw, vars=("x", "y", "a", "b"), max_terms=4, max_exp=3):
     return p
 
 
+def numeric(**kw):
+    """The numeric point of the family with the entries `kw`, 0 elsewhere."""
+    params = QuinticParams(**dict.fromkeys(PARAM_NAMES, 0) | kw)
+    params.require_numeric()
+    return params
+
+
+def random_point(rnd, height, den):
+    """Seeded a..h: numerators in [-height, height], denominators to den."""
+    return {n: Fraction(rnd.randint(-height, height), rnd.randint(1, den))
+            for n in PARAM_NAMES}
+
+
+def on_stratum(point, level):
+    """The point, a dict of a..h, moved onto the stratum where R_1..R_level
+    vanish (R_3 only where a != 0): c = -a, f = -3 (d + h), then e."""
+    v = dict(point)
+    if level >= 1:
+        v["c"] = -v["a"]
+    if level >= 2:
+        v["f"] = -3 * (v["d"] + v["h"])
+    if level >= 3 and v["a"]:
+        v["e"] = (v["b"] * v["d"] - v["a"] * v["g"] - v["b"] * v["h"]) / v["a"]
+    return v
+
+
+def first_hit(values):
+    """(k, sign) of the first nonzero of `values`, from 1, or (None, None)."""
+    return next(((k, "positive" if r > 0 else "negative")
+                 for k, r in enumerate(values, start=1) if r), (None, None))
+
+
+def expected_classification(index, sign, m, tag=None):
+    """What `classify(params, m)` owes a point whose first nonzero R_k is
+    R_index, of `sign`; for index None, a center of case `tag`.  A focus
+    beyond m is "undetermined"."""
+    if index is None:
+        return Classification("center", case=CenterCase(tag))
+    if index > m:
+        return Classification("undetermined", m=m)
+    return Classification("focus", focus_index=index, focus_sign=sign)
+
+
+def case_i_point(d, e, g, h):
+    """The case (i) point (0, 0, 0, d, e, -3 (d + h), g, h)."""
+    return QuinticParams.numeric(0, 0, 0, d, e, -3 * (d + h), g, h)
+
+
+# The case (i) B-types: tag -> (quartic (d, e, g, h), the evidence
+# `orbits.center_type` gives it).  B2 and B4 count the maximizers of
+# `boundary_curve`, which calls c0 <= 0 inapplicable: Unknown.
+CASE_I_BTYPES = {
+    "B2": ((0, 1, 1, 0), "maximizers(2)"),
+    "B4": ((0, 1, -1, 0), "maximizers(4)"),
+    "Unknown": ((0, -1, 1, 0), "inapplicable"),
+}
+
+
+def eg_rule(e, g):
+    """The B-type of the case (ii) point (0, b, 0, 0, e, 0, g, 0), b != 0,
+    and of its rotations: B4 iff u = e x^2 + g y^2 is indefinite."""
+    return "B4" if e * g < 0 else "B2"
+
+
 def case_iii_fgh(a, b, d, e):
     """The (f, g, h) forced by case (iii), as exact rationals; needs a != 0.
     With c = -a this is the one zero of R_2, R_3, R_4 in (f, g, h): the
@@ -93,20 +163,73 @@ def case_iii_fgh(a, b, d, e):
     return f, g, h
 
 
+def case_iii_point(a, b, d, e):
+    """The case (iii) point with these a, b, d, e: c = -a, `case_iii_fgh`."""
+    return QuinticParams(a, b, -a, d, e, *case_iii_fgh(a, b, d, e))
+
+
+def b_type(params):
+    """`orbits.center_type` of a center, in the case `classify` gives it."""
+    return orbits.center_type(params, theorem_case(params))
+
+
 def scaled_case_iii_system():
     """2 a^3 times the case (iii) system of quintic.case_substitution, with
     its symbols u, v written d, e: no power of 1/a is left."""
-    x, y = Poly.var("x"), Poly.var("y")
     a, b, d, e = (Poly.var(n) for n in "abde")
-    quad = a * x ** 2 + b * x * y - a * y ** 2
-    big = (2 * a ** 3 + 2 * a ** 2 * d * x ** 2 - 2 * a * b * d * x * y
-           + 2 * a ** 2 * e * x * y + 2 * a ** 2 * d * y ** 2
-           - b ** 2 * d * y ** 2 + a * b * e * y ** 2)
+    quad = a * X ** 2 + b * X * Y - a * Y ** 2
+    big = (2 * a ** 3 + 2 * a ** 2 * d * X ** 2 - 2 * a * b * d * X * Y
+           + 2 * a ** 2 * e * X * Y + 2 * a ** 2 * d * Y ** 2
+           - b ** 2 * d * Y ** 2 + a * b * e * Y ** 2)
     P = quad * big
-    return PlanarSystem(2 * a ** 3 * y + x * P, -2 * a ** 3 * x + y * P)
+    return PlanarSystem(2 * a ** 3 * Y + X * P, -2 * a ** 3 * X + Y * P)
 
 
-X, Y = Poly.var("x"), Poly.var("y")
+# The symbolic components of cases (i) and (ii), each with its partner
+# factor Q: the commuting partner is (x Q, y Q), and Q is the denominator of
+# the rational integral of case (i), or C2 = shift + b u + u^2 of case (ii).
+CASE_I_SYMBOLIC = QuinticParams(0, 0, 0, "d", "e", parse_expr("-3*d - 3*h"),
+                                "g", "h")
+CASE_I_Q = 1 + parse_expr("e*x^4 - 4*d*x^3*y + 4*h*x*y^3 - g*y^4")
+CASE_II_SYMBOLIC = QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)
+CASE_II_U = parse_expr("e*x^2 + g*y^2")
+CASE_II_Q = parse_expr("e - g") + CASE_II_U * (Poly.var("b") + CASE_II_U)
+
+
+def case_iii_symbolic(**stratum):
+    """Case (iii) as `case_substitution` writes it, in a, b, u and v, with
+    `stratum` binding u and v."""
+    sub = case_substitution(CaseTag.CASE_III)
+    return QuinticParams("a", "b", *(qpoly.as_poly(sub[n]).subs(stratum)
+                                     for n in "cdefgh"))
+
+
+def composes(params):
+    """Is P = ell (beta + u) of `rotate_to_canonical` the rate dW/dtheta on
+    the unit circle times a function of one periodic W?  With ell =
+    A x^2 + B x y - A y^2, W = A x y - (B/4)(x^2 - y^2) has
+    y W_x - x W_y = -ell, and u + 2 shift W must be a multiple of
+    x^2 + y^2, so that u is affine in W there."""
+    form = rotate_to_canonical(params)
+    A, B, _ = form.ell.forms()[2]
+    W = A * X * Y - Fraction(1, 4) * B * (X ** 2 - Y ** 2)
+    level = divide_exact(form.u + 2 * form.shift * W, X ** 2 + Y ** 2)
+    return (Y * W.diff("x") - X * W.diff("y") == -form.ell
+            and level is not None and not level.variables() & {"x", "y"})
+
+
+def quartic_mean_is_r2_over_8():
+    """Does P4 have mean R_2 / 8 on the circle?  A quartic form is
+    c (x^2 + y^2)^2 + (x^2 + y^2) H2 + H4 with H2, H4 harmonic, so its mean
+    c is its bilaplacian over 64."""
+    def laplacian(p):
+        return p.diff("x").diff("x") + p.diff("y").diff("y")
+
+    p4 = qpoly.form_poly([Poly.var(n) for n in "defgh"])
+    r2 = reduced_conditions(QuinticParams.symbolic())[1]
+    return (laplacian(laplacian((X ** 2 + Y ** 2) ** 2)) == 64
+            and laplacian(laplacian(p4)) == 8 * r2)
+
 
 # the monomials of P that a, ..., h multiply
 RADIAL_MONOMIALS = (X ** 2, X * Y, Y ** 2, X ** 4, X ** 3 * Y, X ** 2 * Y ** 2,

@@ -10,17 +10,16 @@ import math
 import random
 from fractions import Fraction
 
-from isoquintic.qpoly import (Poly, as_poly, divide_exact, form_poly,
-                              parse_expr)
-from isoquintic.lyapunov import (PlanarSystem, pl_constants, first_nonzero,
-                                 stage_constants)
+from isoquintic.qpoly import Poly, parse_expr
+from isoquintic.lyapunov import pl_constants, first_nonzero, stage_constants
 from isoquintic import quintic, structure, orbits
 from isoquintic.quintic import QuinticParams, CaseTag
-from conftest import (case_iii_fgh, radial_factor, requires_numpy, rotate,
+from conftest import (CASE_I_BTYPES, CASE_I_Q, CASE_I_SYMBOLIC, CASE_II_Q,
+                      CASE_II_SYMBOLIC, CASE_II_U, ROT, X, Y, b_type,
+                      case_i_point, case_iii_point, case_iii_symbolic,
+                      composes, eg_rule, quartic_mean_is_r2_over_8,
+                      radial_factor, requires_numpy, rotate,
                       scaled_case_iii_system, turn)
-
-X = Poly.var("x")
-Y = Poly.var("y")
 
 RNG = random.Random(774412)
 
@@ -121,31 +120,22 @@ def test_criterion_3_center_certificates():
     report(3, "theorem center certificates", ok)
 
 
-def case_iii(**stratum):
-    """Case (iii) as `case_substitution` writes it, in a, b, u and v, with
-    `stratum` binding u and v."""
-    sub = quintic.case_substitution(CaseTag.CASE_III)
-    return QuinticParams("a", "b", *(as_poly(sub[n]).subs(stratum)
-                                     for n in "cdefgh"))
-
-
 # The three center components, symbolic, each with the strata on which its
 # partner factor or its integral takes another form (`_partner_factor`,
 # `structure.form_candidate`): b = 0 (case (i) as well), u = 0, shift = 0.
 COMPONENTS = [
-    ("(i)", CaseTag.CASE_I,
-     QuinticParams(0, 0, 0, "d", "e", parse_expr("-3*d - 3*h"), "g", "h")),
-    ("(ii)", CaseTag.CASE_II, QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)),
+    ("(i)", CaseTag.CASE_I, CASE_I_SYMBOLIC),
+    ("(ii)", CaseTag.CASE_II, CASE_II_SYMBOLIC),
     ("(ii) b = 0", CaseTag.CASE_II, QuinticParams(0, 0, 0, 0, "e", 0, "g", 0)),
     ("(ii) e = g", CaseTag.CASE_II,
      QuinticParams(0, "b", 0, 0, "e", 0, "e", 0)),
     ("(ii) e = g = 0", CaseTag.CASE_II,
      QuinticParams(0, "b", 0, 0, 0, 0, 0, 0)),
-    ("(iii)", CaseTag.CASE_III, case_iii()),
-    ("(iii) u = v = 0", CaseTag.CASE_III, case_iii(u=0, v=0)),
+    ("(iii)", CaseTag.CASE_III, case_iii_symbolic()),
+    ("(iii) u = v = 0", CaseTag.CASE_III, case_iii_symbolic(u=0, v=0)),
     ("(iii) u = a t, v = b t", CaseTag.CASE_III,
-     case_iii(u=Poly.var("a") * Poly.var("t"),
-              v=Poly.var("b") * Poly.var("t"))),
+     case_iii_symbolic(u=Poly.var("a") * Poly.var("t"),
+                       v=Poly.var("b") * Poly.var("t"))),
 ]
 
 
@@ -158,12 +148,10 @@ def partners_commute():
 
 
 def test_criterion_4_commuting_partners():
-    params = COMPONENTS[0][2]
-    other = quintic.commuting_partner(params,
+    other = quintic.commuting_partner(CASE_I_SYMBOLIC,
                                       quintic.CenterCase(CaseTag.CASE_I))
-    q4 = parse_expr("e*x^4 - 4*d*x^3*y + 4*h*x*y^3 - g*y^4")
     report(4, "commuting partners",
-           partners_commute() and other.p == X * (1 + q4))
+           partners_commute() and other.p == X * CASE_I_Q)
 
 
 def test_theorem():
@@ -202,27 +190,14 @@ def test_theorem():
     for label, tag, params in COMPONENTS:
         # raises QuinticError unless the integral certifies
         quintic.first_integral(params, quintic.CenterCase(tag))
-        if tag is CaseTag.CASE_I:
-            continue
-        form = quintic.rotate_to_canonical(params)
-        A, B, _ = form.ell.forms()[2]
-        W = A * X * Y - Fraction(1, 4) * B * (X ** 2 - Y ** 2)
-        assert Y * W.diff("x") - X * W.diff("y") == -form.ell, label
-        level = divide_exact(form.u + 2 * form.shift * W, X ** 2 + Y ** 2)
-        assert level is not None and not level.variables() & {"x", "y"}, label
-
-    def laplacian(p):
-        return p.diff("x").diff("x") + p.diff("y").diff("y")
-
-    assert laplacian(laplacian((X ** 2 + Y ** 2) ** 2)) == 64
-    p4 = form_poly([Poly.var(n) for n in "defgh"])
-    assert laplacian(laplacian(p4)) == 8 * rels[1]
+        assert tag is CaseTag.CASE_I or composes(params), label
+    assert quartic_mean_is_r2_over_8()
 
 
 def test_criterion_5_darboux_certificates():
     e, g = Poly.var("e"), Poly.var("g")
     sysm = quintic.build_system(QuinticParams(0, 1, 0, 0, "e", 0, "g", 0))
-    u = e * X ** 2 + g * Y ** 2
+    u = CASE_II_U
     c1 = X ** 2 + Y ** 2
     c2 = (e - g) + u + u ** 2
     l1 = 2 * X * Y * (1 + u)
@@ -249,13 +224,9 @@ def test_criterion_5_darboux_certificates():
         sys_eq, structure.darboux_candidate_equal(Fraction(2))).certified
 
     # cleared dH/dt for the quartic rational integral
-    d, h = Poly.var("d"), Poly.var("h")
-    params_i = QuinticParams(0, 0, 0, "d", "e", -3 * (d + h), "g", "h")
-    sys_i = quintic.build_system(params_i)
-    den_i = (1 + Poly.var("e") * X ** 4 - 4 * d * X ** 3 * Y
-             + 4 * h * X * Y ** 3 - Poly.var("g") * Y ** 4)
     ok = ok and structure.rational_integral_residual(
-        sys_i, (X ** 2 + Y ** 2) ** 2, den_i).is_zero
+        quintic.build_system(CASE_I_SYMBOLIC), (X ** 2 + Y ** 2) ** 2,
+        CASE_I_Q).is_zero
 
     # and for the cubic subfamily integral
     a, b = Poly.var("a"), Poly.var("b")
@@ -266,28 +237,18 @@ def test_criterion_5_darboux_certificates():
 
 
 def test_criterion_6_integrating_factors():
-    d, h = Poly.var("d"), Poly.var("h")
-    params_i = QuinticParams(0, 0, 0, "d", "e", -3 * (d + h), "g", "h")
-    sys_i = quintic.build_system(params_i)
-    part_i = quintic.commuting_partner(params_i,
-                                       quintic.CenterCase(CaseTag.CASE_I))
-    mu_i = structure.integrating_factor_from_pair(sys_i, part_i)
-    q4 = parse_expr("e*x^4 - 4*d*x^3*y + 4*h*x*y^3 - g*y^4")
-    ok = mu_i.den == (X ** 2 + Y ** 2) * (1 + q4)
-
-    params_ii = QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)
-    sys_ii = quintic.build_system(params_ii)
-    part_ii = quintic.commuting_partner(params_ii,
-                                        quintic.CenterCase(CaseTag.CASE_II))
-    mu_ii = structure.integrating_factor_from_pair(sys_ii, part_ii)
-    e, g, b = Poly.var("e"), Poly.var("g"), Poly.var("b")
-    u = e * X ** 2 + g * Y ** 2
-    ok = ok and mu_ii.den == (X ** 2 + Y ** 2) * ((e - g) + u * (b + u))
+    ok = True
+    for params, tag, q in ((CASE_I_SYMBOLIC, CaseTag.CASE_I, CASE_I_Q),
+                           (CASE_II_SYMBOLIC, CaseTag.CASE_II, CASE_II_Q)):
+        partner = quintic.commuting_partner(params, quintic.CenterCase(tag))
+        mu = structure.integrating_factor_from_pair(
+            quintic.build_system(params), partner)
+        ok = ok and mu.den == (X ** 2 + Y ** 2) * q
     report(6, "integrating factors", ok)
 
 
 def test_criterion_7_reversibility():
-    sys_ii = quintic.build_system(QuinticParams(0, "b", 0, 0, "e", 0, "g", 0))
+    sys_ii = quintic.build_system(CASE_II_SYMBOLIC)
     ok = all(r.is_zero for line in ((0, 1), (1, 0))
              for r in structure.reversibility_residual(sys_ii, *line))
 
@@ -314,10 +275,9 @@ def center_draw(tag):
         a = frac(-3, 3)
         if not a:
             continue
-        b, d, e = (frac(-3, 3) for _ in range(3))
-        f, g, h = case_iii_fgh(a, b, d, e)
-        if max(abs(f), abs(g), abs(h)) <= 3:
-            return QuinticParams(a, b, -a, d, e, f, g, h)
+        params = case_iii_point(a, *(frac(-3, 3) for _ in range(3)))
+        if max(abs(params.f), abs(params.g), abs(params.h)) <= 3:
+            return params
 
 
 @requires_numpy
@@ -371,8 +331,7 @@ def test_criterion_9_rotation():
             if a:
                 break
         b, d, e = (frac(-3, 3) for _ in range(3))
-        f, g, h = case_iii_fgh(a, b, d, e)
-        params = QuinticParams(a, b, -a, d, e, f, g, h)
+        params = case_iii_point(a, b, d, e)
         form = quintic.rotate_to_canonical(params)
         ok = ok and radial_factor(params) == form.ell * (form.beta + form.u)
         ok = ok and form.shift == (b * d - a * e) / (2 * a ** 3)
@@ -386,28 +345,16 @@ def test_criterion_9_rotation():
 def test_criterion_10_b_type():
     ok = True
     for e, g in ((1, 2), (2, 1), (-1, -1), (0, 3), (1, -1), (-2, 1)):
-        params = QuinticParams.numeric(0, 1, 0, 0, e, 0, g, 0)
-        verdict = orbits.center_type(params, quintic.theorem_case(params))
-        want = "B2" if e * g >= 0 else "B4"
-        ok = ok and verdict.tag == want and verdict.evidence == "eg-rule"
+        v = b_type(QuinticParams.numeric(0, 1, 0, 0, e, 0, g, 0))
+        ok = ok and (v.tag, v.evidence) == (eg_rule(e, g), "eg-rule")
 
-    p_b2 = QuinticParams.numeric(0, 0, 0, 0, 1, 0, 1, 0)
-    v_b2 = orbits.center_type(p_b2, quintic.theorem_case(p_b2))
-    ok = ok and (v_b2.tag, v_b2.evidence) == ("B2", "maximizers(2)")
-
-    p_b4 = QuinticParams.numeric(0, 0, 0, 0, 1, 0, -1, 0)
-    v_b4 = orbits.center_type(p_b4, quintic.theorem_case(p_b4))
-    ok = ok and (v_b4.tag, v_b4.evidence) == ("B4", "maximizers(4)")
-
-    try:
-        orbits.boundary_curve(0, -1, 1, 0)
-        ok = False
-    except orbits.InapplicableBoundaryError:
-        pass
-    p_bad = QuinticParams.numeric(0, 0, 0, 0, -1, 0, 1, 0)
-    v_bad = orbits.center_type(p_bad, quintic.theorem_case(p_bad))
-    ok = ok and v_bad.tag == "Unknown" \
-        and v_bad.evidence.startswith("inapplicable")
+    for tag, (quartic, evidence) in CASE_I_BTYPES.items():
+        v = b_type(case_i_point(*quartic))
+        ok = ok and v.tag == tag and v.evidence.startswith(evidence)
+        try:
+            ok = ok and orbits.boundary_curve(*quartic).btype == tag
+        except orbits.InapplicableBoundaryError:
+            ok = ok and tag == "Unknown"
     report(10, "B-type rule", ok)
 
 
@@ -453,10 +400,8 @@ def test_criterion_11_core_properties():
 
     # the integrator's error is proportional to its tolerance, over one turn
     # of the rotation; above 1e-8 MAX_STEP, not tol, bounds the error
-    rot = PlanarSystem(Y, -X)
-
     def endpoint_error(tol):
-        xe, ye = orbits.integrate(rot, 1.0, 0.0, 2 * math.pi, tol).endpoint()
+        xe, ye = orbits.integrate(ROT, 1.0, 0.0, 2 * math.pi, tol).endpoint()
         return math.hypot(xe - 1.0, ye)
 
     errors = [endpoint_error(tol) for tol in (1e-9, 1e-10, 1e-11)]

@@ -17,7 +17,8 @@ from isoquintic import orbits, quintic
 from isoquintic.orbits import integral_value
 from isoquintic.cli import build_parser, main
 from isoquintic.qpoly import MAX_DIGITS, parse_expr, parse_rational
-from conftest import requires_numpy, run_fresh
+from conftest import (CASE_I_BTYPES, b_type, case_i_point, requires_numpy,
+                      run_fresh)
 
 
 def run(capsys, *argv):
@@ -511,15 +512,24 @@ class TestNumericFlags:
             build_parser().parse_args(["plconst", "-m", "3.0"])
 
 
+def case_i_params(tag):
+    """--params of CASE_I_BTYPES[tag], and its evidence as `boundary` prints
+    it: "maximizers = 4", "inapplicable"."""
+    quartic, evidence = CASE_I_BTYPES[tag]
+    printed = evidence.replace("(", " = ").rstrip(")")
+    return ",".join(map(str, quartic)), printed
+
+
 class TestBoundary:
     def test_four_maximizers(self, capsys, tmp_path):
         out_csv = tmp_path / "b.csv"
-        code, out, _ = run(capsys, "boundary", "--params", "0,1,-1,0",
+        params, evidence = case_i_params("B4")
+        code, out, _ = run(capsys, "boundary", "--params", params,
                            "--out", str(out_csv))
         assert code == 0
         lines = out.splitlines()
         assert abs(float(lines[0].split(" = ")[1]) - 1.0) < 1e-9
-        assert lines[1] == "maximizers = 4"
+        assert lines[1] == evidence
         assert lines[2] == "type = B4"
         rows = out_csv.read_text().splitlines()
         assert rows[0] == "phi,rho"
@@ -527,14 +537,16 @@ class TestBoundary:
         assert any(row.endswith(",inf") for row in rows[1:])
 
     def test_two_maximizers(self, capsys):
-        code, out, _ = run(capsys, "boundary", "--params", "0,1,1,0")
+        params, evidence = case_i_params("B2")
+        code, out, _ = run(capsys, "boundary", "--params", params)
         assert code == 0
-        assert "type = B2" in out
+        assert out.splitlines()[1:3] == [evidence, "type = B2"]
 
     def test_inapplicable(self, capsys):
-        code, _, err = run(capsys, "boundary", "--params", "0,-1,1,0")
+        params, evidence = case_i_params("Unknown")
+        code, _, err = run(capsys, "boundary", "--params", params)
         assert code == 1
-        assert "inapplicable" in err
+        assert evidence in err
 
     def test_malformed_params(self, capsys):
         code, _, err = run(capsys, "boundary", "--params", "1,2")
@@ -564,10 +576,8 @@ class TestBoundary:
                 2, "", "error: boundary c0 is outside the normal float range "
                        "[2.22507e-308, 1.79769e+308]\n")
             return
-        d, e, g, h = map(parse_rational, params.split(","))
-        point = quintic.QuinticParams(0, 0, 0, d, e, -3 * (d + h), g, h)
-        case = quintic.theorem_case(point)
-        assert orbits.center_type(point, case).tag == tag
+        point = case_i_point(*map(parse_rational, params.split(",")))
+        assert b_type(point).tag == tag
         assert code == 0
         lines = out.splitlines()
         assert lines[2] == f"type = {tag}"

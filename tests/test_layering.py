@@ -5,7 +5,8 @@ is read in it, the exact layers `quintic` and `structure` import no float
 conversion (`orbits` evaluates what they certify), the Lyapunov stage loop
 is reached from `lyapunov` alone, caller text is read by `qpoly` alone, and
 no module imports scipy.  Imports inside functions count too.  Every module
-and test parses with the grammar of the `requires-python` floor."""
+and test parses with the grammar of the `requires-python` floor, and no
+test helper is defined in two files under tests/."""
 
 import ast
 import re
@@ -164,6 +165,19 @@ def newer_grammar(paths, version):
     return out
 
 
+def shared_helpers(directory):
+    """Each top-level function or class name, other than pytest's test*
+    and Test*, that two or more files in `directory` define, with the
+    files."""
+    files = {}
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith(("test", "Test"))):
+                files.setdefault(node.name, []).append(path.name)
+    return {name: found for name, found in files.items() if len(found) > 1}
+
+
 def test_reads_the_package():
     edges = graph(PACKAGE)
     assert {"qpoly", "lyapunov", "quintic", "structure", "orbits", "cli"} <= set(edges)
@@ -276,3 +290,21 @@ def test_grammar_check_catches_a_newer_construct(tmp_path):
     (tmp_path / "b.py").write_text("match 1:\n    case _:\n        pass\n")
     assert floor_version(tmp_path / "pyproject.toml") == (3, 10)
     assert newer_grammar(sorted(tmp_path.glob("*.py")), (3, 10)) == ["a.py"]
+
+
+def test_each_test_helper_has_one_home():
+    """A helper two test files need lives in tests/conftest.py."""
+    assert shared_helpers(ROOT / "tests") == {}
+
+
+def test_helper_check_catches_a_duplicate(tmp_path):
+    """Methods, nested functions and pytest's own names do not count."""
+    (tmp_path / "conftest.py").write_text(
+        "def numeric(**kw):\n    pass\nclass Box:\n    pass\n"
+        "def helper():\n    pass\ndef test_x():\n    pass\n")
+    (tmp_path / "test_a.py").write_text(
+        "def numeric(**kw):\n    pass\nclass Box:\n    pass\n"
+        "class TestA:\n    def helper(self):\n        pass\n"
+        "def test_x():\n    def helper():\n        pass\n")
+    assert shared_helpers(tmp_path) == {"numeric": ["conftest.py", "test_a.py"],
+                                        "Box": ["conftest.py", "test_a.py"]}

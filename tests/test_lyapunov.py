@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import clear_product_memo, coeffs, polys, random_poly
+from conftest import (ROT, X, Y, clear_product_memo, coeffs, first_hit,
+                      on_stratum, polys, random_point, random_poly)
 from isoquintic.qpoly import Poly, QPolyError, as_poly, form_poly
 from isoquintic.lyapunov import (
     PlanarSystem, LyapunovError, LyapunovReport, check_linear_center,
@@ -21,9 +22,6 @@ from isoquintic.lyapunov import (
 )
 from isoquintic import quintic
 from isoquintic.cli import load_system_document
-
-X = Poly.var("x")
-Y = Poly.var("y")
 
 # sha256 of str(D_k): the canonical constants equal bench/reference.json
 # (symbolic.constant_sha256, general_quadratic_sha256); the raw ones pin the
@@ -132,7 +130,7 @@ def vec(poly, k):
     return forms.get(k, [0] * (k + 1))
 
 
-def rotate(g):
+def apply_l(g):
     """L g = y g_x - x g_y, computed by differentiation."""
     return Y * g.diff("x") - X * g.diff("y")
 
@@ -155,9 +153,9 @@ class TestRotationOperator:
         assert form_poly(_solve_stage(vec(-X, 1), 1, over)) == Y
 
     def test_k2_by_direct_differentiation(self):
-        assert rotate(X ** 2) == 2 * X * Y
-        assert rotate(X * Y) == Y ** 2 - X ** 2
-        assert rotate(Y ** 2) == -2 * X * Y
+        assert apply_l(X ** 2) == 2 * X * Y
+        assert apply_l(X * Y) == Y ** 2 - X ** 2
+        assert apply_l(Y ** 2) == -2 * X * Y
         # inverted up to the kernel x^2 + y^2, with the y^2 coefficient 0
         assert form_poly(_solve_stage(vec(2 * X * Y, 2), 2, over)) == X ** 2
         assert form_poly(_solve_stage(vec(Y ** 2 - X ** 2, 2), 2, over)) == X * Y
@@ -168,15 +166,15 @@ class TestRotationOperator:
         # L is invertible on odd degrees: each form comes back unchanged
         for j in range(k + 1):
             g = X ** (k - j) * Y ** j
-            assert form_poly(_solve_stage(vec(rotate(g), k), k, over)) == g
+            assert form_poly(_solve_stage(vec(apply_l(g), k), k, over)) == g
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_even_degrees_singular(self, k):
         # (x^2 + y^2)^(k/2) spans the kernel, and the image of L misses
         # x^k + y^k: every L g has circle average 0, x^k + y^k has 1
-        assert rotate((X ** 2 + Y ** 2) ** (k // 2)).is_zero
+        assert apply_l((X ** 2 + Y ** 2) ** (k // 2)).is_zero
         for j in range(k + 1):
-            image = vec(rotate(X ** (k - j) * Y ** j), k)
+            image = vec(apply_l(X ** (k - j) * Y ** j), k)
             assert _circle_average(image, k, over) == 0
         assert _circle_average(vec(X ** k + Y ** k, k), k, over) == 1
 
@@ -184,9 +182,9 @@ class TestRotationOperator:
         rnd = random.Random(4)
         for k in range(1, 14):
             g = random_form(rnd, k)
-            r = rotate(g)
+            r = apply_l(g)
             f = _solve_stage(vec(r, k), k, over)
-            assert rotate(form_poly(f)) == r, k
+            assert apply_l(form_poly(f)) == r, k
             if k % 2 == 0:
                 assert f[k] == 0, k
 
@@ -211,7 +209,7 @@ class TestFormLists:
         a = Poly.var("a")
         r = [Fraction(1, 3), a, 0, 2 * a + 1]
         f = _solve_stage(r, 3, over)
-        assert rotate(form_poly(f)) == form_poly(r)
+        assert apply_l(form_poly(f)) == form_poly(r)
 
 
 def family_system():
@@ -224,15 +222,8 @@ def numeric_points(n=40):
     rnd = random.Random(2718)
     for i in range(n):
         height, den = (10 ** 6, 10 ** 6) if i % 4 == 3 else (9, 3)
-        v = {name: Fraction(rnd.randint(-height, height), rnd.randint(1, den))
-             for name in quintic.PARAM_NAMES}
-        if i % 4 >= 1:
-            v["c"] = -v["a"]
-        if i % 4 >= 2:
-            v["f"] = -3 * (v["d"] + v["h"])
-        if i % 4 == 3 and v["a"]:
-            v["e"] = (v["b"] * v["d"] - v["a"] * v["g"] - v["b"] * v["h"]) / v["a"]
-        yield quintic.QuinticParams(**v)
+        yield quintic.QuinticParams(**on_stratum(
+            random_point(rnd, height, den), i % 4))
 
 
 def terms_sha(reports):
@@ -268,8 +259,7 @@ def report_sha(reports):
 
 def general_quadratic(v=None):
     """y + a x^2 + b x y + c y^2, -x + d x^2 + e x y + f y^2, symbolic or at v."""
-    a, b, c, d, e, f = (Poly.var(n) if v is None else Poly.const(v[n])
-                        for n in "abcdef")
+    a, b, c, d, e, f = (as_poly(n if v is None else v[n]) for n in "abcdef")
     return PlanarSystem(Y + a * X ** 2 + b * X * Y + c * Y ** 2,
                         -X + d * X ** 2 + e * X * Y + f * Y ** 2)
 
@@ -299,18 +289,6 @@ def rationals(height):
                      st.integers(1, height))
 
 
-def on_stratum(point, level):
-    """The point moved onto the stratum where D_1..D_level vanish."""
-    v = dict(point)
-    if level >= 1:
-        v["c"] = -v["a"]
-    if level >= 2:
-        v["f"] = -3 * (v["d"] + v["h"])
-    if level >= 3 and v["a"]:
-        v["e"] = (v["b"] * v["d"] - v["a"] * v["g"] - v["b"] * v["h"]) / v["a"]
-    return v
-
-
 family_points = st.builds(on_stratum, st.sampled_from([9, 10 ** 6]).flatmap(
     lambda height: st.fixed_dictionaries(
         {n: rationals(height) for n in quintic.PARAM_NAMES})), st.integers(0, 3))
@@ -325,9 +303,7 @@ class TestNumericAgainstSymbolic:
         report, parts = numeric
         assert [d.constant_value() for d in report.raw] == raw
         assert parts == f
-        hit = next(((i, "positive" if d > 0 else "negative")
-                    for i, d in enumerate(raw, 1) if d), (None, None))
-        assert (report.first_nonzero_index, report.sign) == hit
+        assert (report.first_nonzero_index, report.sign) == first_hit(raw)
 
     @seed(31)
     @settings(max_examples=30, deadline=None)
@@ -384,10 +360,8 @@ class TestIntegerLoopAgainstFractionStages:
         for _ in range(4):
             params = quintic.QuinticParams(*mixed_family(rnd))
             self.check(quintic.build_system(params), rnd.randint(1, 4))
-        quadratic = dict(zip("abcdef", mixed_family(rnd)))
-        a, b, c, d, e, f = (as_poly(v) for v in quadratic.values())
-        self.check(PlanarSystem(Y + a * X ** 2 + b * X * Y + c * Y ** 2,
-                                -X + d * X ** 2 + e * X * Y + f * Y ** 2), 3)
+        self.check(general_quadratic(dict(zip("abcdef", mixed_family(rnd)))),
+                   3)
 
 
 class TestPlConstants:
@@ -398,7 +372,7 @@ class TestPlConstants:
         assert rep.raw[0] == Fraction(2, 3) * (Poly.var("a") + Poly.var("c"))
 
     def test_linear_center_all_zero(self):
-        rep = pl_constants(PlanarSystem(Y, -X), 4)
+        rep = pl_constants(ROT, 4)
         assert all(d.is_zero for d in rep.raw)
         assert rep.first_nonzero_index is None
 
@@ -447,7 +421,7 @@ class TestPlConstants:
 
     def test_cap(self):
         with pytest.raises(LyapunovError):
-            pl_constants(PlanarSystem(Y, -X), 7)
+            pl_constants(ROT, 7)
 
     def test_exactness_oracle(self):
         """Independent check: assemble F from the solved components, compute
@@ -473,10 +447,7 @@ class TestPlConstants:
         assert [sha(d) for d in rep.constants] == FAMILY_CONSTANT_SHA256
         assert [sha(d) for d in rep.raw] == FAMILY_RAW_SHA256
         assert terms_sha([(rep, parts)]) == NUMERIC_TERMS_SHA256["family-m6"]
-        a, b, c, d, e, f = (Poly.var(n) for n in "abcdef")
-        quad = PlanarSystem(Y + a * X ** 2 + b * X * Y + c * Y ** 2,
-                            -X + d * X ** 2 + e * X * Y + f * Y ** 2)
-        rep, parts = reported(quad, 3)
+        rep, parts = reported(general_quadratic(), 3)
         assert [sha(d) for d in rep.constants] == QUADRATIC_CONSTANT_SHA256
         assert [sha(d) for d in rep.raw] == QUADRATIC_RAW_SHA256
         assert terms_sha([(rep, parts)]) == NUMERIC_TERMS_SHA256["symbolic-quadratic-m3"]
@@ -539,20 +510,19 @@ class TestProductMemo:
 
 
 class TestFirstNonzero:
+    ZEROS = dict.fromkeys(quintic.PARAM_NAMES, 0)
+
     def test_positive_focus(self):
         rep = pl_constants(family_system(), 2)
-        zeros = {n: 0 for n in quintic.PARAM_NAMES}
-        assert first_nonzero(rep, {**zeros, "a": 1}) == (1, "positive")
+        assert first_nonzero(rep, {**self.ZEROS, "a": 1}) == (1, "positive")
 
     def test_case_ii_center_point(self):
         rep = pl_constants(family_system(), 4)
-        zeros = {n: 0 for n in quintic.PARAM_NAMES}
-        assert first_nonzero(rep, {**zeros, "b": 1}) is None
+        assert first_nonzero(rep, {**self.ZEROS, "b": 1}) is None
 
     def test_second_constant(self):
         rep = pl_constants(family_system(), 2)
-        zeros = {n: 0 for n in quintic.PARAM_NAMES}
-        assert first_nonzero(rep, {**zeros, "d": 1}) == (2, "positive")
+        assert first_nonzero(rep, {**self.ZEROS, "d": 1}) == (2, "positive")
 
     def test_unbound_parameter(self):
         rep = pl_constants(family_system(), 1)

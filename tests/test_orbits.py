@@ -17,21 +17,13 @@ from isoquintic import orbits, quintic
 from isoquintic.orbits import (
     DomainError, EscapedError, NoReturnError, StiffnessError,
     InapplicableBoundaryError, integrate, integral_value, ray_return_time,
-    boundary_curve, center_type, c3_exponent,
+    boundary_curve, c3_exponent,
 )
 from isoquintic.structure import darboux_candidate
-from conftest import case_iii_fgh
+from conftest import (CASE_I_BTYPES, ROT, X, Y, b_type, case_i_point,
+                      case_iii_point, eg_rule, numeric)
 
-X = Poly.var("x")
-Y = Poly.var("y")
-ROT = PlanarSystem(Y, -X)
 TWO_PI = 2.0 * math.pi
-
-
-def numeric(**kw):
-    full = {n: 0 for n in quintic.PARAM_NAMES}
-    full.update(kw)
-    return quintic.QuinticParams.numeric(*(full[n] for n in quintic.PARAM_NAMES))
 
 
 def closure_defect(sys, x0, y0):
@@ -40,8 +32,9 @@ def closure_defect(sys, x0, y0):
     return math.hypot(xe - x0, ye - y0)
 
 
-def integral_of(spec):
-    """The certified first integral of `spec` as a function of (x, y)."""
+def integral_of(params):
+    """The certified first integral of a center as a function of (x, y)."""
+    spec = quintic.first_integral(params, quintic.theorem_case(params))
     return lambda x, y: integral_value(spec.payload, x, y)
 
 
@@ -177,7 +170,7 @@ class TestIntegrate:
                     except OverflowError:
                         overflowed += 1
                     want = reference(*terms, state)
-                    got = outcome(rhs, state)
+                    got = outcome(rhs, state.tolist())
                     assert repr(got) == repr(want), state
                     failed += want is StiffnessError
         assert overflowed > 1000  # the numpy fallback ran
@@ -291,8 +284,10 @@ def reference_solve(sys, x0, y0, t_end, tol, events=()):
         return math.hypot(state[0], state[1]) - orbits.ESCAPE_RADIUS
 
     escape.terminal = True
+    rhs = orbits.compile_rhs(sys)  # on Python floats, as the stepper calls it
     with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(orbits.compile_rhs(sys), (0.0, t_end), (x0, y0),
+        return solve_ivp(lambda t, state: rhs(t, state.tolist()),
+                         (0.0, t_end), (x0, y0),
                          method="RK45", rtol=tol, atol=tol,
                          max_step=orbits.MAX_STEP, events=(*events, escape))
 
@@ -381,9 +376,7 @@ class TestSolveIvpParity:
             d, e, g, h = q(), q(), q(), q()
             yield numeric(d=d, e=e, f=-3 * (d + h), g=g, h=h), r0, 0.0
             yield numeric(b=q(), e=q(), g=q()), r0, 0.0
-            a, b, d, e = q(1, 4), q(), q(), q()
-            f, g, h = case_iii_fgh(a, b, d, e)
-            yield numeric(a=a, b=b, c=-a, d=d, e=e, f=f, g=g, h=h), r0, 0.0
+            yield case_iii_point(q(1, 4), q(), q(), q()), r0, 0.0
         for _ in range(3):  # foci, on oblique rays
             phi = rnd.uniform(0, TWO_PI)
             r0 = rnd.choice((0.1, 0.25))
@@ -442,6 +435,14 @@ class TestSolveIvpParity:
         assert got == want
         assert sum(w.startswith("([0.0") for w in want) >= 10
         assert any(w.startswith("EscapedError") for w in want)
+
+    def test_zero_field(self):
+        """No slope at the start or after the first trial step: the initial
+        step is max(1e-6, h0 / 1000), with h0 = 1e-6."""
+        zero = PlanarSystem(Poly.zero(), Poly.zero())
+        want = reference_integrate(zero, 1.0, 0.0, 1.0, orbits.TOL)
+        assert outcome(lambda: integrate(zero, 1.0, 0.0, 1.0)) == want
+        assert integrate(zero, 1.0, 0.0, 1.0).t[1] == 1e-6
 
 
 class TestBrentq:
@@ -525,21 +526,23 @@ class TestBeyondFloatRange:
 
 class TestBoundary:
     def test_four_fold_example(self):
-        res = boundary_curve(0, 1, -1, 0)
+        quartic, evidence = CASE_I_BTYPES["B4"]
+        res = boundary_curve(*quartic)
         assert abs(res.c0 - 1.0) < 1e-9
-        assert len(res.maximizers) == 4
+        assert f"maximizers({len(res.maximizers)})" == evidence
         expected = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
         for got, want in zip(res.maximizers, expected):
             assert abs(got - want) < 1e-6
 
     def test_two_fold_example(self):
-        res = boundary_curve(0, 1, 1, 0)
+        quartic, evidence = CASE_I_BTYPES["B2"]
+        res = boundary_curve(*quartic)
         assert abs(res.c0 - 1.0) < 1e-9
-        assert len(res.maximizers) == 2
+        assert f"maximizers({len(res.maximizers)})" == evidence
 
     def test_inapplicable_when_max_not_positive(self):
         with pytest.raises(InapplicableBoundaryError):
-            boundary_curve(0, -1, 1, 0)
+            boundary_curve(*CASE_I_BTYPES["Unknown"][0])
 
     def test_zero_quartic_inapplicable(self):
         with pytest.raises(InapplicableBoundaryError) as exc:
@@ -602,41 +605,31 @@ class TestBoundary:
 
 class TestCenterType:
     def test_case_ii_same_signs(self):
-        params = numeric(b=1, e=1, g=2)
-        verdict = center_type(params, quintic.theorem_case(params))
+        verdict = b_type(numeric(b=1, e=1, g=2))
         assert (verdict.tag, verdict.evidence) == ("B2", "eg-rule")
 
     def test_case_ii_opposite_signs(self):
-        params = numeric(b=1, e=1, g=-1)
-        verdict = center_type(params, quintic.theorem_case(params))
-        assert verdict.tag == "B4"
+        assert b_type(numeric(b=1, e=1, g=-1)).tag == "B4"
 
     def test_case_i_by_maximizers(self):
-        params = numeric(e=1, g=-1)
-        verdict = center_type(params, quintic.theorem_case(params))
-        assert (verdict.tag, verdict.evidence) == ("B4", "maximizers(4)")
-        params2 = numeric(e=1, g=1)
-        verdict2 = center_type(params2, quintic.theorem_case(params2))
-        assert (verdict2.tag, verdict2.evidence) == ("B2", "maximizers(2)")
+        for tag in ("B4", "B2"):
+            quartic, evidence = CASE_I_BTYPES[tag]
+            verdict = b_type(case_i_point(*quartic))
+            assert (verdict.tag, verdict.evidence) == (tag, evidence)
 
     def test_case_i_inapplicable(self):
-        params = numeric(e=-1, g=1)
-        verdict = center_type(params, quintic.theorem_case(params))
+        quartic, evidence = CASE_I_BTYPES["Unknown"]
+        verdict = b_type(case_i_point(*quartic))
         assert verdict.tag == "Unknown"
-        assert verdict.evidence.startswith("inapplicable")
+        assert verdict.evidence.startswith(evidence)
 
     def test_case_iii_via_rotation(self):
-        f, g, h = case_iii_fgh(1, 0, 1, 0)
-        params = numeric(a=1, c=-1, d=1, f=f, g=g, h=h)
-        verdict = center_type(params, quintic.theorem_case(params))
+        verdict = b_type(case_iii_point(1, 0, 1, 0))
         assert (verdict.tag, verdict.evidence) == ("B2", "eg-rule")
 
     def test_coefficient_beyond_float_range(self):
         # both cases read exact coefficients: u = 10^400 (x^2 + y^2) here
-        big = 10 ** 400
-        f, g, h = case_iii_fgh(1, 0, big, 0)
-        params = numeric(a=1, c=-1, d=big, f=f, g=g, h=h)
-        verdict = center_type(params, quintic.theorem_case(params))
+        verdict = b_type(case_iii_point(1, 0, 10 ** 400, 0))
         assert (verdict.tag, verdict.evidence) == ("B2", "eg-rule")
 
     @pytest.mark.parametrize("e,g,tag", [
@@ -648,8 +641,7 @@ class TestCenterType:
     def test_case_ii_exact_signs(self, e, g, tag):
         """The float product e g underflows to -0.0 for the first point
         and overflows for the second; the signs decide."""
-        params = numeric(b=1, e=e, g=g)
-        verdict = center_type(params, quintic.theorem_case(params))
+        verdict = b_type(numeric(b=1, e=e, g=g))
         assert (verdict.tag, verdict.evidence) == (tag, "eg-rule")
 
     @pytest.mark.parametrize("e,g,tag", [
@@ -660,26 +652,20 @@ class TestCenterType:
         (ii) and in case (iii), here with u = (e x^2 + g y^2) / 2 rotated by
         45 degrees: d = (e + g) / 4 and e3 = (e - g) / 2 at a = 1, b = 0."""
         e, g = Fraction(e), Fraction(g)
-        params = numeric(b=1, e=e, g=g)
-        assert center_type(params, quintic.theorem_case(params)).tag == tag
-        d, e3 = (e + g) / 4, (e - g) / 2
-        f, g3, h = case_iii_fgh(1, 0, d, e3)
-        params = numeric(a=1, c=-1, d=d, e=e3, f=f, g=g3, h=h)
-        assert center_type(params, quintic.theorem_case(params)).tag == tag
+        assert b_type(numeric(b=1, e=e, g=g)).tag == tag
+        assert b_type(case_iii_point(1, 0, (e + g) / 4, (e - g) / 2)).tag == tag
 
     @pytest.mark.parametrize("scale", [1, 10 ** 300, Fraction(1, 10 ** 300),
                                        10 ** 400, Fraction(1, 10 ** 400)],
                              ids=["1", "1e300", "1e-300", "1e400", "1e-400"])
     @pytest.mark.parametrize("d,e,g,h,tag", [
-        (0, 1, 1, 0, "B2"), (0, 1, -1, 0, "B4"), (0, -1, 1, 0, "Unknown")])
+        (*quartic, tag) for tag, (quartic, _) in CASE_I_BTYPES.items()])
     def test_case_i_scale_invariant(self, d, e, g, h, tag, scale):
         """A positive scaling of d, e, g, h is x, y -> x, y / s^(1/4) up to
         time: the verdict, its evidence included, is that at scale 1, also
         where the scaled coefficients leave the float range."""
         def verdict(s):
-            params = numeric(d=s * d, e=s * e, f=-3 * s * (d + h), g=s * g,
-                             h=s * h)
-            return center_type(params, quintic.theorem_case(params))
+            return b_type(case_i_point(s * d, s * e, s * g, s * h))
 
         assert verdict(scale) == verdict(1)
         assert verdict(1).tag == tag
@@ -688,13 +674,10 @@ class TestCenterType:
         # the quartic-only subfamily satisfies (i) and, when b = 0, the
         # boundary count must match the sign rule on (e, g)
         for e, g in ((1, 2), (1, -1), (2, 1), (-1, -2)):
-            params = numeric(e=e, g=g)
-            case = quintic.theorem_case(params)
-            by_boundary = center_type(params, case)
+            by_boundary = b_type(numeric(e=e, g=g))
             if by_boundary.tag == "Unknown":
                 continue
-            eg_tag = "B2" if e * g >= 0 else "B4"
-            assert by_boundary.tag == eg_tag
+            assert by_boundary.tag == eg_rule(e, g)
 
 
 class TestIntegralValue:
@@ -769,24 +752,19 @@ class TestC3Exponent:
 class TestConservation:
     def test_drift_rational_integral(self):
         params = numeric(d=1, f=-3)
-        spec = quintic.first_integral(params, quintic.theorem_case(params))
-        sysm = quintic.build_system(params)
-        traj = integrate(sysm, 0.3, 0.0, TWO_PI)
-        assert conservation_drift(integral_of(spec), traj) < 1e-7
+        traj = integrate(quintic.build_system(params), 0.3, 0.0, TWO_PI)
+        assert conservation_drift(integral_of(params), traj) < 1e-7
 
     def test_drift_exponential_integral(self):
         params = numeric(b=1, e=1, g=-1)
-        spec = quintic.first_integral(params, quintic.theorem_case(params))
-        sysm = quintic.build_system(params)
-        traj = integrate(sysm, 0.3, 0.0, TWO_PI)
-        assert conservation_drift(integral_of(spec), traj) < 1e-6
+        traj = integrate(quintic.build_system(params), 0.3, 0.0, TWO_PI)
+        assert conservation_drift(integral_of(params), traj) < 1e-6
 
     def test_focus_orbit_is_not_conserved(self):
-        params = numeric(b=1, e=1, g=-1)
-        spec = quintic.first_integral(params, quintic.theorem_case(params))
         focus = quintic.build_system(numeric(a=1, b=1, e=1, g=-1))
         traj = integrate(focus, 0.2, 0.0, 2 * TWO_PI)
-        assert conservation_drift(integral_of(spec), traj) > 1e-3
+        integral = integral_of(numeric(b=1, e=1, g=-1))
+        assert conservation_drift(integral, traj) > 1e-3
 
     def test_zero_value_rejected(self):
         traj = integrate(ROT, 0.0, 0.5, 1.0)

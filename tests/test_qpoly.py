@@ -12,15 +12,12 @@ from isoquintic.qpoly import (
     to_float, RationalFunction,
 )
 from isoquintic import qpoly
-from conftest import clear_product_memo, coeffs, polys, random_poly
+from conftest import X, Y, clear_product_memo, coeffs, polys, random_poly
 
 try:  # the differential oracle is an optional test dependency
     import sympy
 except ImportError:
     sympy = None
-
-X = Poly.var("x")
-Y = Poly.var("y")
 
 
 class TestArith:

@@ -16,17 +16,13 @@ from isoquintic.quintic import (
     rotate_to_canonical, case_i_quartic,
 )
 from isoquintic.lyapunov import LyapunovError, pl_constants
-from conftest import (case_iii_fgh, radial_factor, requires_numpy, rotate,
+from conftest import (CASE_I_BTYPES, CASE_I_Q, CASE_I_SYMBOLIC,
+                      CASE_II_SYMBOLIC, CASE_II_U, X, Y, b_type, case_i_point,
+                      case_iii_fgh, case_iii_point, case_iii_symbolic,
+                      composes, eg_rule, expected_classification, first_hit,
+                      numeric, on_stratum, quartic_mean_is_r2_over_8,
+                      radial_factor, random_point, requires_numpy, rotate,
                       rotate_form, turn)
-
-X = Poly.var("x")
-Y = Poly.var("y")
-
-
-def numeric(**kw):
-    full = {n: Fraction(0) for n in quintic.PARAM_NAMES}
-    full.update({k: Fraction(v) for k, v in kw.items()})
-    return QuinticParams(**full)
 
 
 class TestBuild:
@@ -199,13 +195,12 @@ class TestCaseIII:
             case_iii_fgh(0, 1, 1, 1)
 
     def test_satisfies_relations(self, rng):
+        rels = reduced_conditions(QuinticParams.symbolic())
         for _ in range(50):
             a = Fraction(rng.choice([v for v in range(-5, 6) if v]))
             b, d, e = (Fraction(rng.randint(-5, 5)) for _ in range(3))
-            f, g, h = case_iii_fgh(a, b, d, e)
-            pt = {"a": a, "b": b, "c": -a, "d": d, "e": e,
-                  "f": f, "g": g, "h": h}
-            rels = reduced_conditions(QuinticParams.symbolic())
+            params = case_iii_point(a, b, d, e)
+            pt = {n: getattr(params, n) for n in quintic.PARAM_NAMES}
             assert all(r.eval_rational(pt) == 0 for r in rels)
 
 
@@ -223,9 +218,7 @@ class TestTheoremCase:
         assert case == quintic.CenterCase(CaseTag.CASE_III)
 
     def test_case_iii_with_quartic(self):
-        f, g, h = case_iii_fgh(1, 2, 1, 1)
-        case = theorem_case(numeric(a=1, b=2, c=-1, d=1, e=1, f=f, g=g, h=h))
-        assert case.tag is CaseTag.CASE_III
+        assert theorem_case(case_iii_point(1, 2, 1, 1)).tag is CaseTag.CASE_III
 
     def test_zero_quartic_overlap_prefers_case_i(self):
         # a = b = c = 0 with vanishing quartic satisfies both (i) and (ii)
@@ -262,24 +255,13 @@ class TestClassify:
             classify(numeric(b=1, e=2, g=3), m=m)
 
 
-def random_point(rnd, height, den):
-    return {n: Fraction(rnd.randint(-height, height), rnd.randint(1, den))
-            for n in quintic.PARAM_NAMES}
-
-
 def focus_point(rnd, k, height, den):
     """A seeded point whose first nonzero constant is D_k: D_1..D_(k-1)
     are made to vanish through `reduced_conditions`, and a draw is kept only
     when the full report agrees and no center case applies."""
     while True:
-        v = random_point(rnd, height, den)
-        if k >= 2:
-            v["c"] = -v["a"]
-        if k >= 3:
-            v["f"] = -3 * (v["d"] + v["h"])
-        if k >= 4 and v["a"]:
-            v["e"] = (v["b"] * v["d"] - v["a"] * v["g"] - v["b"] * v["h"]) / v["a"]
-        params = QuinticParams(**v)
+        params = QuinticParams(**on_stratum(random_point(rnd, height, den),
+                                            k - 1))
         if (theorem_case(params) is None and pl_constants(
                 build_system(params), 4).first_nonzero_index == k):
             return params
@@ -313,9 +295,8 @@ class TestClassifyAgainstFullReport:
             params = focus_point(rng, k, height, den)
             m = rng.randint(k, lyapunov.CAP)
             got, report = self.verdict(params, m)
-            assert got.kind == "focus" and got.focus_index == k
-            assert (got.focus_index, got.focus_sign) == (
-                report.first_nonzero_index, report.sign)
+            assert report.first_nonzero_index == k
+            assert got == expected_classification(k, report.sign, m)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_undetermined_below_k(self, rng, k):
@@ -323,7 +304,7 @@ class TestClassifyAgainstFullReport:
             params = focus_point(rng, k, height, den)
             for m in range(1, k):
                 got, report = self.verdict(params, m)
-                assert got == quintic.Classification("undetermined", m=m)
+                assert got == expected_classification(k, None, m)
                 assert report.first_nonzero_index is None
 
     @pytest.mark.parametrize("tag", list(CaseTag))
@@ -331,7 +312,7 @@ class TestClassifyAgainstFullReport:
         for _ in range(4):
             params = center_point(rng, tag)
             got, report = self.verdict(params, 4)
-            assert got.kind == "center" and got.case.tag is tag
+            assert got == expected_classification(None, None, 4, tag)
             assert report.first_nonzero_index is None
             assert all(d.is_zero for d in report.raw)
 
@@ -354,8 +335,7 @@ def stratum_point(rnd):
     a = c = 0, b = 0 and d = h = 0 are each imposed with probability 1/2,
     then c = -a and f = -3 (d + h).  With a != 0, R_3 = 0 is imposed
     through e, or all of case (iii) through (f, g, h), now and then."""
-    v = {n: Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
-         for n in quintic.PARAM_NAMES}
+    v = random_point(rnd, 3, 3)
     for zeros in ("ac", "b", "dh"):
         if rnd.random() < 0.5:
             v.update(dict.fromkeys(zeros, Fraction(0)))
@@ -364,8 +344,7 @@ def stratum_point(rnd):
     if rnd.random() < 0.5:
         v["f"] = -3 * (v["d"] + v["h"])
     if v["a"] and rnd.random() < 0.2:
-        v["c"], v["f"] = -v["a"], -3 * (v["d"] + v["h"])
-        v["e"] = (v["b"] * v["d"] - v["a"] * v["g"] - v["b"] * v["h"]) / v["a"]
+        v = on_stratum(v, 3)
     elif v["a"] and rnd.random() < 0.1:
         v["c"] = -v["a"]
         v["f"], v["g"], v["h"] = case_iii_fgh(v["a"], v["b"], v["d"], v["e"])
@@ -387,15 +366,8 @@ class TestStratumSweep:
             k = report.first_nonzero_index
             for m in range(1, lyapunov.CAP + 1):
                 got = classify(params, m)
-                if k is None:
-                    assert got.kind == "center", v
-                    assert got.case.tag is explicit_case(v), v
-                elif k <= m:
-                    assert got == quintic.Classification(
-                        "focus", focus_index=k, focus_sign=report.sign), v
-                else:
-                    assert got == quintic.Classification(
-                        "undetermined", m=m), v
+                assert got == expected_classification(
+                    k, report.sign, m, explicit_case(v)), v
             if k is None:
                 assert all(d.is_zero for d in report.raw), v
                 seen.add(got.case.tag)
@@ -452,7 +424,7 @@ class TestClassifyWork:
     def test_undetermined(self, rng, counts, m):
         params = focus_point(rng, 4, 9, 3)
         verdict, case = self.run(counts, params, m)
-        assert (verdict.kind, case) == ("undetermined", None)
+        assert (verdict, case) == (expected_classification(4, None, m), None)
 
 
 FLIP = {"positive": "negative", "negative": "positive"}
@@ -592,7 +564,7 @@ class TestExactSymmetries:
         it the verdict `Unknown`.  Case (i) adds criterion 10's B4 point."""
         points = [center_point(rng, tag) for _ in range(8)]
         if tag is CaseTag.CASE_I:
-            points.append(numeric(e=1, g=-1))
+            points.append(case_i_point(*CASE_I_BTYPES["B4"][0]))
         seen = set()
         for params in points:
             base = orbits.center_type(params, theorem_case(params))
@@ -648,13 +620,12 @@ def mixed_point(rnd):
                         rnd.randint(1, 10 ** rnd.choice((0, 1, 6, 30))))
 
     v = {n: entry() for n in quintic.PARAM_NAMES}
+    level = 0
     if rnd.random() < 0.6:
-        v["c"] = -v["a"]
+        level = 1
         if rnd.random() < 0.6:
-            v["f"] = -3 * (v["d"] + v["h"])
-            if v["a"] and rnd.random() < 0.5:
-                v["e"] = (v["b"] * v["d"] - v["a"] * v["g"]
-                          - v["b"] * v["h"]) / v["a"]
+            level = 3 if v["a"] and rnd.random() < 0.5 else 2
+    v = on_stratum(v, level)
     if v["a"] and rnd.random() < 0.1:
         v["c"] = -v["a"]
         v["f"], v["g"], v["h"] = case_iii_fgh(v["a"], v["b"], v["d"], v["e"])
@@ -672,21 +643,16 @@ class TestClassifyOnIntegers:
         for _ in range(2000):
             v = mixed_point(rng)
             params = QuinticParams(**v)
-            values = [r.constant_value() for r in reduced_conditions(params)]
-            hit = next(((k, "positive" if r > 0 else "negative")
-                        for k, r in enumerate(values, start=1) if r), None)
+            index, sign = first_hit(r.constant_value()
+                                    for r in reduced_conditions(params))
             m = rng.randint(1, lyapunov.CAP)
             got = classify(params, m)
-            if hit is None:
-                assert got.kind == "center", v
-                assert got.case.tag is explicit_case(v), v
+            assert got == expected_classification(index, sign, m,
+                                                  explicit_case(v)), v
+            if got.kind == "center":
                 seen.add(got.case.tag)
-            elif hit[0] <= m:
-                assert got == quintic.Classification(
-                    "focus", focus_index=hit[0], focus_sign=hit[1]), v
-                seen.add(hit)
-            else:
-                assert got == quintic.Classification("undetermined", m=m), v
+            elif got.kind == "focus":
+                seen.add((index, sign))
         assert seen == ({(k, s) for k in range(1, 5) for s in FLIP}
                         | set(CaseTag))
 
@@ -717,29 +683,25 @@ class TestCaseSubstitution:
         for _ in range(20):
             a = Fraction(rng.choice([v for v in range(-4, 5) if v]))
             b, d, e = (Fraction(rng.randint(-4, 4)) for _ in range(3))
-            f, g, h = case_iii_fgh(a, b, d, e)
+            params = case_iii_point(a, b, d, e)
             pt = {"a": a, "b": b, "u": d / a ** 3, "v": e / a ** 3}
-            for name, expect in (("c", -a), ("d", d), ("e", e),
-                                 ("f", f), ("g", g), ("h", h)):
+            for name in "cdefgh":
                 got = as_poly(sub[name]).eval_rational(pt)
-                assert got == expect
+                assert got == getattr(params, name)
 
 
 class TestCommutingPartner:
     def test_case_i_symbolic(self):
-        sub = case_substitution(CaseTag.CASE_I)
-        params = QuinticParams(0, 0, 0, "d", "e", sub["f"], "g", "h")
-        sysm = build_system(params)
-        other = commuting_partner(params, quintic.CenterCase(CaseTag.CASE_I))
+        sysm = build_system(CASE_I_SYMBOLIC)
+        other = commuting_partner(CASE_I_SYMBOLIC,
+                                  quintic.CenterCase(CaseTag.CASE_I))
         assert structure.commutes(sysm, other)
-        # the expected transversal factor
-        q4 = parse_expr("e*x^4 - 4*d*x^3*y + 4*h*x*y^3 - g*y^4")
-        assert other.p == X * (1 + q4)
+        assert other.p == X * CASE_I_Q  # the expected transversal factor
 
     def test_case_ii_symbolic(self):
-        params = QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)
-        sysm = build_system(params)
-        other = commuting_partner(params, quintic.CenterCase(CaseTag.CASE_II))
+        sysm = build_system(CASE_II_SYMBOLIC)
+        other = commuting_partner(CASE_II_SYMBOLIC,
+                                  quintic.CenterCase(CaseTag.CASE_II))
         assert structure.commutes(sysm, other)
 
     def test_case_iii_cubic(self):
@@ -751,8 +713,7 @@ class TestCommutingPartner:
 
     def test_case_iii_quartic(self):
         # P = (x^2 - y^2)(1 + x^2 + y^2): shift = 0, so C2 = u + u^2
-        f, g, h = case_iii_fgh(1, 0, 1, 0)
-        params = numeric(a=1, c=-1, d=1, f=f, g=g, h=h)
+        params = case_iii_point(1, 0, 1, 0)
         other = commuting_partner(params, theorem_case(params))
         assert structure.commutes(build_system(params), other)
         u = X ** 2 + Y ** 2
@@ -784,12 +745,14 @@ class TestCommutingPartner:
         assert (other.p, other.q) == (X * den, Y * den)
 
 
-def orbit_sample_pairs(sysm, x0, y0, n=4):
-    """A few points along a short numeric orbit, for level-set checks."""
-    from isoquintic.orbits import integrate
-    traj = integrate(sysm, x0, y0, 1.5)
-    idx = [len(traj.t) * k // n for k in range(1, n)]
-    return [(traj.x[i], traj.y[i]) for i in idx]
+def integral_drift(spec, sysm, x0, y0, n=4):
+    """The largest change of the integral `spec` from (x0, y0) to a few
+    points along a short numeric orbit, relative to its value there."""
+    traj = orbits.integrate(sysm, x0, y0, 1.5)
+    base = orbits.integral_value(spec.payload, x0, y0)
+    return max(abs(orbits.integral_value(spec.payload, traj.x[i], traj.y[i])
+                   - base) for i in (len(traj.t) * k // n
+                                     for k in range(1, n))) / abs(base)
 
 
 class TestFirstIntegral:
@@ -854,8 +817,8 @@ class TestFirstIntegral:
         assert (c3.u, c3.shift, c3.b) == (u, 32, 4)
 
     def test_case_ii_symbolic_b(self):
-        params = QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)
-        spec = first_integral(params, quintic.CenterCase(CaseTag.CASE_II))
+        spec = first_integral(CASE_II_SYMBOLIC,
+                              quintic.CenterCase(CaseTag.CASE_II))
         assert spec.kind == "darboux-exp"
         assert spec.payload.exponential[0][1] == -Poly.var("b")
 
@@ -870,8 +833,7 @@ class TestFirstIntegral:
 
     def test_case_iii_quartic_darboux(self):
         # u = x^2 + y^2 and shift = 0: C3 = exp((1 - 2 x y)/(x^2 + y^2))
-        f, g, h = case_iii_fgh(1, 0, 1, 0)
-        params = numeric(a=1, c=-1, d=1, f=f, g=g, h=h)
+        params = case_iii_point(1, 0, 1, 0)
         spec = first_integral(params, theorem_case(params))
         assert spec.kind == "darboux-exp"
         (c3, weight), = spec.payload.exponential
@@ -902,13 +864,8 @@ class TestFirstIntegral:
     ])
     def test_constant_along_orbits(self, kw):
         params = numeric(**kw)
-        case = theorem_case(params)
-        spec = first_integral(params, case)
-        sysm = build_system(params)
-        base = orbits.integral_value(spec.payload, 0.3, 0.05)
-        for x, y in orbit_sample_pairs(sysm, 0.3, 0.05):
-            value = orbits.integral_value(spec.payload, x, y)
-            assert abs(value - base) < 1e-6 * abs(base)
+        spec = first_integral(params, theorem_case(params))
+        assert integral_drift(spec, build_system(params), 0.3, 0.05) < 1e-6
 
 
 class TestRotation:
@@ -921,11 +878,10 @@ class TestRotation:
         assert form.r == -2 * X * Y
 
     def test_case_ii(self):
-        form = rotate_to_canonical(QuinticParams(0, "b", 0, 0, "e", 0, "g", 0))
-        e, g = Poly.var("e"), Poly.var("g")
+        form = rotate_to_canonical(CASE_II_SYMBOLIC)
         assert (form.ell, form.beta) == (X * Y, Poly.var("b"))
-        assert form.u == e * X ** 2 + g * Y ** 2
-        assert form.shift == e - g
+        assert form.u == CASE_II_U
+        assert form.shift == Poly.var("e") - Poly.var("g")
 
     @pytest.mark.parametrize("kw", [
         dict(a=1, c=1), dict(b=1, c=1), dict(b=1, d=1), dict(b=1, f=1),
@@ -938,24 +894,20 @@ class TestRotation:
     def test_coefficient_beyond_float_range(self):
         # no float is formed: u = 10^400 (x^2 + y^2) exactly
         big = 10 ** 400
-        f, g, h = case_iii_fgh(1, 0, big, 0)
-        params = QuinticParams.numeric(1, 0, -1, big, 0, f, g, h)
-        form = rotate_to_canonical(params)
+        form = rotate_to_canonical(case_iii_point(1, 0, big, 0))
         assert form.u == big * (X ** 2 + Y ** 2)
         assert form.shift.is_zero
 
-    def test_random_case_iii_residuals(self, rng):
-        """P - ell (beta + u) is exactly zero, and the shift is
-        (b d - a e) / (2 a^3)."""
-        for _ in range(30):
-            a = Fraction(rng.choice([v for v in range(-4, 5) if v]))
-            b, d, e = (Fraction(rng.randint(-4, 4)) for _ in range(3))
-            f, g, h = case_iii_fgh(a, b, d, e)
-            params = QuinticParams(a, b, -a, d, e, f, g, h)
-            form = rotate_to_canonical(params)
-            assert (radial_factor(params)
-                    - form.ell * (form.beta + form.u)).is_zero
-            assert form.shift == (b * d - a * e) / (2 * a ** 3)
+    def test_random_case_iii_residuals(self):
+        """On the symbolic case (iii) component in a, b, u, v (d = a^3 u,
+        e = a^3 v): P - ell (beta + u) is exactly zero, and the shift
+        (b d - a e) / (2 a^3) is (b u - a v) / 2."""
+        params = case_iii_symbolic()
+        form = rotate_to_canonical(params)
+        assert (radial_factor(params)
+                - form.ell * (form.beta + form.u)).is_zero
+        a, b, u, v = (Poly.var(n) for n in "abuv")
+        assert form.shift == (b * u - a * v) * Fraction(1, 2)
 
 
 class TestCompositionCenters:
@@ -969,28 +921,14 @@ class TestCompositionCenters:
         has y W_x - x W_y = -ell, so dW/dtheta = ell on the circle, and
         u + 2 shift W is a multiple of x^2 + y^2, so u is affine in W
         there: P = ell (beta + u) is dW/dtheta times a function of W."""
-        sub = case_substitution(CaseTag.CASE_III)
-        for params in (QuinticParams(0, "b", 0, 0, "e", 0, "g", 0),
-                       QuinticParams("a", "b", *(sub[n] for n in "cdefgh"))):
-            form = rotate_to_canonical(params)
-            A, B, _ = form.ell.forms()[2]
-            W = A * X * Y - Fraction(1, 4) * B * (X ** 2 - Y ** 2)
-            assert Y * W.diff("x") - X * W.diff("y") == -form.ell
-            level = divide_exact(form.u + 2 * form.shift * W, X ** 2 + Y ** 2)
-            assert level is not None and not level.variables() & {"x", "y"}
+        assert composes(CASE_II_SYMBOLIC) and composes(case_iii_symbolic())
 
     def test_symbolic_case_i(self):
         """With P2 = 0, dr/dtheta = -r^5 P4 closes iff P4 has mean zero on
         the circle.  A quartic form F is c (x^2 + y^2)^2 + (x^2 + y^2) H2 +
         H4 with H2, H4 harmonic, so its mean c is the bilaplacian over 64;
         for P4 that is R_2 / 8, and case (i) sets R_2 = 3d + f + 3h = 0."""
-        def laplacian(p):
-            return p.diff("x").diff("x") + p.diff("y").diff("y")
-
-        assert laplacian(laplacian((X ** 2 + Y ** 2) ** 2)) == 64
-        p4 = form_poly([Poly.var(n) for n in "defgh"])
-        r2 = reduced_conditions(QuinticParams.symbolic())[1]
-        assert laplacian(laplacian(p4)) == 8 * r2
+        assert quartic_mean_is_r2_over_8()
 
 
 def start_radius(form):
@@ -1034,14 +972,10 @@ class TestCaseIIISeeded:
             assert spec.kind == ("rational" if form.u.is_zero else "darboux-exp")
             sysm = build_system(params)
             r0 = start_radius(form)
-            base = orbits.integral_value(spec.payload, r0, r0 / 4)
-            for x, y in orbit_sample_pairs(sysm, r0, r0 / 4):
-                value = orbits.integral_value(spec.payload, x, y)
-                assert abs(value - base) <= 1e-6 * abs(base)
+            assert integral_drift(spec, sysm, r0, r0 / 4) <= 1e-6
 
             bracket = structure.lie_bracket(
                 sysm, commuting_partner(params, case))
             assert all(c.is_zero for c in bracket)
-            assert orbits.center_type(params, case).tag == (
-                "B4" if e * g < 0 else "B2"), params
+            assert b_type(params).tag == eg_rule(e, g), params
         assert kinds == {(True, True), (False, True), (False, False)}

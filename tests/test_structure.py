@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from isoquintic.qpoly import Poly, RationalFunction, as_poly, parse_expr
+from isoquintic.qpoly import Poly, as_poly
 from isoquintic.lyapunov import PlanarSystem
 from isoquintic import quintic, structure
 from isoquintic.structure import (
@@ -16,12 +17,9 @@ from isoquintic.structure import (
     reversibility_residual, reversible_modulo_constraint,
     _pseudo_rem_quadratic, angular_speed_residual,
 )
-from conftest import (case_iii_fgh, polys, radial_factor, random_poly,
-                      scaled_case_iii_system)
-
-X = Poly.var("x")
-Y = Poly.var("y")
-ROT = PlanarSystem(Y, -X)
+from conftest import (CASE_I_Q, CASE_I_SYMBOLIC, CASE_II_Q, CASE_II_SYMBOLIC,
+                      CASE_II_U, ROT, X, Y, case_iii_fgh, polys,
+                      radial_factor, random_poly, scaled_case_iii_system)
 
 
 class TestBracket:
@@ -88,19 +86,12 @@ def radial_cofactor_theorem_check(R, Q):
 
 class TestRadialPair:
     def test_case_i_identity(self):
-        d, e, g, h = (Poly.var(n) for n in ("d", "e", "g", "h"))
-        f = -3 * (d + h)
-        R = (d * X ** 4 + e * X ** 3 * Y + f * X ** 2 * Y ** 2
-             + g * X * Y ** 3 + h * Y ** 4)
-        Q = 1 + e * X ** 4 - 4 * d * X ** 3 * Y + 4 * h * X * Y ** 3 - g * Y ** 4
-        assert radial_cofactor_theorem_check(R, Q).is_zero
+        R = radial_factor(CASE_I_SYMBOLIC)
+        assert radial_cofactor_theorem_check(R, CASE_I_Q).is_zero
 
     def test_case_ii_identity(self):
-        b, e, g = (Poly.var(n) for n in ("b", "e", "g"))
-        R = b * X * Y + e * X ** 3 * Y + g * X * Y ** 3
-        u = e * X ** 2 + g * Y ** 2
-        Q = (e - g) + u * (b + u)
-        assert radial_cofactor_theorem_check(R, Q).is_zero
+        R = radial_factor(CASE_II_SYMBOLIC)
+        assert radial_cofactor_theorem_check(R, CASE_II_Q).is_zero
 
     def test_rejects_non_commuting(self):
         with pytest.raises(NotCommutingError):
@@ -108,26 +99,19 @@ class TestRadialPair:
 
 
 class TestIntegratingFactor:
+    @staticmethod
+    def denominator(params, tag):
+        other = quintic.commuting_partner(params, quintic.CenterCase(tag))
+        return integrating_factor_from_pair(quintic.build_system(params),
+                                            other).den
+
     def test_case_i_denominator(self):
-        d = Poly.var("d")
-        params = quintic.QuinticParams(0, 0, 0, "d", "e",
-                                       -3 * (d + Poly.var("h")), "g", "h")
-        sysm = quintic.build_system(params)
-        other = quintic.commuting_partner(params, quintic.CenterCase(
-            quintic.CaseTag.CASE_I))
-        mu = integrating_factor_from_pair(sysm, other)
-        q4 = parse_expr("e*x^4 - 4*d*x^3*y + 4*h*x*y^3 - g*y^4")
-        assert mu.den == (X ** 2 + Y ** 2) * (1 + q4)
+        assert (self.denominator(CASE_I_SYMBOLIC, quintic.CaseTag.CASE_I)
+                == (X ** 2 + Y ** 2) * CASE_I_Q)
 
     def test_case_ii_denominator(self):
-        params = quintic.QuinticParams(0, "b", 0, 0, "e", 0, "g", 0)
-        sysm = quintic.build_system(params)
-        other = quintic.commuting_partner(params, quintic.CenterCase(
-            quintic.CaseTag.CASE_II))
-        mu = integrating_factor_from_pair(sysm, other)
-        u = Poly.var("e") * X ** 2 + Poly.var("g") * Y ** 2
-        Q = (Poly.var("e") - Poly.var("g")) + u * (Poly.var("b") + u)
-        assert mu.den == (X ** 2 + Y ** 2) * Q
+        assert (self.denominator(CASE_II_SYMBOLIC, quintic.CaseTag.CASE_II)
+                == (X ** 2 + Y ** 2) * CASE_II_Q)
 
     def test_degenerate_pair(self):
         with pytest.raises(DegeneratePairError):
@@ -190,13 +174,11 @@ class TestDarboux:
 
     def test_known_cofactors(self):
         sysm = case_ii_system(b="b")
-        b = Poly.var("b")
-        u = Poly.var("e") * X ** 2 + Poly.var("g") * Y ** 2
+        b, u = Poly.var("b"), CASE_II_U
         c1 = X ** 2 + Y ** 2
-        c2 = (Poly.var("e") - Poly.var("g")) + b * u + u ** 2
         assert cofactor_of(sysm, c1) == 2 * X * Y * (b + u)
-        assert cofactor_of(sysm, c2) == 2 * X * Y * (b + 2 * u)
-        assert directional_derivative(sysm, u) == 2 * X * Y * c2
+        assert cofactor_of(sysm, CASE_II_Q) == 2 * X * Y * (b + 2 * u)
+        assert directional_derivative(sysm, u) == 2 * X * Y * CASE_II_Q
 
     def test_equal_variant_certified(self):
         cand = darboux_candidate_equal(Fraction(2))
@@ -244,6 +226,27 @@ class TestDarboux:
         with pytest.raises(StructureError):
             verify_darboux_integral(ROT,
                                     DarbouxCandidate(algebraic=((bad, 1),)))
+
+    @pytest.mark.parametrize("cand, sysm, message", [
+        (darboux_candidate_equal(2), case_ii_system(2, 2),
+         "exponential invariant failed"),
+        (darboux_candidate(1, -2), case_ii_system(1, -2),
+         "integral-exponent invariant failed")], ids=["rational", "integral"])
+    def test_wrong_exponential_cofactor_raises(self, cand, sysm, message):
+        """A certifying candidate with its C3 cofactor changed: each kind of
+        exponential invariant is checked against its own certificate."""
+        (c3, weight), = cand.exponential
+        wrong = dataclasses.replace(c3, cofactor=c3.cofactor + X * Y)
+        with pytest.raises(StructureError, match=message):
+            verify_darboux_integral(sysm, dataclasses.replace(
+                cand, exponential=((wrong, weight),)))
+
+    def test_unknown_exponential_invariant_raises(self):
+        circle = AlgebraicInvariant(X ** 2 + Y ** 2, Poly.zero())
+        with pytest.raises(TypeError, match="^unknown exponential invariant "
+                                            "AlgebraicInvariant$"):
+            verify_darboux_integral(ROT, DarbouxCandidate(
+                algebraic=(), exponential=((circle, 1),)))
 
 
 def reversible(sysm, alpha, beta):

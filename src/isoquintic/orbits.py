@@ -4,10 +4,14 @@ the values of certified first integrals.
 
 The symbolic layer proves identities; this module checks that the numbers
 agree.  It is the package's one float layer: beside it, only `qpoly.to_float`
-and `Poly.eval_float` turn exact values into floats.  Orbits are integrated
-by the adaptive Dormand-Prince 5(4) pair at tight tolerances, in one step
-loop that stops at the escape radius and, for a ray return, at the first
-return: the systems turn at unit speed, so every orbit meets its ray again at
+and `Poly.eval_float` turn exact values into floats.  `compile_rhs` turns a
+system into one straight-line Python function, generated from its terms,
+whose floats are those of the generic fsum of c * x ** i * y ** j in term
+order; its source holds generated names and int exponents only, and it is
+the package's one `exec`.  Orbits are integrated by the adaptive
+Dormand-Prince 5(4) pair at tight tolerances, in one step loop that stops
+at the escape radius and, for a ray return, at the first return: the
+systems turn at unit speed, so every orbit meets its ray again at
 t = 2 pi.  The stepper repeats scipy's RK45 arithmetic on Python floats,
 but for the eight reductions of a step, which numpy's dot rounds on scipy's
 shapes: the five stage dots, the dots of the solution and of the error
@@ -82,27 +86,54 @@ def compile_rhs(sys):
     """Compile a numeric PlanarSystem into a fast (t, state) -> derivative,
     state an (x, y) pair of Python floats, as `_rk45_steps` passes it.
 
+    The field is one straight-line function, generated once per system:
+
+        def field(x, y):
+            x2 = x ** 2
+            x3 = x ** 3
+            ...
+            return (fsum([p0 * y, p1 * x3, p2 * x2 * y, ...]),
+                    fsum([q0 * x, ...]))
+
+    Its floats are those of the generic sum of c * x ** i * y ** j over
+    the terms: each power is the same pow, computed once, each product
+    keeps that association, the terms keep their order, on which fsum's
+    overflow depends, and fsum's sum is exact before its one rounding.
+    Only the factors x ** 0 and x ** 1 are written as nothing and as a
+    bare x, where pow returns 1.0 and x exactly.  The source holds
+    generated names, the coefficients bound in the namespace it runs in,
+    and int exponents: never caller text.
+
     The derivative raises StiffnessError when called more than MAX_RHS_CALLS
     times, which bounds the work of one solve whatever its step sizes, and
     when its terms sum past the float range (or to inf - inf).
     """
-    def collect(poly):
+    namespace = {"fsum": math.fsum}
+    powers, sums = {}, []  # power name -> its expression, in first use
+    for name, poly in (("p", sys.p), ("q", sys.q)):
         if poly.variables() - {"x", "y"}:
             raise ValueError("system has parameters left")
-        # in term order, on which the overflow of math.fsum depends
-        return [(to_float(c), dict(m).get("x", 0), dict(m).get("y", 0))
-                for m, c in poly.terms.items()]
-
-    pterms = collect(sys.p)
-    qterms = collect(sys.q)
-    import numpy as np  # after collect: a system with parameters fails first
+        products = []
+        for k, (m, c) in enumerate(poly.terms.items()):
+            namespace[f"{name}{k}"] = to_float(c)
+            factors = [f"{name}{k}"]
+            for v in ("x", "y"):
+                e = dict(m).get(v, 0)
+                if e == 1:
+                    factors.append(v)
+                elif e:
+                    powers[f"{v}{e:d}"] = f"{v} ** {e:d}"
+                    factors.append(f"{v}{e:d}")
+            products.append(" * ".join(factors))
+        # fsum over a list: faster than over a generator, the same sum
+        sums.append(f"fsum([{', '.join(products)}])")
+    body = "".join(f"    {v} = {power}\n" for v, power in powers.items())
+    exec(f"def field(x, y):\n{body}    return ({sums[0]}, {sums[1]})\n",
+         namespace)
+    field = namespace["field"]
+    import numpy as np  # after the terms: a system with parameters fails first
 
     calls = 0
-
-    def field(x, y):
-        # fsum over a list: faster than over a generator, the same sum
-        return (math.fsum([c * x ** i * y ** j for c, i, j in pterms]),
-                math.fsum([c * x ** i * y ** j for c, i, j in qterms]))
 
     def rhs(t, state):
         nonlocal calls

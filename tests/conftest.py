@@ -24,6 +24,14 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 X, Y = Poly.var("x"), Poly.var("y")
 ROT = PlanarSystem(Y, -X)  # the linear center
 
+# explicit components with terms outside the family (even degrees, a cubic
+# that is not x P, y P), made numeric by its bindings
+NUMERIC_DOCUMENT = {
+    "p": "y + 3/2*x^2 - x*y + 2*y^3 - 5/3*x^4*y + 7*x^5 + b*x^3",
+    "q": "-x + b*x*y - 1/4*y^2 + x^3 + 2/9*x^2*y^3 - 1000000*y^4",
+    "bindings": {"b": "-999999/1000000"},
+}
+
 # The orbit layer integrates with numpy; the exact layer runs without it, as
 # on the requires-python floor, where only pytest and hypothesis are installed.
 requires_numpy = pytest.mark.skipif(importlib.util.find_spec("numpy") is None,

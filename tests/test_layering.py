@@ -4,9 +4,10 @@ between the package's modules has no cycle, every name a module imports
 is read in it, the exact layers `quintic` and `structure` import no float
 conversion (`orbits` evaluates what they certify), the Lyapunov stage loop
 is reached from `lyapunov` alone, caller text is read by `qpoly` alone, and
-no module imports scipy.  Imports inside functions count too.  Every module
-and test parses with the grammar of the `requires-python` floor, and no
-test helper is defined in two files under tests/."""
+no module imports scipy.  Imports inside functions count too.  Code is
+generated and run by `orbits.compile_rhs` alone.  Every module and test
+parses with the grammar of the `requires-python` floor, and no test helper
+is defined in two files under tests/."""
 
 import ast
 import re
@@ -145,6 +146,24 @@ def stage_loop_uses(path):
     return out
 
 
+def code_runners(package):
+    """(module, top-level definition or None) for each use of the builtins
+    exec, eval and compile: by name, or as an attribute of `builtins`."""
+    runners = {"exec", "eval", "compile"}
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id in runners
+                        or isinstance(node, ast.Attribute)
+                        and node.attr in runners
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "builtins"):
+                    out.append((path.stem, owner))
+    return out
+
+
 def floor_version(pyproject):
     """(major, minor) of `requires-python = ">=major.minor"`, read without
     tomllib, which Python 3.10 lacks."""
@@ -234,6 +253,28 @@ def test_reader_check_catches_a_second_reader(tmp_path):
     (pkg / "quintic.py").write_text("parse_rational = float\n")
     assert absolute_imports(pkg / "cli.py") == ["fractions", "fractions"]
     assert definers(pkg, "parse_rational") == ["cli", "qpoly", "quintic"]
+
+
+def test_one_code_generator():
+    """The generated right-hand side is the package's one `exec`: its
+    source holds generated names and int exponents, never caller text."""
+    assert code_runners(PACKAGE) == [("orbits", "compile_rhs")]
+
+
+def test_code_check_catches_a_second_runner(tmp_path):
+    """Module level, methods and aliases count; `re.compile` does not."""
+    pkg = tmp_path / PACKAGE.name
+    pkg.mkdir()
+    (pkg / "orbits.py").write_text(
+        "def compile_rhs(sys):\n    exec('x = 1', {})\n")
+    (pkg / "qpoly.py").write_text(
+        "import builtins, re\nWORD = re.compile('[a-z]+')\n"
+        "value = eval('1')\n"
+        "class Parser:\n    def run(self, text):\n"
+        "        return builtins.compile(text, '<text>', 'eval')\n"
+        "def parse(text, run=exec):\n    pass\n")
+    assert code_runners(pkg) == [("orbits", "compile_rhs"), ("qpoly", None),
+                                 ("qpoly", "Parser"), ("qpoly", "parse")]
 
 
 def test_quintic_runs_no_stage_loop():

@@ -12,8 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import (ROT, X, Y, clear_product_memo, coeffs, first_hit,
-                      on_stratum, polys, random_point, random_poly)
+from conftest import (NUMERIC_DOCUMENT, ROT, X, Y, clear_product_memo,
+                      coeffs, first_hit, on_stratum, polys, random_point,
+                      random_poly)
 from isoquintic.qpoly import Poly, QPolyError, as_poly, form_poly
 from isoquintic.lyapunov import (
     PlanarSystem, LyapunovError, LyapunovReport, check_linear_center,
@@ -236,15 +237,6 @@ def terms_sha(reports):
                  for k, part in parts.items()]
         text.append(f"{rep.first_nonzero_index} {rep.sign}")
     return hashlib.sha256("\n".join(text).encode()).hexdigest()
-
-
-# explicit components with terms outside the family (even degrees, a cubic
-# that is not x P, y P), made numeric by its bindings
-NUMERIC_DOCUMENT = {
-    "p": "y + 3/2*x^2 - x*y + 2*y^3 - 5/3*x^4*y + 7*x^5 + b*x^3",
-    "q": "-x + b*x*y - 1/4*y^2 + x^3 + 2/9*x^2*y^3 - 1000000*y^4",
-    "bindings": {"b": "-999999/1000000"},
-}
 
 
 def report_sha(reports):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -20,8 +21,9 @@ from isoquintic.orbits import (
     boundary_curve, c3_exponent,
 )
 from isoquintic.structure import darboux_candidate
-from conftest import (CASE_I_BTYPES, ROT, X, Y, b_type, case_i_point,
-                      case_iii_point, eg_rule, numeric)
+from isoquintic.cli import load_system_document
+from conftest import (CASE_I_BTYPES, NUMERIC_DOCUMENT, ROT, X, Y, b_type,
+                      case_i_point, case_iii_point, eg_rule, numeric)
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,6 +207,77 @@ class TestIntegrate:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             integrate(ROT, 1.0, 0.0, 1.0, tol=0.0)
+
+
+def generic_field(sys, state):
+    """The right-hand side at state as the generic sum of c * x ** i * y ** j
+    over each component's terms, in term order, and whether numpy scalars
+    gave it: on Python floats, on numpy scalars where a float ** overflows,
+    and StiffnessError where fsum overflows or meets inf - inf."""
+    terms = [[(float(c), dict(m).get("x", 0), dict(m).get("y", 0))
+              for m, c in poly.terms.items()] for poly in (sys.p, sys.q)]
+
+    def field(x, y):
+        return tuple(math.fsum(c * x ** i * y ** j for c, i, j in part)
+                     for part in terms)
+
+    try:
+        try:
+            return field(*state), False
+        except OverflowError:
+            return field(*map(np.float64, state)), True
+    except (OverflowError, ValueError):
+        return StiffnessError, False
+
+
+class TestCompiledField:
+    """`compile_rhs`'s generated field gives the generic sum's floats, by
+    repr, on systems outside the family: no term, constant terms, lone x and
+    y factors, terms whose order decides an overflow, terms of degree 20 and
+    21, and an explicit document with even degrees.  Each coordinate of a
+    state reaches from 1e-3 to 1e200, so that a float ** raises and the
+    numpy fallback gives a value, and fsum overflows or meets inf - inf,
+    which is a StiffnessError."""
+
+    SYSTEMS = {
+        "zero": PlanarSystem(Poly.zero(), Poly.zero()),
+        "constant": PlanarSystem(Fraction(-5, 3) + Y, -X + Fraction(1, 7)),
+        "lone x and y": PlanarSystem(3 * X - Fraction(1, 2) * Y + X * Y,
+                                     X + Y),
+        # at (1e308, 1): fsum overflows on the first two terms, not on the
+        # last two, so the terms' order decides
+        "term order": PlanarSystem(X + X * Y - X * Y ** 2, -Y),
+        "degree 21": PlanarSystem(
+            Y + Fraction(2, 3) * X ** 13 * Y ** 8 - X ** 21,
+            -X + Fraction(1, 3) * Y ** 20 - X * Y ** 20),
+    }
+
+    def test_matches_the_generic_sum(self, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(NUMERIC_DOCUMENT), encoding="utf-8")
+        systems = {**self.SYSTEMS, "document": load_system_document(str(path))}
+        rnd = np.random.default_rng(20261022)
+        fell_back, stiff = {}, {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, sysm in systems.items():
+                rhs = orbits.compile_rhs(sysm)
+                scales = 10.0 ** rnd.uniform(-3, 200, size=(400, 2))
+                states = rnd.uniform(-1, 1, size=(400, 2)) * scales
+                fell_back[name] = stiff[name] = 0
+                for state in [(0.0, -0.0), (-1.0, 1.0), (1e308, 1.0),
+                              (1e308, 1e308), *states.tolist()]:
+                    want, numpy_scalars = generic_field(sysm, state)
+                    try:
+                        got = rhs(0.0, state)
+                    except StiffnessError:
+                        got = StiffnessError
+                    assert repr(got) == repr(want), (name, state)
+                    stiff[name] += want is StiffnessError
+                    fell_back[name] += numpy_scalars
+        assert {n for n in systems if fell_back[n]} == {
+            "term order", "degree 21", "document"}
+        assert {n for n in systems if stiff[n]} == {
+            "lone x and y", "term order", "degree 21", "document"}
 
 
 class TestRayReturn:

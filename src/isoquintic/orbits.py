@@ -7,26 +7,31 @@ agree.  It is the package's one float layer: beside it, only `qpoly.to_float`
 and `Poly.eval_float` turn exact values into floats.  `compile_rhs` turns a
 system into one straight-line Python function, generated from its terms,
 whose floats are those of the generic fsum of c * x ** i * y ** j in term
-order; its source holds generated names and int exponents only, and it is
-the package's one `exec`.  Orbits are integrated by the adaptive
-Dormand-Prince 5(4) pair at tight tolerances, in one step loop that stops
-at the escape radius and, for a ray return, at the first return: the
-systems turn at unit speed, so every orbit meets its ray again at
-t = 2 pi.  The stepper repeats scipy's RK45 arithmetic on Python floats,
+order; its source holds generated names and int exponents only, the
+coefficients are its factory's arguments, and the factory is generated
+once per term pattern by the package's one `exec`.  Orbits are integrated
+by the adaptive Dormand-Prince 5(4) pair at tight tolerances, in one step
+loop that stops at the escape radius and, for a ray return, at the first
+return: the systems turn at unit speed, so every orbit meets its ray again
+at t = 2 pi.  The stepper repeats scipy's RK45 arithmetic on Python floats,
 but for the eight reductions of a step, which numpy's dot rounds on scipy's
 shapes: the five stage dots, the dots of the solution and of the error
-estimate, and the RMS norm's.  `brentq`, which locates those events, repeats
-scipy's brentq.c on floats, so both give scipy's floats without importing
-it.  numpy is imported by the solve and by `compile_rhs` only, so the case
-(i) boundary, every B-type verdict and `integral_value` run on the standard
-library.
+estimate, and the RMS norm's.  Events are located on the step's continuous
+extension, whose one dot is numpy's too.  `brentq`, which locates them,
+repeats scipy's brentq.c on floats, so both give scipy's floats without
+importing it.  numpy is imported by the solve and by `compile_rhs` only, so
+the case (i) boundary, whose scan reads a table of cos and sin powers built
+once per process, every B-type verdict and `integral_value` run on the
+standard library.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from sys import float_info
 
 from .qpoly import RationalFunction, as_poly, to_float
@@ -44,6 +49,12 @@ MAX_T_END = MAX_STEP * (MAX_RHS_CALLS - 2) / 6
 EPS4 = 4 * float_info.epsilon  # brentq's xtol and rtol
 RETURN_T_MAX = 2.5 * math.pi  # span searched for the first ray return
 MAX_BOUNDARY_N = 2 ** 16  # most boundary samples one call may return
+SCAN_N = 4096  # angles in the coarse scan of the boundary quartic
+MAX_FIELD_MAKERS = 256  # generated field factories kept, by source
+
+
+# generated source -> its field factory, oldest first; see compile_rhs
+_FIELD_MAKERS = {}
 
 
 class OrbitError(Exception):
@@ -86,14 +97,17 @@ def compile_rhs(sys):
     """Compile a numeric PlanarSystem into a fast (t, state) -> derivative,
     state an (x, y) pair of Python floats, as `_rk45_steps` passes it.
 
-    The field is one straight-line function, generated once per system:
+    The field is one straight-line function, returned by a factory that is
+    generated and run by `exec` once per term pattern:
 
-        def field(x, y):
-            x2 = x ** 2
-            x3 = x ** 3
-            ...
-            return (fsum([p0 * y, p1 * x3, p2 * x2 * y, ...]),
-                    fsum([q0 * x, ...]))
+        def make(fsum, p0, p1, ..., q0, ...):
+            def field(x, y):
+                x2 = x ** 2
+                x3 = x ** 3
+                ...
+                return (fsum([p0 * y, p1 * x3, p2 * x2 * y, ...]),
+                        fsum([q0 * x, ...]))
+            return field
 
     Its floats are those of the generic sum of c * x ** i * y ** j over
     the terms: each power is the same pow, computed once, each product
@@ -101,21 +115,22 @@ def compile_rhs(sys):
     overflow depends, and fsum's sum is exact before its one rounding.
     Only the factors x ** 0 and x ** 1 are written as nothing and as a
     bare x, where pow returns 1.0 and x exactly.  The source holds
-    generated names, the coefficients bound in the namespace it runs in,
-    and int exponents: never caller text.
+    generated names and int exponents, never caller text, and no
+    coefficient: those are the factory's arguments, so systems with the
+    same terms in the same order share one source and one factory, which
+    `_FIELD_MAKERS` keeps for the last MAX_FIELD_MAKERS sources.
 
     The derivative raises StiffnessError when called more than MAX_RHS_CALLS
     times, which bounds the work of one solve whatever its step sizes, and
     when its terms sum past the float range (or to inf - inf).
     """
-    namespace = {"fsum": math.fsum}
-    powers, sums = {}, []  # power name -> its expression, in first use
+    coefficients, powers, sums = {}, {}, []  # name -> its value or expression
     for name, poly in (("p", sys.p), ("q", sys.q)):
         if poly.variables() - {"x", "y"}:
             raise ValueError("system has parameters left")
         products = []
         for k, (m, c) in enumerate(poly.terms.items()):
-            namespace[f"{name}{k}"] = to_float(c)
+            coefficients[f"{name}{k}"] = to_float(c)
             factors = [f"{name}{k}"]
             for v in ("x", "y"):
                 e = dict(m).get(v, 0)
@@ -127,10 +142,20 @@ def compile_rhs(sys):
             products.append(" * ".join(factors))
         # fsum over a list: faster than over a generator, the same sum
         sums.append(f"fsum([{', '.join(products)}])")
-    body = "".join(f"    {v} = {power}\n" for v, power in powers.items())
-    exec(f"def field(x, y):\n{body}    return ({sums[0]}, {sums[1]})\n",
-         namespace)
-    field = namespace["field"]
+    body = "".join(f"        {v} = {power}\n" for v, power in powers.items())
+    source = (f"def make({', '.join(['fsum', *coefficients])}):\n"
+              f"    def field(x, y):\n{body}"
+              f"        return ({sums[0]}, {sums[1]})\n"
+              f"    return field\n")
+    make = _FIELD_MAKERS.get(source)
+    if make is None:
+        namespace = {}
+        exec(source, namespace)
+        make = namespace["make"]
+        while len(_FIELD_MAKERS) >= MAX_FIELD_MAKERS:
+            del _FIELD_MAKERS[next(iter(_FIELD_MAKERS))]  # the oldest
+        _FIELD_MAKERS[source] = make
+    field = make(math.fsum, *coefficients.values())
     import numpy as np  # after the terms: a system with parameters fails first
 
     calls = 0
@@ -194,15 +219,19 @@ def _rk45_steps(rhs, x0, y0, t_end, tol):
     eight reductions whose rounding is scipy's: the five stage dots, the two
     dots of the solution and of the error estimate, and the dot of the RMS
     norm, on scipy's shapes, since numpy's dot rounds differently from a sum
-    of Python floats.  Every other operation is elementwise, and Python
-    floats round it as numpy does; only numpy's x / 0 and its nan-propagating
-    maximum are spelt out.  K holds the seven stages of the last step and is
-    overwritten by the next.
+    of Python floats.  Each dot is bound once per solve, as a method of a
+    view on K or of one preallocated pair for the norm, and calls the same
+    routine on the same shapes as np.dot.  Every other operation is
+    elementwise, and Python floats round it as numpy does; only numpy's
+    x / 0 and its nan-propagating maximum are spelt out.  K holds the seven
+    stages of the last step and is overwritten by the next.
     """
     import numpy as np
 
+    v = np.empty(2)
+
     def rms(vx, vy):  # np.linalg.norm((vx, vy)) / 2 ** 0.5, without the checks
-        v = np.array((vx, vy))
+        v[0], v[1] = vx, vy
         return math.sqrt(v.dot(v)) / 2 ** 0.5
 
     def divide(a, b):  # a / b for a >= 0, with numpy's inf or nan where b = 0
@@ -215,9 +244,9 @@ def _rk45_steps(rhs, x0, y0, t_end, tol):
     t, x, y = 0.0, x0, y0
     K = np.empty((7, 2))
     fx, fy = K[0] = rhs(t, (x, y))
-    # views on K, which every step fills in place
-    stages = [(s, _C[s], K[:s].T, A[s, :s]) for s in range(1, 6)]
-    K_B, K_E = K[:-1].T, K.T
+    # the dots of views on K, which every step fills in place
+    stages = [(s, _C[s], K[:s].T.dot, A[s, :s]) for s in range(1, 6)]
+    K_B, K_E = K[:-1].T.dot, K.T.dot
 
     # initial step, selected from the first two slopes
     sx, sy = tol + abs(x) * tol, tol + abs(y) * tol
@@ -246,12 +275,12 @@ def _rk45_steps(rhs, x0, y0, t_end, tol):
             h = t_new - t
             h_abs = abs(h)
             for s, c, K_s, a in stages:
-                kx, ky = np.dot(K_s, a).tolist()
+                kx, ky = K_s(a).tolist()
                 K[s] = rhs(t + c * h, (x + kx * h, y + ky * h))
-            bx, by = np.dot(K_B, B).tolist()
+            bx, by = K_B(B).tolist()
             x_new, y_new = x + h * bx, y + h * by
             K[6] = rhs(t + h, (x_new, y_new))
-            ex, ey = np.dot(K_E, E).tolist()
+            ex, ey = K_E(E).tolist()
             sx = tol + maximum(abs(x), abs(x_new)) * tol
             sy = tol + maximum(abs(y), abs(y_new)) * tol
             error_norm = rms(ex * h / sx, ey * h / sy)
@@ -271,15 +300,22 @@ def _rk45_steps(rhs, x0, y0, t_end, tol):
 
 def _interpolant(t_old, t, y_old, K):
     """The continuous extension over the step from t_old to t, as scipy's
-    RkDenseOutput evaluates it: exactly y_old at t_old."""
+    RkDenseOutput evaluates it, as an (x, y) tuple of floats: exactly y_old
+    at t_old.  The powers of (s - t_old) / h are Python products in
+    np.cumprod's order, and h * d + y_old is elementwise, so only the dot
+    with Q is numpy's."""
     import numpy as np
 
-    Q = K.T.dot(np.array(_P))
+    Q_dot = K.T.dot(np.array(_P)).dot
     h = t - t_old
+    x0, y0 = y_old
 
     def dense(s):
-        p = np.cumprod(np.tile((s - t_old) / h, 4))
-        return h * np.dot(Q, p) + y_old
+        p1 = (s - t_old) / h
+        p2 = p1 * p1
+        p3 = p2 * p1
+        dx, dy = Q_dot((p1, p2, p3, p3 * p1)).tolist()
+        return h * dx + x0, h * dy + y0
 
     return dense
 
@@ -384,7 +420,7 @@ def _solve(sys, x0, y0, t_end, tol, normal=None):
         if start and end and (start < 0) == (end < 0):
             return t, (x, y)  # the extension's sign change lies past t
         root = brentq(at, t_old, t)
-        return root, tuple(dense(root).tolist())
+        return root, dense(root)
 
     def escape(state):
         return math.hypot(*state) - ESCAPE_RADIUS
@@ -481,6 +517,26 @@ def _golden_max(fun, lo, hi):
     return m, fun(m)
 
 
+@cache
+def _scan_table():
+    """c^4, c^3, c, s, s^3 and s^4 at the scan angles i * 2 pi / SCAN_N, c
+    and s their cosine and sine, as six array('d') columns: built on the
+    first scan, once per process."""
+    step = 2.0 * math.pi / SCAN_N
+    angles = [i * step for i in range(SCAN_N)]
+    c, s = list(map(math.cos, angles)), list(map(math.sin, angles))
+    powers = lambda v, e: [w ** e for w in v]
+    return tuple(array("d", column) for column in (
+        powers(c, 4), powers(c, 3), c, s, powers(s, 3), powers(s, 4)))
+
+
+def _scan(q0, q1, q3, q4):
+    """q0 c^4 + q1 c^3 s + q3 c s^3 + q4 s^4 at each scan angle, the floats
+    of `boundary_curve`'s Q there, associated as Q associates them."""
+    return [q0 * c4 + q1 * c3 * s + q3 * c * s3 + q4 * s4
+            for c4, c3, c, s, s3, s4 in zip(*_scan_table())]
+
+
 def boundary_curve(d, e, g, h, N=256):
     """Sampled explicit boundary rho(phi) = (c0 - Q(phi))^(-1/4) for case (i).
 
@@ -509,14 +565,13 @@ def boundary_curve(d, e, g, h, N=256):
         c, s = math.cos(phi), math.sin(phi)
         return q0 * c ** 4 + q1 * c ** 3 * s + q3 * c * s ** 3 + q4 * s ** 4
 
-    dense = 4096  # angles in the coarse scan
-    step = 2.0 * math.pi / dense
-    values = [Q(i * step) for i in range(dense)]
+    step = 2.0 * math.pi / SCAN_N
+    values = _scan(q0, q1, q3, q4)  # Q(i * step), from a table of the powers
 
     # refine every strict local maximum of the scan, then keep the global ones
     peaks = []
-    for i in range(dense):
-        if values[i] >= values[i - 1] and values[i] >= values[(i + 1) % dense]:
+    for i, value in enumerate(values):
+        if value >= values[i - 1] and value >= values[(i + 1) % SCAN_N]:
             lo = (i - 1) * step
             hi = (i + 1) * step
             peaks.append(_golden_max(Q, lo, hi))

@@ -195,6 +195,35 @@ class TestIntegrate:
             for t_old, t, y_old, y, _ in steps:
                 assert [type(v) for v in (t_old, t, *y_old, *y)] == [float] * 6
 
+    def test_continuous_extension_is_numpys(self):
+        """The extension's Python products give the floats of scipy's
+        RkDenseOutput expression, at the step start exactly y_old: on the
+        steps of seeded orbits, and on random stages, where no column of
+        K^T P is small beside the first and each power's last bit shows."""
+        rnd = np.random.default_rng(20261024)
+        P = np.array(orbits._P)
+        blow = PlanarSystem(1 + X ** 2, Poly.zero())
+        focus = quintic.build_system(numeric(a=1, b=-2, d=3, e=1, g=-1))
+        steps = []
+        for sysm, x0, t_end in ((ROT, 1.0, 1.0), (blow, 1.0, 0.78),
+                                (focus, rnd.uniform(0.1, 0.4), 2.0),
+                                (focus, rnd.uniform(-0.4, -0.1), 2.0)):
+            steps += [(t_old, t, y_old, K.copy()) for t_old, t, y_old, _, K
+                      in orbits._rk45_steps(orbits.compile_rhs(sysm), x0,
+                                            0.0, t_end, orbits.TOL)]
+        for _ in range(200):
+            t_old = rnd.uniform(0, 5)
+            steps.append((t_old, t_old + rnd.uniform(1e-3, 0.1), (0.0, 0.0),
+                          rnd.normal(size=(7, 2))))
+        for t_old, t, y_old, K in steps:
+            dense = orbits._interpolant(t_old, t, y_old, K)
+            assert dense(t_old) == y_old
+            Q, h = K.T.dot(P), t - t_old
+            for s in [t, *rnd.uniform(t_old, t, size=4).tolist()]:
+                p = np.cumprod(np.tile((s - t_old) / h, 4))
+                want = h * np.dot(Q, p) + y_old
+                assert dense(s) == tuple(want.tolist()), (t_old, s)
+
     def test_t_end_beyond_call_budget_rejected(self, monkeypatch):
         assert orbits.MAX_T_END == pytest.approx(833.3)
         assert orbits.RETURN_T_MAX <= orbits.MAX_T_END
@@ -278,6 +307,35 @@ class TestCompiledField:
             "term order", "degree 21", "document"}
         assert {n for n in systems if stiff[n]} == {
             "lone x and y", "term order", "degree 21", "document"}
+
+    def test_one_factory_per_term_pattern(self, monkeypatch):
+        # two family points with every entry nonzero: the same terms in the
+        # same order, other coefficients
+        monkeypatch.setattr(orbits, "_FIELD_MAKERS", {})
+        first, second = (quintic.build_system(numeric(**dict(zip(
+            quintic.PARAM_NAMES, values)))) for values in (
+                (1, -2, 3, Fraction(1, 3), 5, -6, 7, Fraction(-9, 8)),
+                (-4, Fraction(7, 5), -1, 2, Fraction(-1, 6), 9, -3, 11)))
+        rnd = np.random.default_rng(20261023)
+        states = rnd.uniform(-2, 2, size=(200, 2)).tolist()
+        fields = []
+        for sysm in (first, second):
+            rhs = orbits.compile_rhs(sysm)
+            values = [rhs(0.0, state) for state in states]
+            assert values == [generic_field(sysm, state)[0]
+                              for state in states]
+            fields.append(values)
+        assert fields[0] != fields[1]
+        assert len(orbits._FIELD_MAKERS) == 1
+
+    def test_factory_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(orbits, "_FIELD_MAKERS", {})
+        monkeypatch.setattr(orbits, "MAX_FIELD_MAKERS", 3)
+        for k in range(10):
+            sysm = PlanarSystem(Y + X ** k, -X)
+            rhs = orbits.compile_rhs(sysm)
+            assert len(orbits._FIELD_MAKERS) == min(k + 1, 3)
+            assert rhs(0.0, (0.5, 2.0)) == generic_field(sysm, (0.5, 2.0))[0]
 
 
 class TestRayReturn:
